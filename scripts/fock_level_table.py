@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from wavefock.corpus import builtin_choi
-from wavefock.fock import ChoiMatrix, creation_matrices, level_kernel, truncated_fock
+from wavefock.fock import ChoiMatrix, creation_matrices, level_kernel
 
 
 def parse_instance(text):
@@ -28,12 +28,11 @@ def parse_instance(text):
 
 def table(name, params, K):
     P = ChoiMatrix.from_matrix(builtin_choi(name, params))
-    fock = truncated_fock(P, K)
     ops = creation_matrices(P, K)
     print(f"instance: {name} {params or ''}  (letters={P.N}, d={P.d}, norm={P.norm:.4g})")
     print(f"{'level':>5} {'dim':>5} {'ker':>5} {'ker_pred':>8} {'gram_norm':>11} {'norm_bound':>11} {'max_op_norm':>12}")
     for k in range(K + 1):
-        lvl = fock.level(k)
+        lvl = ops.fock.level(k)
         ker = level_kernel(P, k)
         pred = "-" if ker.predicted_dim is None else str(ker.predicted_dim)
         op_norm = (
@@ -43,7 +42,7 @@ def table(name, params, K):
         )
         print(
             f"{k:>5} {lvl.q:>5} {ker.dim:>5} {pred:>8}"
-            f" {float(np.linalg.norm(lvl.gram, 2)):>11.4e} {P.norm ** k:>11.4e}"
+            f" {lvl.norm:>11.4e} {P.norm ** k:>11.4e}"
             f" {op_norm:>12.4e}"
         )
     print()

@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .anchor import compute_anchor, cyclicity_check, pullback_depth
 from .filterbank import FilterBank, adjoint_poly, decimate, relation_report
-from .fock import ChoiMatrix, creation_matrices, level_kernel, truncated_fock, tstar_t_check
+from .fock import ChoiMatrix, creation_matrices, level_kernel, tstar_t_check
 from .laurent import LaurentPoly
 from .polyphase import (
     dual_loop,
@@ -48,7 +48,7 @@ from .subdivision import (
     pyramid,
     pyramid_reconstruct,
 )
-from .wavelet_fock import cor6_check, sampled_choi
+from .wavelet_fock import cor6_check
 
 DEFAULT_SEED = 20240811
 
@@ -297,8 +297,6 @@ def check_fock_unrestricted() -> CriterionResult:
 
     def body():
         P = ChoiMatrix.from_matrix(np.eye(2))
-        fock = truncated_fock(P, 3)
-        dims_ok = fock.quotient_dims == [1, 2, 4, 8]
         ops = creation_matrices(P, 3)
         iso = 0.0
         for k in range(3):
@@ -311,12 +309,12 @@ def check_fock_unrestricted() -> CriterionResult:
         for k in range(2):
             total = sum(ops.op(i, k) @ ops.op(i, k).conj().T for i in range(2))
             complete = max(complete, float(np.max(np.abs(total - np.eye(total.shape[0])))))
-        return dims_ok, fock.quotient_dims, iso, complete
+        return ops.fock.quotient_dims, iso, complete
 
-    (dims_ok, dims, iso, complete), dt = _timed(body)
+    (dims, iso, complete), dt = _timed(body)
     return CriterionResult(
         name="cuntz-fock-unrestricted",
-        passed=dims_ok and iso < 1e-12 and complete < 1e-12,
+        passed=dims == [1, 2, 4, 8] and iso < 1e-12 and complete < 1e-12,
         details={"quotient_dims": dims, "isometry_error": iso, "completeness_error": complete},
         seconds=dt,
     )
@@ -327,19 +325,17 @@ def check_fock_collapse() -> CriterionResult:
 
     def body():
         P = ChoiMatrix.from_matrix(choi_collapse(2))
-        fock = truncated_fock(P, 3)
-        dims_ok = fock.quotient_dims == [1, 2, 4, 8]
         ops = creation_matrices(P, 3, letter_cap=16)
         pair = 0.0
         for k in range(3):
             for i in range(2):
                 pair = max(pair, float(np.max(np.abs(ops.op(i, k) - ops.op(i + 2, k)))))
-        return dims_ok, fock.quotient_dims, pair
+        return ops.fock.quotient_dims, pair
 
-    (dims_ok, dims, pair), dt = _timed(body)
+    (dims, pair), dt = _timed(body)
     return CriterionResult(
         name="collapse-fock-letters",
-        passed=dims_ok and pair < 1e-10,
+        passed=dims == [1, 2, 4, 8] and pair < 1e-10,
         details={"quotient_dims": dims, "letter_pairing_error": pair},
         seconds=dt,
     )
@@ -411,11 +407,8 @@ def check_wavelet_fock() -> CriterionResult:
 
     def body():
         haar_rep = cor6_check(haar_bank(), grid_size=8, K=2)
-        bank = stretched_haar_bank(with_duals=True)
-        stretched_rep = cor6_check(bank, grid_size=8, K=2)
-
-        sw = sampled_choi(bank, grid_size=8)
-        ops = creation_matrices(sw.block_choi(), 2, letter_cap=64)
+        stretched_rep = cor6_check(stretched_haar_bank(with_duals=True), grid_size=8, K=2)
+        ops = stretched_rep.ops
         eye = np.eye(8)
         frame = 0.0
         for i in range(4):

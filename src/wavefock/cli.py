@@ -21,9 +21,9 @@ from .acceptance import DEFAULT_SEED, run_all
 from .anchor import compute_anchor, cyclicity_check, pullback_depth
 from .errors import SizeCapError, WavefockError
 from .filterbank import FilterBank, relation_report
-from .fock import ChoiMatrix, creation_matrices, truncated_fock, tstar_t_check, validate_choi
+from .fock import ChoiMatrix, creation_matrices, tstar_t_check
 from .polyphase import LoopMatrix, SampledLoop, dual_loop, filters_from_loop, loop_from_filters
-from .wavelet_fock import cor6_check, sampled_choi
+from .wavelet_fock import cor6_check
 
 VERDICT_FAILED = 1
 PARSE_FAILED = 2
@@ -227,30 +227,27 @@ def cmd_fock(args, config: RunConfig) -> int:
     cor6 = None
     try:
         if kind == "bank":
-            sampled = sampled_choi(obj, grid_size=config.grid_size)
-            P = sampled.block_choi()
             cor6 = cor6_check(obj, grid_size=config.grid_size, K=K)
+            ops, tstar = cor6.ops, cor6.tstar
         else:
-            P = obj
-        choi_rep = validate_choi(P)
-        cap = max(16, P.N * P.d)
-        fock = truncated_fock(P, K, letter_cap=cap)
-        ops = creation_matrices(P, K, letter_cap=cap)
-        tstar = tstar_t_check(ops, P)
+            ops = creation_matrices(obj, K, letter_cap=max(16, obj.N * obj.d))
+            tstar = tstar_t_check(ops, obj)
     except SizeCapError as exc:
         # caps are configuration, not a verdict about the input
         raise CliParseError(str(exc)) from exc
     except WavefockError as exc:
         return _diagnostic(exc)
 
+    choi_rep = ops.fock.choi_report
     doc = {
         "choi": {
             "rank": choi_rep.rank,
             "min_eigenvalue": choi_rep.min_eigenvalue,
             "norm": choi_rep.norm,
             "hermiticity_residual": choi_rep.hermiticity_residual,
+            "warning": choi_rep.warning,
         },
-        "fock": fock.to_json(),
+        "fock": ops.fock.to_json(),
         "tstar": tstar.to_json(),
     }
     if cor6 is not None:

@@ -114,72 +114,121 @@ class ChoiReport:
         }
 
 
+def _level_spectrum(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors, keep) of a Hermitian Gram, ascending.
+
+    `keep` marks the eigenvalues above RANK_CUTOFF times the largest one,
+    so the rank decision is invariant under scaling and a zero Gram has
+    rank 0; the other eigenvectors span the numerical kernel.
+    """
+    eigvals, eigvecs = np.linalg.eigh(G)
+    keep = eigvals > RANK_CUTOFF * eigvals[-1]
+    return eigvals, eigvecs, keep
+
+
 def validate_choi(P: ChoiMatrix, hard: float = PSD_HARD, warn: float = PSD_WARN) -> ChoiReport:
     """Hermiticity and spectrum report; hard failure below -`hard`."""
     m = P.matrix
     herm = float(np.linalg.norm(m - m.conj().T, 2))
-    sym = (m + m.conj().T) / 2
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, eigvecs, keep = _level_spectrum((m + m.conj().T) / 2)
     lo = float(eigvals[0])
     if lo < -hard:
         raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{hard:.0e}")
-    rank = int(np.sum(eigvals > RANK_CUTOFF * max(eigvals[-1], 1.0)))
-    kernel = eigvecs[:, : m.shape[0] - rank]
     return ChoiReport(
         hermiticity_residual=herm,
         eigenvalues=eigvals,
-        rank=rank,
+        rank=int(np.sum(keep)),
         norm=float(max(eigvals[-1], 0.0)),
-        kernel=kernel,
+        kernel=eigvecs[:, ~keep],
         warning=lo < -warn or herm > warn,
     )
 
 
 # ----------------------------------------------------------------------
-# level Grams and quotients
+# levels: Gram, spectrum, quotient
 
 
-def _level_size(P: ChoiMatrix, k: int, size_cap: int) -> int:
+@dataclass
+class FockLevel:
+    k: int
+    gram: np.ndarray
+    eigenvalues: np.ndarray  # of the Gram, ascending
+    quotient: np.ndarray  # V_k
+    kernel: np.ndarray
+
+    @property
+    def q(self) -> int:
+        return int(self.quotient.shape[1])
+
+    @property
+    def norm(self) -> float:
+        """Spectral norm of the Gram, read off its spectrum."""
+        return float(max(self.eigenvalues[-1], -self.eigenvalues[0]))
+
+
+def _level_size(P: ChoiMatrix, k: int, size_cap: int) -> None:
     size = P.N**k * P.d
     if size > size_cap:
         raise SizeCapError(f"level {k} needs {size} spanning vectors (cap {size_cap})")
-    return size
+
+
+def _fock_levels(P: ChoiMatrix, K: int, size_cap: int):
+    """Yield levels 0..K in word-major order, i_1 most significant, each
+    Gram built from the one before.
+
+    Recursion: prepending letters multiplies the new block on the left,
+    G_{k+1}[(i w), (j w')] = p_ij G_k[w, w'].  Products of noncommuting
+    blocks need not produce a Hermitian matrix; that failure aborts the run
+    rather than being symmetrized away.  The level's own eigendecomposition
+    gives the PSD check, the quotient V_k (V_k* G_k V_k = I) and the kernel.
+    """
+    d = P.d
+    blocks = P.blocks()
+    pnorm = P.norm
+    G = np.eye(d, dtype=complex)
+    for k in range(K + 1):
+        _level_size(P, k, size_cap)
+        scale = max(1.0, pnorm**k)
+        if k:
+            prev = G.shape[0] // d
+            g4 = G.reshape(prev, d, prev, d)
+            G = np.einsum("ijab,wbvc->iwajvc", blocks, g4).reshape(
+                P.N * prev * d, P.N * prev * d
+            )
+            drift = float(np.linalg.norm(G - G.conj().T, 2))
+            if drift > PSD_HARD * scale:
+                raise NotPsdError(
+                    f"level {k} Gram is not Hermitian (drift {drift:.3e}); "
+                    "noncommuting blocks break the word-product form"
+                )
+            G = (G + G.conj().T) / 2
+        eigvals, eigvecs, keep = _level_spectrum(G)
+        if eigvals[0] < -PSD_HARD * scale:
+            raise NotPsdError(f"level {k} Gram eigenvalue {eigvals[0]:.3e}")
+        yield FockLevel(
+            k=k,
+            gram=G,
+            eigenvalues=eigvals,
+            quotient=eigvecs[:, keep] / np.sqrt(eigvals[keep]),
+            kernel=eigvecs[:, ~keep],
+        )
+
+
+def _top_level(P: ChoiMatrix, k: int, size_cap: int) -> FockLevel:
+    if k < 0:
+        raise ValueError("level must be nonnegative")
+    _level_size(P, k, size_cap)
+    for lvl in _fock_levels(P, k, size_cap):
+        pass
+    return lvl
 
 
 def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
     """Gram of level k in word-major order, i_1 most significant.
 
-    Recursion: prepending letters multiplies the new block on the left,
-    G_{k+1}[(i w), (j w')] = p_ij G_k[w, w'].  Products of noncommuting
-    blocks need not produce a Hermitian matrix; that failure aborts the run
-    rather than being symmetrized away.
+    Every level up to k is checked for Hermiticity and positivity on the way.
     """
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    size = _level_size(P, k, size_cap)
-    d = P.d
-    G = np.eye(d, dtype=complex)
-    blocks = P.blocks()
-    for level in range(1, k + 1):
-        prev = G.shape[0] // d
-        g4 = G.reshape(prev, d, prev, d)
-        G = np.einsum("ijab,wbvc->iwajvc", blocks, g4).reshape(
-            P.N * prev * d, P.N * prev * d
-        )
-        drift = float(np.linalg.norm(G - G.conj().T, 2))
-        scale = max(1.0, P.norm**level)
-        if drift > PSD_HARD * scale:
-            raise NotPsdError(
-                f"level {level} Gram is not Hermitian (drift {drift:.3e}); "
-                "noncommuting blocks break the word-product form"
-            )
-        G = (G + G.conj().T) / 2
-        if G.shape[0] <= 2048:
-            lo = float(np.linalg.eigvalsh(G)[0])
-            if lo < -PSD_HARD * scale:
-                raise NotPsdError(f"level {level} Gram eigenvalue {lo:.3e}")
-    assert G.shape[0] == size
-    return G
+    return _top_level(P, k, size_cap).gram
 
 
 @dataclass
@@ -221,11 +270,8 @@ def level_kernel(
     is N^k - r^k and is spanned by word tensors with one factor in ker P;
     both facts are verified.  No closed form is attempted for d > 1.
     """
-    G = level_gram(P, k, size_cap)
-    eigvals, eigvecs = np.linalg.eigh(G)
-    cutoff = RANK_CUTOFF * max(float(eigvals[-1]), 1.0)
-    n_kernel = int(np.sum(eigvals <= cutoff))
-    basis = eigvecs[:, :n_kernel]
+    top = _top_level(P, k, size_cap)
+    G = top.gram
 
     predicted = None
     spanning = None
@@ -252,19 +298,7 @@ def level_kernel(
             spanning = worst
         elif predicted == 0:
             spanning = 0.0
-    return KernelReport(k=k, basis=basis, predicted_dim=predicted, spanning_residual=spanning)
-
-
-def quotient_basis(
-    P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP
-) -> tuple[np.ndarray, np.ndarray]:
-    """(V_k, G_k) with V_k* G_k V_k = I on the quotient of level k."""
-    G = level_gram(P, k, size_cap)
-    eigvals, eigvecs = np.linalg.eigh(G)
-    cutoff = RANK_CUTOFF * max(float(eigvals[-1]), 1.0)
-    keep = eigvals > cutoff
-    V = eigvecs[:, keep] / np.sqrt(eigvals[keep])
-    return V, G
+    return KernelReport(k=k, basis=top.kernel, predicted_dim=predicted, spanning_residual=spanning)
 
 
 # ----------------------------------------------------------------------
@@ -272,21 +306,10 @@ def quotient_basis(
 
 
 @dataclass
-class FockLevel:
-    k: int
-    gram: np.ndarray
-    quotient: np.ndarray  # V_k
-    kernel: np.ndarray
-
-    @property
-    def q(self) -> int:
-        return int(self.quotient.shape[1])
-
-
-@dataclass
 class TruncatedFock:
     choi: ChoiMatrix
     K: int
+    choi_report: ChoiReport
     levels: list = field(default_factory=list)
 
     def level(self, k: int) -> FockLevel:
@@ -301,7 +324,7 @@ class TruncatedFock:
             "K": self.K,
             "quotient_dims": self.quotient_dims,
             "kernel_dims": [int(lvl.kernel.shape[1]) for lvl in self.levels],
-            "gram_norms": [float(np.linalg.norm(lvl.gram, 2)) for lvl in self.levels],
+            "gram_norms": [lvl.norm for lvl in self.levels],
         }
 
 
@@ -312,28 +335,14 @@ def truncated_fock(
     max_level: int = MAX_LEVEL,
     letter_cap: int = LETTER_CAP,
 ) -> TruncatedFock:
+    choi_report = validate_choi(P)
     if K > max_level:
         raise SizeCapError(f"truncation level {K} above cap {max_level}")
     if P.N * P.d > letter_cap:
         raise SizeCapError(f"N*d = {P.N * P.d} above cap {letter_cap}")
-    validate_choi(P)
-    levels = []
-    for k in range(K + 1):
-        G = level_gram(P, k, size_cap)
-        eigvals, eigvecs = np.linalg.eigh(G)
-        cutoff = RANK_CUTOFF * max(float(eigvals[-1]), 1.0)
-        keep = eigvals > cutoff
-        V = eigvecs[:, keep] / np.sqrt(eigvals[keep])
-        levels.append(FockLevel(k=k, gram=G, quotient=V, kernel=eigvecs[:, ~keep]))
-    return TruncatedFock(choi=P, K=K, levels=levels)
-
-
-def prepend_embedding(N: int, d: int, k: int, i: int) -> np.ndarray:
-    """E_i: level-k spanning coordinates -> level-(k+1), word w -> iw."""
-    size = N**k * d
-    E = np.zeros((N * size, size))
-    E[i * size : (i + 1) * size, :] = np.eye(size)
-    return E
+    return TruncatedFock(
+        choi=P, K=K, choi_report=choi_report, levels=list(_fock_levels(P, K, size_cap))
+    )
 
 
 @dataclass
@@ -343,10 +352,6 @@ class CreationOps:
     fock: TruncatedFock
     ops: list  # ops[k][i]: level k -> k+1
     well_definedness_residual: float
-
-    @property
-    def N(self) -> int:
-        return self.fock.choi.N
 
     @property
     def K(self) -> int:
@@ -370,26 +375,28 @@ def creation_matrices(
     max_level: int = MAX_LEVEL,
     letter_cap: int = LETTER_CAP,
 ) -> CreationOps:
-    """T_i^(k) = V_{k+1}* G_{k+1} E_i V_k for all letters and levels k < K.
+    """T_i^(k) = V_{k+1}* G_{k+1}[:, block i] V_k for all letters and levels k < K.
 
+    Block i holds the level-(k+1) words that start with letter i, so the
+    column slice is the Gram composed with the embedding w -> iw.
     Letter-prepending maps Gram-null vectors to Gram-null vectors; the
-    returned residual is the worst squared Phi-norm of such an image (the
-    quadratic form itself; its square root sits at sqrt(eps) even for exact
-    kernels, so the form is the meaningful zero test).
+    returned residual is the worst squared Phi-norm of such an image,
+    ker* G_{k+1}[block i, block i] ker (the quadratic form itself; its
+    square root sits at sqrt(eps) even for exact kernels, so the form is
+    the meaningful zero test).
     """
     fock = truncated_fock(P, K, size_cap, max_level, letter_cap)
     ops = []
     worst = 0.0
     for k in range(K):
         lvl, nxt = fock.level(k), fock.level(k + 1)
+        size, ker = lvl.gram.shape[0], lvl.kernel
         row = []
         for i in range(P.N):
-            E = prepend_embedding(P.N, P.d, k, i)
-            row.append(nxt.quotient.conj().T @ nxt.gram @ E @ lvl.quotient)
-            ker = lvl.kernel
+            block = slice(i * size, (i + 1) * size)
+            row.append(nxt.quotient.conj().T @ nxt.gram[:, block] @ lvl.quotient)
             if ker.shape[1]:
-                img = E @ ker
-                sq = np.einsum("ij,ik,kj->j", img.conj(), nxt.gram, img).real
+                sq = np.einsum("ij,ij->j", ker.conj(), nxt.gram[block, block] @ ker).real
                 worst = max(worst, float(np.abs(sq).max()))
         ops.append(row)
     return CreationOps(fock=fock, ops=ops, well_definedness_residual=worst)
@@ -483,7 +490,7 @@ def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport
     gap = 0.0
     attain = None
     for k in range(ops.K + 1):
-        gk = float(np.linalg.norm(fock.level(k).gram, 2))
+        gk = fock.level(k).norm
         gap = max(gap, (gk - pnorm**k) / max(1.0, pnorm**k))
     if d == 1:
         attain = 0.0
@@ -503,59 +510,6 @@ def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport
         norm_law_argmax=argmax,
         gram_norm_gap=gap,
         attainment_gap=attain,
-    )
-
-
-@dataclass
-class ProjectionsReport:
-    residual: float
-    exact: list
-    truncation_limited: list
-
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "exact": self.exact,
-            "truncation_limited": self.truncation_limited,
-        }
-
-
-def fourier_projections_check(P: ChoiMatrix, K: int, **caps) -> ProjectionsReport:
-    """Level projections on the truncated sum: complete, orthogonal, and
-    intertwining T_i P_k = P_{k+1} T_i for k < K.
-
-    The top-level identity T_i P_K = P_{K+1} T_i needs level K+1 and is
-    reported as truncation-limited rather than checked.
-    """
-    ops = creation_matrices(P, K, **caps)
-    dims = ops.fock.quotient_dims
-    total = sum(dims)
-    offsets = np.cumsum([0] + dims)
-    projections = []
-    for k in range(K + 1):
-        diag = np.zeros(total)
-        diag[offsets[k] : offsets[k + 1]] = 1.0
-        projections.append(np.diag(diag))
-    residual = float(np.linalg.norm(sum(projections) - np.eye(total), 2))
-    T_full = []
-    for i in range(ops.N):
-        T = np.zeros((total, total), dtype=complex)
-        for k in range(K):
-            T[offsets[k + 1] : offsets[k + 2], offsets[k] : offsets[k + 1]] = ops.op(i, k)
-        T_full.append(T)
-    for i in range(ops.N):
-        for k in range(K):
-            lhs = T_full[i] @ projections[k]
-            rhs = projections[k + 1] @ T_full[i]
-            residual = max(residual, float(np.linalg.norm(lhs - rhs, 2)))
-        # P_0 annihilates every creation image
-        residual = max(
-            residual, float(np.linalg.norm(projections[0] @ T_full[i], 2))
-        )
-    return ProjectionsReport(
-        residual=residual,
-        exact=["sum_to_identity", "intertwine_below_top", "vacuum_annihilation"],
-        truncation_limited=[f"intertwine_at_level_{K}"],
     )
 
 

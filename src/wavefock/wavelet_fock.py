@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotPsdError, NotReconstructiveError
 from .filterbank import FilterBank, relation_report
-from .fock import ChoiMatrix, CreationOps, creation_matrices, tstar_t_check
+from .fock import ChoiMatrix, CreationOps, TstarTReport, creation_matrices, tstar_t_check
 from .polyphase import GramMatrixFunction, gram_function
 
 FOCK_GRID = 8
@@ -100,15 +100,15 @@ def sampled_choi(
 
 @dataclass
 class Cor6Report:
+    """Corollary residuals, with the one Fock build and T*T check behind them."""
+
     grid_size: int
-    K: int
-    quotient_dims: list
     primary_residual: float
     dual_residual: float
     cross_residual: float
     norm_law_residual: float
-    fock_general_residual: float
-    well_definedness_residual: float
+    ops: CreationOps
+    tstar: TstarTReport
 
     @property
     def residual(self) -> float:
@@ -122,14 +122,14 @@ class Cor6Report:
     def to_json(self) -> dict:
         return {
             "grid_size": self.grid_size,
-            "K": self.K,
-            "quotient_dims": self.quotient_dims,
+            "K": self.ops.K,
+            "quotient_dims": self.ops.fock.quotient_dims,
             "primary_residual": self.primary_residual,
             "dual_residual": self.dual_residual,
             "cross_residual": self.cross_residual,
             "norm_law_residual": self.norm_law_residual,
-            "fock_general_residual": self.fock_general_residual,
-            "well_definedness_residual": self.well_definedness_residual,
+            "fock_general_residual": self.tstar.general_residual,
+            "well_definedness_residual": self.ops.well_definedness_residual,
             "residual": self.residual,
         }
 
@@ -182,15 +182,12 @@ def cor6_check(
         got = max(float(np.linalg.norm(ops.op(N + i, k), 2)) for k in range(K))
         norm_law = max(norm_law, abs(got - sup))
 
-    tstar = tstar_t_check(ops, P)
     return Cor6Report(
         grid_size=g,
-        K=K,
-        quotient_dims=ops.fock.quotient_dims,
         primary_residual=primary,
         dual_residual=dual,
         cross_residual=cross,
         norm_law_residual=norm_law,
-        fock_general_residual=tstar.general_residual,
-        well_definedness_residual=ops.well_definedness_residual,
+        ops=ops,
+        tstar=tstar_t_check(ops, P),
     )

@@ -179,6 +179,17 @@ def test_fock_collapse(capsys):
     assert code == 0
     assert doc["fock"]["quotient_dims"] == [1, 2, 4, 8]
     assert doc["choi"]["rank"] == 2
+    assert doc["choi"]["warning"] is False
+
+
+def test_fock_small_scale_full_rank(tmp_path, capsys):
+    # P = 1e-3 I_2 is positive definite: every level keeps full rank
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps(ChoiMatrix.from_matrix(1e-3 * np.eye(2)).to_json()))
+    code, doc, _ = run_json(capsys, "fock", "--input", str(path), "--levels", "4")
+    assert code == 0
+    assert doc["fock"]["quotient_dims"] == [1, 2, 4, 8, 16]
+    assert doc["fock"]["kernel_dims"] == [0, 0, 0, 0, 0]
 
 
 def test_fock_bank_cor6(capsys):

@@ -8,21 +8,20 @@ from wavefock.corpus import (
     choi_identity,
     random_commuting_choi,
     random_psd_choi,
+    stretched_haar_bank,
 )
 from wavefock.errors import NotPsdError, NotUnitaryError, SizeCapError
 from wavefock.fock import (
     ChoiMatrix,
     basis_change_equivalence,
     creation_matrices,
-    fourier_projections_check,
     level_gram,
     level_kernel,
-    prepend_embedding,
-    quotient_basis,
     truncated_fock,
     tstar_t_check,
     validate_choi,
 )
+from wavefock.wavelet_fock import sampled_choi
 
 
 def scalar_choi(matrix) -> ChoiMatrix:
@@ -213,7 +212,8 @@ def test_kernel_no_prediction_for_blocks():
 
 def test_identity_quotient_full():
     P = scalar_choi(choi_identity(2))
-    V, G = quotient_basis(P, 2)
+    lvl = truncated_fock(P, 2).level(2)
+    V, G = lvl.quotient, lvl.gram
     assert V.shape == (4, 4)
     assert np.allclose(V.conj().T @ G @ V, np.eye(4), atol=1e-12)
 
@@ -221,7 +221,8 @@ def test_identity_quotient_full():
 def test_collapse_quotient_dims():
     P = scalar_choi(choi_collapse(2))
     for k in range(4):
-        V, G = quotient_basis(P, k)
+        lvl = truncated_fock(P, k).level(k)
+        V, G = lvl.quotient, lvl.gram
         assert V.shape[1] == 2**k
         assert np.allclose(V.conj().T @ G @ V, np.eye(2**k), atol=1e-11)
 
@@ -231,21 +232,63 @@ def test_random_quotient_rank(seed):
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, 4))
     P = scalar_choi(random_psd_choi(4, r, rng))
-    V, G = quotient_basis(P, 2)
+    lvl = truncated_fock(P, 2).level(2)
+    V, G = lvl.quotient, lvl.gram
     assert V.shape[1] == r**2
     assert np.allclose(V.conj().T @ G @ V, np.eye(r**2), atol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+def test_quotient_dims_scale_invariant(scale):
+    # the rank cutoff is relative to each level's norm, so a positive
+    # definite input keeps full rank at every level whatever its scale
+    fock = truncated_fock(scalar_choi(scale * np.eye(2)), 4)
+    assert fock.quotient_dims == [1, 2, 4, 8, 16]
+    assert fock.to_json()["kernel_dims"] == [0] * 5
 
 
 # ----------------------------------------------------------------------
 # creation operators
 
 
-def test_prepend_embedding_shape():
-    E = prepend_embedding(2, 3, 1, 1)
-    assert E.shape == (12, 6)
-    v = np.arange(6.0)
-    assert np.array_equal((E @ v)[6:], v)
-    assert np.array_equal((E @ v)[:6], np.zeros(6))
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    bank = sampled_choi(stretched_haar_bank(with_duals=True), grid_size=4)
+    return {
+        "scalar": scalar_choi(random_psd_choi(3, 2, rng)),
+        "commuting": ChoiMatrix.from_matrix(random_commuting_choi(2, 3, rng), d=3),
+        "sampled-bank": bank.block_choi(),
+    }
+
+
+@pytest.mark.parametrize("case", ["scalar", "commuting", "sampled-bank"])
+def test_level_grams_match_level_gram(case):
+    P = _oracle_cases()[case]
+    fock = truncated_fock(P, 2, letter_cap=64)
+    for k, lvl in enumerate(fock.levels):
+        assert np.abs(lvl.gram - level_gram(P, k)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["scalar", "commuting", "sampled-bank"])
+def test_creation_matches_embedding_oracle(case):
+    # dense reference: E_i embeds level-k coordinates as the level-(k+1)
+    # words that start with letter i
+    P = _oracle_cases()[case]
+    ops = creation_matrices(P, 2, letter_cap=64)
+    worst = 0.0
+    for k in range(2):
+        lvl, nxt = ops.fock.level(k), ops.fock.level(k + 1)
+        size = lvl.gram.shape[0]
+        for i in range(P.N):
+            E = np.zeros((P.N * size, size))
+            E[i * size : (i + 1) * size, :] = np.eye(size)
+            expected = nxt.quotient.conj().T @ nxt.gram @ E @ lvl.quotient
+            assert np.linalg.norm(ops.op(i, k) - expected, 2) < 1e-12
+            if lvl.kernel.shape[1]:
+                img = E @ lvl.kernel
+                sq = np.einsum("ij,ik,kj->j", img.conj(), nxt.gram, img).real
+                worst = max(worst, float(np.abs(sq).max()))
+    assert abs(ops.well_definedness_residual - worst) < 1e-12
 
 
 def test_identity_creation_isometries():
@@ -353,26 +396,6 @@ def test_tstar_t_report_json():
     doc = tstar_t_check(creation_matrices(P, 2)).to_json()
     assert doc["commuting"] is True
     assert doc["vacuum_residual"] < 1e-12
-
-
-# ----------------------------------------------------------------------
-# level projections
-
-
-def test_projections_exact_identity():
-    P = scalar_choi(choi_identity(2))
-    rep = fourier_projections_check(P, 2)
-    assert rep.residual == 0.0
-    assert "sum_to_identity" in rep.exact
-    assert rep.truncation_limited == ["intertwine_at_level_2"]
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_projections_seeded(seed):
-    rng = np.random.default_rng(seed)
-    N = int(rng.integers(2, 4))
-    P = scalar_choi(random_psd_choi(N, N, rng))
-    assert fourier_projections_check(P, 2).residual < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_sampled_json_provenance(haar):
 def test_cor6_haar(haar):
     rep = cor6_check(haar, grid_size=8, K=2)
     assert isinstance(rep, Cor6Report)
-    assert rep.quotient_dims == [8, 16, 32]
+    assert rep.ops.fock.quotient_dims == [8, 16, 32]
     assert rep.primary_residual < 1e-10
     assert rep.dual_residual < 1e-10
     assert rep.cross_residual < 1e-10
@@ -129,7 +129,7 @@ def test_cor6_haar_isometries(haar):
 def test_cor6_stretched():
     bank = stretched_haar_bank(with_duals=True)
     rep = cor6_check(bank, grid_size=8, K=2)
-    assert rep.quotient_dims == [8, 32, 128]
+    assert rep.ops.fock.quotient_dims == [8, 32, 128]
     assert rep.residual < 1e-9
 
     sw = sampled_choi(bank, grid_size=8)
@@ -148,8 +148,8 @@ def test_cor6_stretched():
 def test_cor6_random_pairs(seed):
     rep = cor6_check(pair_bank(seed), grid_size=8, K=2)
     assert rep.residual < 1e-9
-    assert rep.well_definedness_residual < 1e-10
-    assert rep.quotient_dims[0] == 8
+    assert rep.ops.well_definedness_residual < 1e-10
+    assert rep.ops.fock.quotient_dims[0] == 8
 
 
 def test_cor6_report_json(haar):
