@@ -135,10 +135,8 @@ def check_stretched_haar() -> CriterionResult:
         )
 
         vals = A.sample_grid(64)
-        frame_err = max(
-            float(np.linalg.norm(vals[t] @ vals[t].conj().T - 2.0 * np.eye(4), 2))
-            for t in range(64)
-        )
+        frame = vals @ vals.conj().transpose(0, 2, 1) - 2.0 * np.eye(4)
+        frame_err = float(np.linalg.norm(frame, 2, axis=(-2, -1)).max())
 
         At = dual_loop(A)
         dual_err = max(
@@ -184,12 +182,13 @@ def check_equivalence_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
         for s in range(50):
             N = 2 + s % 2
             A = random_invertible_loop(N, rng)
+            At = dual_loop(A)
             primary = filters_from_loop(A)
-            dual = filters_from_loop(dual_loop(A))
+            dual = filters_from_loop(At)
             bank = FilterBank(N, primary.filters, dual.filters)
             op_ok = relation_report(bank, tol=1e-9).biorthogonal
             pair, _ = modulation_matrix_check(bank)
-            loop_res = loop_pair_residual(A, dual_loop(A))
+            loop_res = loop_pair_residual(A, At)
             verdicts = (op_ok, pair < 1e-9, loop_res < 1e-9)
             agree += len(set(verdicts)) == 1
             total += 1

@@ -23,7 +23,7 @@ from .filterbank import (
     relation_report,
 )
 from .laurent import LaurentPoly, adjoint_poly
-from .polyphase import loop_from_filters
+from .polyphase import LoopMatrix, loop_from_filters
 
 MEMBER_TOL = 1e-10
 SVD_CUTOFF = 1e-12
@@ -36,13 +36,28 @@ def adjoint_on_mode(bank: FilterBank, i: int, n: int, dual: bool = False) -> Lau
     j0 is the phase of n in [0, N-1]; only that one polyphase entry survives
     the decimation, so the result is a single shifted entry conjugate.
     """
-    if not 0 <= i < bank.N:
-        raise ValueError("filter index out of range")
+    return _mode_adjoint(_family_loops(bank)[bool(dual)], i, n)
+
+
+def _family_loops(bank: FilterBank) -> tuple:
+    """(primary, dual) loops behind the two adjoint families; a self-dual
+    bank uses its primary loop for both."""
     A, At = loop_from_filters(bank)
-    loop = A if not dual or At is None else At
-    j0 = n % bank.N
-    shift = (n - j0) // bank.N
-    return adjoint_poly(loop.entries[i][j0]).shift(shift)
+    return A, A if At is None else At
+
+
+def _mode_adjoint(loop: LoopMatrix, i: int, n: int) -> LaurentPoly:
+    if not 0 <= i < loop.N:
+        raise ValueError("filter index out of range")
+    j0 = n % loop.N
+    return adjoint_poly(loop.entries[i][j0]).shift((n - j0) // loop.N)
+
+
+def _poly_adjoint(loop: LoopMatrix, i: int, p: LaurentPoly) -> LaurentPoly:
+    out = LaurentPoly.zero()
+    for k, c in p.coeffs().items():
+        out = out + c * _mode_adjoint(loop, i, k)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -119,11 +134,11 @@ class AnchorSubspace:
 def _mode_images(bank: FilterBank) -> list:
     """Images of each window mode under all 2N adjoints."""
     W = bank.N * bank.genus
-    images = []
-    for dual in (False, True):
-        for i in range(bank.N):
-            images.append([adjoint_on_mode(bank, i, -r, dual=dual) for r in range(W)])
-    return images
+    return [
+        [_mode_adjoint(loop, i, -r) for r in range(W)]
+        for loop in _family_loops(bank)
+        for i in range(bank.N)
+    ]
 
 
 def compute_anchor(
@@ -227,7 +242,7 @@ def pullback_depth(
     if anchor is None:
         anchor = compute_anchor(bank)
     worst = 0
-    for dual in (False, True):
+    for loop in _family_loops(bank):
         span = [LaurentPoly.monomial(n)]
         depth = 0
         while not all(anchor.contains(p, tol) for p in span):
@@ -236,11 +251,7 @@ def pullback_depth(
                 raise DepthExceededError(
                     f"mode {n} not absorbed within {cap} adjoint applications"
                 )
-            images = [
-                adjoint_on_mode_poly(bank, i, p, dual=dual)
-                for p in span
-                for i in range(bank.N)
-            ]
+            images = [_poly_adjoint(loop, i, p) for p in span for i in range(bank.N)]
             span = _orthonormal_polys(images)
         worst = max(worst, depth)
     return worst
@@ -250,10 +261,7 @@ def adjoint_on_mode_poly(
     bank: FilterBank, i: int, p: LaurentPoly, dual: bool = False
 ) -> LaurentPoly:
     """Linear extension of adjoint_on_mode to arbitrary polynomials."""
-    out = LaurentPoly.zero()
-    for k, c in p.coeffs().items():
-        out = out + c * adjoint_on_mode(bank, i, k, dual=dual)
-    return out
+    return _poly_adjoint(_family_loops(bank)[bool(dual)], i, p)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import io
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import corpus
 from .acceptance import DEFAULT_SEED, run_all
@@ -196,7 +196,10 @@ def cmd_loop(args, config: RunConfig) -> int:
         if At is None:
             At = dual_loop(A, grid=config.grid_size)
         if isinstance(At, SampledLoop):
-            report["note"] = "determinant is not a monomial unit; no exact dual loop"
+            report["note"] = (
+                "no exact dual loop: det A is not a monomial unit, "
+                "or A* Atilde = I fails in coefficients"
+            )
         else:
             report["Atilde"] = At.to_json()
             report["Atilde_exact"] = True
@@ -272,20 +275,34 @@ def cmd_acceptance(args, config: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(sub, grid_default=64):
-    sub.add_argument("--input", help="JSON input file")
-    sub.add_argument(
-        "--builtin",
-        nargs="+",
-        metavar="NAME [key=value ...]",
-        help="named builtin instance, e.g. 'haar' or 'random-psd N=3 rank=2 seed=7'",
-    )
+def _config_flag(dest: str, kind, help=None) -> dict:
+    """A flag that sets RunConfig field `dest`; when the flag is absent the
+    field keeps its default."""
+    return {"dest": dest, "type": kind, "default": argparse.SUPPRESS, "help": help}
+
+
+# every flag a subcommand may take
+_FLAGS = {
+    "--input": {"help": "JSON input file"},
+    "--builtin": {
+        "nargs": "+",
+        "metavar": "NAME [key=value ...]",
+        "help": "named builtin instance, e.g. 'haar' or 'random-psd N=3 rank=2 seed=7'",
+    },
+    "--tolerance": _config_flag("tolerance", float),
+    "--grid": _config_flag("grid_size", int),
+    "--levels": _config_flag("fock_level_cap", int, "word-length cap for Fock levels"),
+    "--modes": _config_flag("mode_range", int, "mode range for exact checks"),
+    "--seed": _config_flag("rng_seed", int),
+}
+
+
+def _add_flags(sub, *flags):
+    """Register the given flags and the output flags every subcommand reads;
+    a flag a subcommand does not read is not registered, so argparse rejects it."""
+    for flag in flags:
+        sub.add_argument(flag, **{"metavar": flag[2:].upper(), **_FLAGS[flag]})
     sub.add_argument("--output", help="write the report here instead of stdout")
-    sub.add_argument("--tolerance", type=float, default=1e-9)
-    sub.add_argument("--grid", type=int, default=grid_default)
-    sub.add_argument("--levels", type=int, default=2, help="word-length cap for Fock levels")
-    sub.add_argument("--modes", type=int, default=None, help="mode range for exact checks")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
@@ -299,41 +316,34 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("verify", help="subband relation residuals and verdicts")
-    _add_common(sub)
+    _add_flags(sub, "--input", "--builtin", "--tolerance", "--grid", "--modes")
     sub.set_defaults(fn=cmd_verify)
 
     sub = subs.add_parser("loop", help="convert between filters and loop matrices")
     sub.add_argument(
         "--direction", choices=("to-loop", "from-loop"), default="to-loop"
     )
-    _add_common(sub)
+    _add_flags(sub, "--input", "--builtin", "--grid")
     sub.set_defaults(fn=cmd_loop)
 
     sub = subs.add_parser("anchor", help="anchor subspace, depths, cyclicity")
-    _add_common(sub)
+    _add_flags(sub, "--input", "--builtin", "--tolerance", "--modes")
     sub.set_defaults(fn=cmd_anchor)
 
     sub = subs.add_parser("fock", help="truncated Fock report; cor6 for bank input")
-    _add_common(sub, grid_default=8)
-    sub.set_defaults(fn=cmd_fock)
+    _add_flags(sub, "--input", "--builtin", "--tolerance", "--grid", "--levels")
+    sub.set_defaults(fn=cmd_fock, grid_size=8)
 
     sub = subs.add_parser("acceptance", help="run the full release gate")
-    _add_common(sub)
+    _add_flags(sub, "--seed")
     sub.set_defaults(fn=cmd_acceptance)
 
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        tolerance=args.tolerance,
-        grid_size=args.grid,
-        fock_level_cap=args.levels,
-        mode_range=args.modes,
-        rng_seed=args.seed,
-        output=args.output,
-        fmt=args.fmt,
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def main(argv=None) -> int:

@@ -360,6 +360,11 @@ class CreationOps:
     def op(self, i: int, k: int) -> np.ndarray:
         return self.ops[k][i]
 
+    def products(self, k: int) -> np.ndarray:
+        """T_i* T_j on level k for every letter pair, shape (N, N, q_k, q_k)."""
+        T = np.stack(self.ops[k])
+        return T.conj().transpose(0, 2, 1)[:, None] @ T[None]
+
     def to_json(self) -> dict:
         return {
             "K": self.K,
@@ -408,11 +413,11 @@ def creation_matrices(
 
 def _blocks_commute(P: ChoiMatrix, tol: float = 1e-10) -> bool:
     blocks = P.blocks().reshape(P.N * P.N, P.d, P.d)
-    for a in range(blocks.shape[0]):
-        for b in range(a + 1, blocks.shape[0]):
-            comm = blocks[a] @ blocks[b] - blocks[b] @ blocks[a]
-            if np.linalg.norm(comm, 2) > tol:
-                return False
+    for a in range(blocks.shape[0] - 1):
+        rest = blocks[a + 1 :]
+        comm = blocks[a] @ rest - rest @ blocks[a]
+        if np.linalg.norm(comm, 2, axis=(-2, -1)).max() > tol:
+            return False
     return True
 
 
@@ -450,40 +455,36 @@ def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport
     P = P or ops.fock.choi
     fock = ops.fock
     N, d = P.N, P.d
-    vacuum = 0.0
+    blocks = P.blocks()
+    letters = np.arange(N)
+
+    vacuum = float(np.linalg.norm(ops.products(0) - blocks, 2, axis=(-2, -1)).max())
     general = 0.0
-    for i in range(N):
-        for j in range(N):
-            prod = ops.op(i, 0).conj().T @ ops.op(j, 0)
-            vacuum = max(vacuum, float(np.linalg.norm(prod - P.block(i, j), 2)))
-            for k in range(ops.K):
-                lvl = fock.level(k)
-                target = (
-                    lvl.quotient.conj().T
-                    @ lvl.gram
-                    @ np.kron(np.eye(N**k), P.block(i, j))
-                    @ lvl.quotient
-                )
-                prod_k = ops.op(i, k).conj().T @ ops.op(j, k)
-                general = max(general, float(np.linalg.norm(prod_k - target, 2)))
+    diag_norms = []  # ||T_i* T_i|| per level
+    # level k target for pair (i, j): V_k* G_k (I_{N^k} (x) p_ij) V_k, with
+    # the Kronecker factor applied blockwise to the columns of V_k* G_k
+    for k in range(ops.K):
+        lvl = fock.level(k)
+        prods = ops.products(k)
+        VG = (lvl.quotient.conj().T @ lvl.gram).reshape(lvl.q, N**k, d)
+        target = (VG @ blocks[:, :, None]).reshape(N, N, lvl.q, -1) @ lvl.quotient
+        general = max(general, float(np.linalg.norm(prods - target, 2, axis=(-2, -1)).max()))
+        diag_norms.append(np.linalg.norm(prods[letters, letters], 2, axis=(-2, -1)))
 
     commuting = _blocks_commute(P)
     norm_law = None
     argmax = None
     if commuting:
         norm_law = 0.0
+        targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
         for i in range(N):
-            target = float(np.linalg.norm(P.block(i, i), 2))
-            norms = [
-                float(np.linalg.norm(ops.op(i, k).conj().T @ ops.op(i, k), 2))
-                for k in range(ops.K)
-            ]
+            norms = [float(level[i]) for level in diag_norms]
             best = int(np.argmax(norms))
             # strictness guard is relative: quotient conditioning can push a
             # higher level above the vacuum norm by ~1e-12 of pure roundoff
             if best != 0 and norms[best] > norms[0] + 1e-9 * max(1.0, norms[0]):
                 argmax = best
-            norm_law = max(norm_law, abs(max(norms) - target))
+            norm_law = max(norm_law, abs(max(norms) - float(targets[i])))
         argmax = argmax or 0
 
     pnorm = P.norm

@@ -203,13 +203,19 @@ class LaurentPoly:
 
     __call__ = eval
 
+    def eval_at(self, theta) -> np.ndarray:
+        """Values at the circle points exp(i theta), for an angle array of
+        any shape; the result has the shape of `theta`."""
+        theta = np.asarray(theta, dtype=float)
+        if not self._c:
+            return np.zeros(theta.shape, dtype=complex)
+        exps = np.fromiter(self._c, dtype=float, count=len(self._c))
+        coeffs = np.fromiter(self._c.values(), dtype=complex, count=len(self._c))
+        return np.exp(1j * np.multiply.outer(theta, exps)) @ coeffs
+
     def eval_grid(self, n: int = DEFAULT_GRID) -> np.ndarray:
-        """Values at the n equispaced circle points, vectorised."""
-        theta = grid_angles(n)
-        vals = np.zeros(n, dtype=complex)
-        for k, v in self._c.items():
-            vals += v * np.exp(1j * k * theta)
-        return vals
+        """Values at the n equispaced circle points."""
+        return self.eval_at(grid_angles(n))
 
     def sup_grid(self, n: int = DEFAULT_GRID) -> float:
         if not self._c:
@@ -252,6 +258,29 @@ def upsample(p: LaurentPoly, N: int) -> LaurentPoly:
     if N < 1:
         raise ValueError("upsampling factor must be positive")
     return LaurentPoly({N * k: v for k, v in p.coeffs().items()})
+
+
+def polys_from_grid(values, lo: int):
+    """Polynomials with exponents in [lo, lo + M - 1] from their values at
+    the M grid points, read along axis 0: the inverse of `eval_grid(M)` on
+    that window, by one DFT.
+
+    `values` of shape (M,) gives one LaurentPoly; shape (M, *S) gives nested
+    lists of shape S.  A polynomial with terms outside the window aliases
+    onto it, so the window must cover the support.
+    """
+    values = np.asarray(values)
+    M = values.shape[0]
+    phase = np.exp(-1j * lo * grid_angles(M)).reshape((M,) + (1,) * (values.ndim - 1))
+    coeffs = np.moveaxis(np.fft.fft(values * phase, axis=0) / M, 0, -1)
+    exps = range(lo, lo + M)
+
+    def build(c):
+        if c.ndim == 1:
+            return LaurentPoly(dict(zip(exps, c)))
+        return [build(row) for row in c]
+
+    return build(coeffs)
 
 
 # ----------------------------------------------------------------------

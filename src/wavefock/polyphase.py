@@ -9,6 +9,12 @@ filters are recovered as m_k(z) = sum_l A_{k,l}(z^N) z^l.  Unitarity of A on
 the circle characterises the orthogonal case; invertibility with dual loop
 Atilde = A^{*-1} characterises the dual-pair case.  The Gram data of the
 operator family is carried by AA*(z) and its pointwise inverse.
+
+Every sampled quantity goes through `LaurentPoly.eval_at`, one array of
+angles at a time, and every sup over the grid is one batched norm.  The
+determinant and the exact dual loop are recovered the other way: sample on
+enough points to cover the known exponent window, invert or take
+determinants pointwise, and read the coefficients back with one DFT.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from .filterbank import FilterBank
 from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
-    TorusPoint,
     adjoint_poly,
+    grid_angles,
     poly_from_json,
     poly_to_json,
-    torus_grid,
+    polys_from_grid,
     upsample,
 )
 
@@ -80,17 +86,11 @@ class LoopMatrix:
             [[adjoint_poly(self.entries[j][i]) for j in range(self.N)] for i in range(self.N)]
         )
 
-    def sample(self, z: TorusPoint) -> np.ndarray:
-        return np.array(
-            [[self.entries[i][j].eval(z) for j in range(self.N)] for i in range(self.N)]
-        )
-
     def sample_grid(self, grid: int = DEFAULT_GRID) -> np.ndarray:
-        out = np.zeros((grid, self.N, self.N), dtype=complex)
-        for i in range(self.N):
-            for j in range(self.N):
-                out[:, i, j] = self.entries[i][j].eval_grid(grid)
-        return out
+        """Values at the grid points, shape (grid, N, N)."""
+        theta = grid_angles(grid)
+        values = np.array([[p.eval_at(theta) for p in row] for row in self.entries])
+        return values.transpose(2, 0, 1)
 
     def max_abs_exp(self) -> int:
         m = 0
@@ -179,44 +179,31 @@ def filters_from_loop(A: LoopMatrix) -> FilterBank:
 # determinants and the dual loop
 
 
+def _row_exponent_ranges(A: LoopMatrix):
+    """(min, max) exponent over the nonzero entries of each row, or None
+    when some row is zero."""
+    ranges = []
+    for row in A.entries:
+        live = [p for p in row if not p.is_zero]
+        if not live:
+            return None
+        ranges.append((min(p.min_exp for p in live), max(p.max_exp for p in live)))
+    return ranges
+
+
 def loop_det(A: LoopMatrix) -> LaurentPoly:
-    """Determinant by cofactor expansion; fine for the small N in scope."""
-    ent = A.entries
+    """Determinant of a loop as a Laurent polynomial.
 
-    def det(rows, cols):
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        total = LaurentPoly.zero()
-        r0 = rows[0]
-        for pos, c in enumerate(cols):
-            minor = det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = ent[r0][c] * minor
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    idx = list(range(A.N))
-    return det(idx, idx)
-
-
-def loop_adjugate(A: LoopMatrix) -> LoopMatrix:
-    """Adjugate matrix: adj(A)_{ij} = (-1)^(i+j) det(minor_ji)."""
-    ent = A.entries
-    idx = list(range(A.N))
-
-    def minor_det(r, c):
-        rows = [i for i in idx if i != r]
-        cols = [j for j in idx if j != c]
-        sub = LoopMatrix([[ent[i][j] for j in cols] for i in rows]) if rows else None
-        return loop_det(sub) if sub else LaurentPoly.one()
-
-    out = []
-    for i in range(A.N):
-        row = []
-        for j in range(A.N):
-            d = minor_det(j, i)
-            row.append(d if (i + j) % 2 == 0 else -d)
-        out.append(row)
-    return LoopMatrix(out)
+    Each term of det A takes one entry from every row, so its exponents lie
+    in [sum of row minima, sum of row maxima].  det A(z) is sampled on as
+    many grid points as that window holds and read back with one DFT.
+    """
+    ranges = _row_exponent_ranges(A)
+    if ranges is None:
+        return LaurentPoly.zero()
+    lo = sum(r[0] for r in ranges)
+    hi = sum(r[1] for r in ranges)
+    return polys_from_grid(np.linalg.det(A.sample_grid(hi - lo + 1)), lo)
 
 
 def as_monomial_unit(p: LaurentPoly, eps: float = 1e-12):
@@ -231,36 +218,49 @@ def as_monomial_unit(p: LaurentPoly, eps: float = 1e-12):
     return terms[0]
 
 
-def _check_invertible_on_grid(A: LoopMatrix, grid: int):
-    det_vals = loop_det(A).eval_grid(grid)
+def _check_invertible(det_vals: np.ndarray) -> None:
     worst = float(np.min(np.abs(det_vals)))
     if worst < SINGULAR_TOL:
         raise SingularLoopError(
             f"|det A| reaches {worst:.3e} on the grid; loop is not invertible"
         )
-    return det_vals
 
 
 def dual_loop(A: LoopMatrix, grid: int = DEFAULT_GRID):
     """The dual loop Atilde = A^{*-1}.
 
-    Exact Laurent result when det A is a monomial unit (adjugate divided by a
-    monomial is again a Laurent matrix); otherwise a `SampledLoop` holding the
-    pointwise inverse of A(z)^* on the grid.
+    When det A* = conj(det A) is a monomial unit c z^e, the inverse is
+    adj(A*) / (c z^e), a Laurent matrix with exponents in
+    [(N-1) lo - e, (N-1) hi - e], where [lo, hi] bounds the exponents of
+    A*.  It is recovered from the pointwise inverse of A* on that many grid
+    points and returned only if the coefficient product A* Atilde is I.
+    Otherwise the result is a `SampledLoop` holding the pointwise inverse
+    of A(z)^* on the grid.
     """
-    _check_invertible_on_grid(A, grid)
+    det = loop_det(A)
+    _check_invertible(det.eval_grid(grid))
     A_star = A.adjoint()
-    det_star = loop_det(A_star)
-    unit = as_monomial_unit(det_star)
+    unit = as_monomial_unit(adjoint_poly(det))
     if unit is not None:
-        exp, coeff = unit
-        adj = loop_adjugate(A_star)
-        inv = LoopMatrix(
-            [[p.shift(-exp) * (1.0 / coeff) for p in row] for row in adj.entries]
-        )
-        return inv
+        ranges = _row_exponent_ranges(A_star)
+        lo = min(r[0] for r in ranges)
+        hi = max(r[1] for r in ranges)
+        N, e = A.N, unit[0]
+        inverse = np.linalg.inv(A_star.sample_grid((N - 1) * (hi - lo) + 1))
+        At = LoopMatrix(polys_from_grid(inverse, (N - 1) * lo - e))
+        if (A_star @ At).isclose(LoopMatrix.identity(N)):
+            return At
     vals = A_star.sample_grid(grid)
     return SampledLoop(N=A.N, grid=grid, values=np.linalg.inv(vals), exact=False)
+
+
+def _sup_norm(stack: np.ndarray) -> float:
+    """Largest spectral norm in a stack of matrices."""
+    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+
+
+def _hermitian(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-2, -1)
 
 
 def loop_pair_residual(A: LoopMatrix, At, grid: int = DEFAULT_GRID) -> float:
@@ -272,30 +272,26 @@ def loop_pair_residual(A: LoopMatrix, At, grid: int = DEFAULT_GRID) -> float:
         if At.grid != grid:
             raise ValueError("sampled loop grid does not match requested grid")
         b = At.values
-    eye = np.eye(A.N)
-    return float(max(np.linalg.norm(a_star[t] @ b[t] - eye, 2) for t in range(grid)))
+    return _sup_norm(a_star @ b - np.eye(A.N))
 
 
 def loop_unitarity_residual(A: LoopMatrix, grid: int = DEFAULT_GRID) -> float:
     """sup over the grid of ||A(z) A(z)^* - I||."""
     vals = A.sample_grid(grid)
-    eye = np.eye(A.N)
-    return float(
-        max(np.linalg.norm(vals[t] @ vals[t].conj().T - eye, 2) for t in range(grid))
-    )
+    return _sup_norm(vals @ _hermitian(vals) - np.eye(A.N))
 
 
 # ----------------------------------------------------------------------
 # modulation matrices
 
 
-def modulation_matrix(bank: FilterBank, z: TorusPoint, dual: bool = False) -> np.ndarray:
-    """M(z)[k, l] = (1/sqrt N) m_k(w_l) over the principal root fiber w_l of z."""
+def modulation_matrix(bank: FilterBank, grid: int = DEFAULT_GRID, dual: bool = False) -> np.ndarray:
+    """M(z)[k, l] = (1/sqrt N) m_k(w_l) over the principal root fiber w_l of
+    each grid point z; shape (grid, N, N)."""
     N = bank.N
     filters = bank.duals_or_primaries if dual else bank.filters
-    fiber = [z.root(N, l) for l in range(N)]
-    M = np.array([[m.eval(w) for w in fiber] for m in filters])
-    return M / np.sqrt(N)
+    fibers = (grid_angles(grid)[:, None] + 2.0 * np.pi * np.arange(N)) / N
+    return np.stack([m.eval_at(fibers) for m in filters], axis=1) / np.sqrt(N)
 
 
 def modulation_matrix_check(bank: FilterBank, grid: int = DEFAULT_GRID):
@@ -305,17 +301,12 @@ def modulation_matrix_check(bank: FilterBank, grid: int = DEFAULT_GRID):
     residual measures ||M(z)^* M(z) - I||.  They coincide for self-dual banks.
     """
     eye = np.eye(bank.N)
-    pair = 0.0
-    unit = 0.0
-    for z in torus_grid(grid):
-        M = modulation_matrix(bank, z)
-        unit = max(unit, float(np.linalg.norm(M.conj().T @ M - eye, 2)))
-        if bank.is_self_dual:
-            pair = unit
-        else:
-            Mt = modulation_matrix(bank, z, dual=True)
-            pair = max(pair, float(np.linalg.norm(M.conj().T @ Mt - eye, 2)))
-    return pair, unit
+    M = modulation_matrix(bank, grid)
+    M_star = _hermitian(M)
+    unit = _sup_norm(M_star @ M - eye)
+    if bank.is_self_dual:
+        return unit, unit
+    return _sup_norm(M_star @ modulation_matrix(bank, grid, dual=True) - eye), unit
 
 
 # ----------------------------------------------------------------------
@@ -340,9 +331,6 @@ class GramMatrixFunction:
     min_eigs: np.ndarray  # (grid,)
     ranks: np.ndarray  # (grid,) at tolerance
 
-    def gram_entry(self, i: int, j: int) -> LaurentPoly:
-        return self.gram[i][j]
-
     def report(self) -> dict:
         return {
             "N": self.N,
@@ -353,35 +341,15 @@ class GramMatrixFunction:
         }
 
 
-def gram_entries(bank: FilterBank) -> list:
-    """The exact Laurent matrix AA*(z) of the primary loop."""
-    A, _ = loop_from_filters(bank)
-    N = bank.N
-    out = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            acc = LaurentPoly.zero()
-            for k in range(N):
-                acc = acc + A.entries[i][k] * adjoint_poly(A.entries[j][k])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def gram_function(
     bank: FilterBank, grid: int = DEFAULT_GRID, rank_tol: float = 1e-8
 ) -> GramMatrixFunction:
     """Assemble AA*(z) exactly and the doubled positive matrix on the grid."""
     A, _ = loop_from_filters(bank)
-    _check_invertible_on_grid(A, grid)
+    _check_invertible(np.linalg.det(A.sample_grid(grid)))
     N = bank.N
-    gram = gram_entries(bank)
-
-    samples = np.zeros((grid, N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            samples[:, i, j] = gram[i][j].eval_grid(grid)
+    gram = A @ A.adjoint()
+    samples = gram.sample_grid(grid)
     inverses = np.linalg.inv(samples)
 
     eye = np.eye(N)
@@ -398,7 +366,7 @@ def gram_function(
     return GramMatrixFunction(
         N=N,
         grid=grid,
-        gram=gram,
+        gram=gram.entries,
         samples=samples,
         inverses=inverses,
         choi_points=choi_points,

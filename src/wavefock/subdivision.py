@@ -179,33 +179,18 @@ def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
     return SignalWindow(j_lo, out)
 
 
-@dataclass
-class SlantedToeplitz:
-    """Dense window of the subdivision matrix, entry (i, j) = c_{i-Nj}."""
-
-    filter: LaurentPoly
-    N: int
-    row_window: tuple
-    col_window: tuple
-
-    @property
-    def matrix(self) -> np.ndarray:
-        r_lo, r_hi = self.row_window
-        c_lo, c_hi = self.col_window
-        out = np.zeros((r_hi - r_lo + 1, c_hi - c_lo + 1), dtype=complex)
-        for a, i in enumerate(range(r_lo, r_hi + 1)):
-            for b, j in enumerate(range(c_lo, c_hi + 1)):
-                out[a, b] = self.filter.coeff(i - self.N * j)
-        return out
-
-
 def dense_slanted_matrix(c: LaurentPoly, N: int, window, col_window=None) -> np.ndarray:
-    """Materialise the slanted matrix on `window` (rows; cols default same)."""
+    """Materialise the slanted matrix on `window` (rows; cols default same):
+    entry (i, j) is c_{i-Nj}."""
     lo, hi = window
     if hi < lo:
         raise ValueError("window is empty")
-    col = col_window if col_window is not None else window
-    return SlantedToeplitz(c, N, (lo, hi), tuple(col)).matrix
+    c_lo, c_hi = col_window if col_window is not None else window
+    offsets = np.arange(lo, hi + 1)[:, None] - N * np.arange(c_lo, c_hi + 1)
+    out = np.zeros(offsets.shape, dtype=complex)
+    for k, v in c.coeffs().items():
+        out[offsets == k] = v
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -249,6 +249,35 @@ def test_bad_tolerance_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("acceptance", "--grid", "8"),
+        ("acceptance", "--builtin", "haar"),
+        ("loop", "--builtin", "haar", "--levels", "3"),
+        ("loop", "--builtin", "haar", "--tolerance", "1e-3"),
+        ("anchor", "--builtin", "haar", "--grid", "8"),
+        ("verify", "--builtin", "haar", "--seed", "1"),
+        ("fock", "--builtin", "cuntz", "--modes", "2"),
+    ],
+)
+def test_unread_flag_is_rejected(capsys, argv):
+    # each subcommand registers only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_read_flags_still_accepted(capsys):
+    code, doc, _ = run_json(capsys, "loop", "--builtin", "haar", "--grid", "16")
+    assert code == 0 and doc["Atilde_exact"] is True
+    code, doc, _ = run_json(
+        capsys, "anchor", "--builtin", "haar", "--modes", "2", "--tolerance", "1e-9"
+    )
+    assert code == 0 and sorted(doc["depths"], key=int) == ["-2", "-1", "0", "1", "2"]
+
+
 # ----------------------------------------------------------------------
 # acceptance
 

@@ -391,6 +391,53 @@ def test_scalar_norm_bound_attained(seed):
     assert rep.attainment_gap < 1e-9
 
 
+def _tstar_oracle(ops, P):
+    """Per-pair T*T residuals with the dense I (x) p_ij target."""
+    N = P.N
+    vacuum = general = 0.0
+    for i in range(N):
+        for j in range(N):
+            prod = ops.op(i, 0).conj().T @ ops.op(j, 0)
+            vacuum = max(vacuum, np.linalg.norm(prod - P.block(i, j), 2))
+            for k in range(ops.K):
+                lvl = ops.fock.level(k)
+                kron = np.kron(np.eye(N**k), P.block(i, j))
+                target = lvl.quotient.conj().T @ lvl.gram @ kron @ lvl.quotient
+                prod_k = ops.op(i, k).conj().T @ ops.op(j, k)
+                general = max(general, np.linalg.norm(prod_k - target, 2))
+    blocks = [P.block(i, j) for i in range(N) for j in range(N)]
+    commuting = all(
+        np.linalg.norm(a @ b - b @ a, 2) <= 1e-10 for a in blocks for b in blocks
+    )
+    diag = [
+        [np.linalg.norm(ops.op(i, k).conj().T @ ops.op(i, k), 2) for k in range(ops.K)]
+        for i in range(N)
+    ]
+    return vacuum, general, commuting, diag
+
+
+@pytest.mark.parametrize("case", ["scalar", "commuting", "sampled-bank", "noncommuting"])
+def test_tstar_matches_dense_oracle(case):
+    if case == "noncommuting":
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        P = ChoiMatrix.from_matrix(b @ b.conj().T, d=2)
+        ops = creation_matrices(P, 1)
+    else:
+        P = _oracle_cases()[case]
+        ops = creation_matrices(P, 2, letter_cap=64)
+    rep = tstar_t_check(ops, P)
+    vacuum, general, commuting, diag = _tstar_oracle(ops, P)
+    assert abs(rep.vacuum_residual - vacuum) < 1e-12
+    assert abs(rep.general_residual - general) < 1e-12
+    assert rep.commuting == commuting == (case != "noncommuting")
+    if commuting:
+        want = max(
+            abs(max(diag[i]) - np.linalg.norm(P.block(i, i), 2)) for i in range(P.N)
+        )
+        assert abs(rep.norm_law_residual - want) < 1e-12
+
+
 def test_tstar_t_report_json():
     P = scalar_choi(choi_identity(2))
     doc = tstar_t_check(creation_matrices(P, 2)).to_json()

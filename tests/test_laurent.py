@@ -11,8 +11,10 @@ from wavefock.laurent import (
     TorusPoint,
     adjoint_poly,
     decimate,
+    grid_angles,
     poly_from_json,
     poly_to_json,
+    polys_from_grid,
     torus_grid,
     upsample,
 )
@@ -89,6 +91,46 @@ class TestEval:
         vals = p.eval_grid(16)
         for i, t in enumerate(torus_grid(16)):
             assert vals[i] == pytest.approx(p.eval(t))
+
+    @given(poly_st)
+    @settings(max_examples=50, deadline=None)
+    def test_eval_at_keeps_shape(self, p):
+        theta = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+        vals = p.eval_at(theta)
+        assert vals.shape == (3, 4)
+        n = max(len(p.support), 1)
+        for idx in np.ndindex(theta.shape):
+            assert abs(vals[idx] - horner_eval(p, complex(np.exp(1j * theta[idx])))) < 1e-10 * n
+
+    def test_eval_at_zero_poly(self):
+        assert np.array_equal(LaurentPoly.zero().eval_at(np.zeros((2, 5))), np.zeros((2, 5)))
+
+
+class TestPolysFromGrid:
+    @given(poly_st)
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_on_window(self, p):
+        lo, M = -12, 25
+        q = polys_from_grid(p.eval_grid(M), lo)
+        assert q.isclose(p, 1e-12 * max(1.0, p.coeff_sup()))
+        assert set(q.support) <= set(range(lo, lo + M))
+
+    def test_stacked_values_give_nested_lists(self):
+        polys = [
+            [LaurentPoly({-1: 1.0, 2: 2j}), LaurentPoly.zero()],
+            [LaurentPoly.one(), LaurentPoly({0: 3.0, 1: -1.0})],
+        ]
+        M, theta = 6, grid_angles(6)
+        values = np.array([[p.eval_at(theta) for p in row] for row in polys]).transpose(2, 0, 1)
+        got = polys_from_grid(values, -2)
+        for i in range(2):
+            for j in range(2):
+                assert got[i][j].isclose(polys[i][j], 1e-13)
+
+    def test_window_too_small_aliases(self):
+        # z^3 on 3 points is indistinguishable from z^0
+        aliased = polys_from_grid(LaurentPoly.monomial(3).eval_grid(3), 0)
+        assert aliased.isclose(LaurentPoly.one(), 1e-13)
 
 
 class TestAdjoint:

@@ -4,11 +4,13 @@ import pytest
 from wavefock.corpus import (
     HAAR_LOOP,
     STRETCHED_HAAR_LOOP,
+    haar_bank,
     identity_loop_bank,
     random_bank,
     random_biorthogonal_bank,
     random_invertible_loop,
     random_unitary_loop,
+    stretched_haar_bank,
 )
 from wavefock.errors import SingularLoopError
 from wavefock.filterbank import (
@@ -16,18 +18,19 @@ from wavefock.filterbank import (
     apply_S_adjoint,
     relation_report,
 )
-from wavefock.laurent import LaurentPoly, torus_grid
+from wavefock.laurent import LaurentPoly, adjoint_poly, torus_grid
 from wavefock.polyphase import (
     LoopMatrix,
     SampledLoop,
+    as_monomial_unit,
     dual_loop,
     filters_from_loop,
-    gram_entries,
     gram_function,
     loop_from_filters,
     loop_det,
     loop_pair_residual,
     loop_unitarity_residual,
+    modulation_matrix,
     modulation_matrix_check,
 )
 
@@ -35,6 +38,80 @@ from wavefock.polyphase import (
 def assert_loop_equal(A, B, tol=1e-12):
     assert A.N == B.N
     assert A.isclose(B, tol)
+
+
+# ----------------------------------------------------------------------
+# oracles: cofactor expansion and per-point sampling
+
+
+def cofactor_det(A):
+    """det A by cofactor expansion along the first row."""
+    ent = A.entries
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return ent[rows[0]][cols[0]]
+        total = LaurentPoly.zero()
+        for pos, c in enumerate(cols):
+            term = ent[rows[0]][c] * det(rows[1:], cols[:pos] + cols[pos + 1 :])
+            total = total + (term if pos % 2 == 0 else -term)
+        return total
+
+    idx = list(range(A.N))
+    return det(idx, idx)
+
+
+def cofactor_adjugate(A):
+    """adj(A)_{ij} = (-1)^(i+j) det of A without row j and column i."""
+    N = A.N
+
+    def minor(r, c):
+        if N == 1:
+            return LaurentPoly.one()
+        rows = [i for i in range(N) if i != r]
+        cols = [j for j in range(N) if j != c]
+        return cofactor_det(LoopMatrix([[A.entries[i][j] for j in cols] for i in rows]))
+
+    return LoopMatrix(
+        [[minor(j, i) * (1.0 if (i + j) % 2 == 0 else -1.0) for j in range(N)] for i in range(N)]
+    )
+
+
+def pointwise_sample(A, z):
+    return np.array([[p.eval(z) for p in row] for row in A.entries])
+
+
+def pointwise_modulation(bank, z, dual=False):
+    filters = bank.duals_or_primaries if dual else bank.filters
+    fiber = [z.root(bank.N, l) for l in range(bank.N)]
+    return np.array([[m.eval(w) for w in fiber] for m in filters]) / np.sqrt(bank.N)
+
+
+def pointwise_modulation_check(bank, grid):
+    eye = np.eye(bank.N)
+    pair = unit = 0.0
+    for z in torus_grid(grid):
+        M = pointwise_modulation(bank, z)
+        Mt = pointwise_modulation(bank, z, dual=True)
+        unit = max(unit, np.linalg.norm(M.conj().T @ M - eye, 2))
+        pair = max(pair, np.linalg.norm(M.conj().T @ Mt - eye, 2))
+    return pair, unit
+
+
+def pointwise_pair_residual(A, At, grid):
+    eye = np.eye(A.N)
+    return max(
+        np.linalg.norm(pointwise_sample(A, z).conj().T @ pointwise_sample(At, z) - eye, 2)
+        for z in torus_grid(grid)
+    )
+
+
+def pointwise_unitarity_residual(A, grid):
+    eye = np.eye(A.N)
+    return max(
+        np.linalg.norm(pointwise_sample(A, z) @ pointwise_sample(A, z).conj().T - eye, 2)
+        for z in torus_grid(grid)
+    )
 
 
 class TestLoopFromFilters:
@@ -148,6 +225,61 @@ class TestDualLoop:
         with pytest.raises(SingularLoopError):
             dual_loop(A)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_det_matches_cofactor(self, rng, N):
+        for _ in range(3):
+            A = random_invertible_loop(N, rng)
+            assert loop_det(A).isclose(cofactor_det(A), 1e-12)
+            B, _ = loop_from_filters(random_bank(N, rng))  # det not a monomial
+            assert loop_det(B).isclose(cofactor_det(B), 1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_dual_matches_adjugate(self, rng, N):
+        for _ in range(3):
+            A = random_invertible_loop(N, rng)
+            A_star = A.adjoint()
+            exp, coeff = as_monomial_unit(cofactor_det(A_star))
+            adj = cofactor_adjugate(A_star)
+            expected = LoopMatrix(
+                [[p.shift(-exp) * (1.0 / coeff) for p in row] for row in adj.entries]
+            )
+            At = dual_loop(A)
+            assert isinstance(At, LoopMatrix)
+            assert_loop_equal(At, expected, 1e-12)
+            for got, want in zip(At.entries, expected.entries):
+                assert [p.support for p in got] == [p.support for p in want]
+
+    def test_failed_coefficient_check_falls_back_to_samples(self):
+        # det A = 1, but at this conditioning the DFT inverse misses
+        # A* Atilde = I by far more than 1e-12 in coefficients
+        c = 1e5
+        A = LoopMatrix(
+            [
+                [LaurentPoly.one(), LaurentPoly({1: c, -1: 0.3 * c})],
+                [LaurentPoly.zero(), LaurentPoly.one()],
+            ]
+        )
+        exp, coeff = as_monomial_unit(loop_det(A))
+        assert exp == 0 and abs(coeff - 1.0) < 1e-12
+        At = dual_loop(A, grid=32)
+        assert isinstance(At, SampledLoop)
+        assert not At.exact
+
+    def test_det_of_loop_with_zero_row(self):
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        A = LoopMatrix([[zero, zero], [one, one]])
+        assert loop_det(A).is_zero
+
+    def test_large_loop_exact(self, rng):
+        A = random_invertible_loop(7, rng)
+        At = dual_loop(A)
+        assert isinstance(At, LoopMatrix)
+        assert loop_pair_residual(A, At, 128) < 1e-11
+
+    def test_det_adjoint_is_conjugate(self, rng):
+        A = random_invertible_loop(3, rng)
+        assert loop_det(A.adjoint()).isclose(adjoint_poly(loop_det(A)), 1e-12)
+
     def test_loop_json_round_trip(self, rng):
         A = random_invertible_loop(3, rng)
         B = LoopMatrix.from_json(A.to_json())
@@ -169,6 +301,43 @@ class TestModulation:
         pair, unit = modulation_matrix_check(bank, grid=64)
         assert pair < 1e-10
         assert unit > 1e-3
+
+
+class TestBatchedMatchesPointwise:
+    def banks(self, rng):
+        return [
+            haar_bank(),
+            stretched_haar_bank(),
+            stretched_haar_bank(with_duals=True),
+            random_biorthogonal_bank(2, rng),
+            random_biorthogonal_bank(3, rng),
+            random_bank(3, rng),  # unstructured: residuals far from zero
+        ]
+
+    def test_modulation_matrix_stack(self, rng):
+        bank = random_biorthogonal_bank(3, rng)
+        stack = modulation_matrix(bank, 16, dual=True)
+        assert stack.shape == (16, 3, 3)
+        for t, z in enumerate(torus_grid(16)):
+            assert np.abs(stack[t] - pointwise_modulation(bank, z, dual=True)).max() < 1e-12
+
+    def test_modulation_check(self, rng):
+        for bank in self.banks(rng):
+            got = modulation_matrix_check(bank, grid=32)
+            want = pointwise_modulation_check(bank, 32)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_loop_residuals(self, rng):
+        for N in (2, 3):
+            U = random_unitary_loop(N, rng)
+            A = random_invertible_loop(N, rng)
+            B, _ = loop_from_filters(random_bank(N, rng))
+            for L in (U, A, B):
+                got = loop_unitarity_residual(L, 32)
+                assert abs(got - pointwise_unitarity_residual(L, 32)) < 1e-12
+            At = dual_loop(A)
+            assert abs(loop_pair_residual(A, At, 32) - pointwise_pair_residual(A, At, 32)) < 1e-12
+            assert abs(loop_pair_residual(A, U, 32) - pointwise_pair_residual(A, U, 32)) < 1e-12
 
 
 class TestEquivalenceOfConditions:
@@ -222,7 +391,8 @@ class TestGram:
         for _ in range(50):
             N = int(rng.integers(2, 4))
             bank = random_bank(N, rng)
-            gram = gram_entries(bank)
+            A, _ = loop_from_filters(bank)
+            gram = (A @ A.adjoint()).entries
             for i in range(N):
                 for j in range(N):
                     mult = decimate(adjoint_poly(bank.filters[i]) * bank.filters[j], N)

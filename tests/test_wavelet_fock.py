@@ -152,6 +152,45 @@ def test_cor6_random_pairs(seed):
     assert rep.ops.fock.quotient_dims[0] == 8
 
 
+def _cor6_oracle(bank, grid_size, K):
+    """Per-pair vacuum residuals and norm law against the sampled Gram."""
+    sw = sampled_choi(bank, grid_size)
+    rep = cor6_check(bank, grid_size, K)
+    ops, N, g = rep.ops, bank.N, grid_size
+
+    def vac(a, b):
+        return ops.op(a, 0).conj().T @ ops.op(b, 0)
+
+    primary = dual = cross = norm_law = 0.0
+    for i in range(N):
+        for j in range(N):
+            target = np.diag(sw.gram.samples[:, i, j])
+            primary = max(primary, np.linalg.norm(vac(i, j) - target, 2))
+            target = np.diag(sw.gram.inverses[:, i, j])
+            dual = max(dual, np.linalg.norm(vac(N + i, N + j) - target, 2))
+            eye = float(i == j) * np.eye(g)
+            cross = max(
+                cross,
+                np.linalg.norm(vac(N + i, j) - eye, 2),
+                np.linalg.norm(vac(i, N + j) - eye, 2),
+            )
+        for letter, values in ((i, sw.gram.samples), (N + i, sw.gram.inverses)):
+            sup = np.sqrt(np.max(values[:, i, i].real))
+            got = max(np.linalg.norm(ops.op(letter, k), 2) for k in range(K))
+            norm_law = max(norm_law, abs(got - sup))
+    return rep, (primary, dual, cross, norm_law)
+
+
+@pytest.mark.parametrize(
+    "bank_fn",
+    [haar_bank, lambda: stretched_haar_bank(with_duals=True), lambda: pair_bank(4)],
+)
+def test_cor6_matches_per_pair_oracle(bank_fn):
+    rep, want = _cor6_oracle(bank_fn(), 8, 2)
+    got = (rep.primary_residual, rep.dual_residual, rep.cross_residual, rep.norm_law_residual)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_cor6_report_json(haar):
     doc = cor6_check(haar, grid_size=4, K=2).to_json()
     assert doc["grid_size"] == 4
