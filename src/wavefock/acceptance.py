@@ -263,7 +263,9 @@ def check_anchor() -> CriterionResult:
             LaurentPoly.monomial(-1)
         )
         cyc = cyclicity_check(bank, anchor, n_range=8)
-        depths = [pullback_depth(bank, n, anchor) for n in range(-32, 33)]
+        depths = list(cyc.depths.values()) + [
+            pullback_depth(bank, n, anchor) for n in range(-32, 33) if n not in cyc.depths
+        ]
         return anchor, dim_ok, span_ok, cyc, max(depths)
 
     (anchor, dim_ok, span_ok, cyc, max_depth), dt = _timed(body)

@@ -166,12 +166,7 @@ def _diagnostic(exc: WavefockError) -> int:
 
 def cmd_verify(args, config: RunConfig) -> int:
     bank = _bank_from_args(args)
-    try:
-        rep = relation_report(
-            bank, mode_range=config.mode_range, tol=config.tolerance, grid=config.grid_size
-        )
-    except ValueError as exc:
-        raise CliParseError(str(exc)) from exc
+    rep = relation_report(bank, tol=config.tolerance, grid=config.grid_size)
     _emit(rep.to_json(), config)
     verdict = rep.cuntz if bank.is_self_dual else rep.biorthogonal
     return 0 if verdict else VERDICT_FAILED
@@ -213,12 +208,16 @@ def cmd_loop(args, config: RunConfig) -> int:
 def cmd_anchor(args, config: RunConfig) -> int:
     bank = _bank_from_args(args)
     span = config.mode_range if config.mode_range is not None else 8
+    n_range = min(span, 8)
     try:
         anchor = compute_anchor(bank, tol=config.tolerance)
-        depths = {str(n): pullback_depth(bank, n, anchor) for n in range(-span, span + 1)}
-        cyc = cyclicity_check(bank, anchor, n_range=min(span, 8))
+        # cyclicity_check computes the depths for |n| <= n_range, in mode order
+        below = {n: pullback_depth(bank, n, anchor) for n in range(-span, -n_range)}
+        cyc = cyclicity_check(bank, anchor, n_range=n_range)
+        above = {n: pullback_depth(bank, n, anchor) for n in range(n_range + 1, span + 1)}
     except WavefockError as exc:
         return _diagnostic(exc)
+    depths = {str(n): d for n, d in {**below, **cyc.depths, **above}.items()}
     doc = {"anchor": anchor.to_json(), "depths": depths, "cyclicity": cyc.to_json()}
     _emit(doc, config)
     return 0
@@ -292,7 +291,7 @@ _FLAGS = {
     "--tolerance": _config_flag("tolerance", float),
     "--grid": _config_flag("grid_size", int),
     "--levels": _config_flag("fock_level_cap", int, "word-length cap for Fock levels"),
-    "--modes": _config_flag("mode_range", int, "mode range for exact checks"),
+    "--modes": _config_flag("mode_range", int, "largest |n| for anchor pull-back depths"),
     "--seed": _config_flag("rng_seed", int),
 }
 
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("verify", help="subband relation residuals and verdicts")
-    _add_flags(sub, "--input", "--builtin", "--tolerance", "--grid", "--modes")
+    _add_flags(sub, "--input", "--builtin", "--tolerance", "--grid")
     sub.set_defaults(fn=cmd_verify)
 
     sub = subs.add_parser("loop", help="convert between filters and loop matrices")

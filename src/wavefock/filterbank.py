@@ -8,6 +8,8 @@ dual family.  The associated operators act on Laurent polynomials by
 
 and `relation_report` measures how far the family is from satisfying the
 isometry, range-orthogonality, completeness and dual-pairing identities.
+Both operators are shift covariant, S_i(z f) = z^N S_i f, so completeness is
+checked on one mode per phase, and adjoint words are expanded level by level.
 """
 
 from __future__ import annotations
@@ -119,10 +121,9 @@ class RelationReport:
     N: int
     tolerance: float
     grid: int
-    mode_range: int
     pair_residuals: list = field(repr=False)  # sup |R(adj(m_i) mdual_j) - delta_ij|
     self_residuals: list = field(repr=False)  # same with duals = primaries
-    completeness_residual: float = 0.0  # sum_i S_i Sdual_i^* = I on tested modes
+    completeness_residual: float = 0.0  # sum_i S_i Sdual_i^* = I on every mode
     self_completeness_residual: float = 0.0
 
     @property
@@ -157,7 +158,6 @@ class RelationReport:
             "N": self.N,
             "tolerance": self.tolerance,
             "grid": self.grid,
-            "mode_range": self.mode_range,
             "pair_residuals": self.pair_residuals,
             "self_residuals": self.self_residuals,
             "completeness_residual": self.completeness_residual,
@@ -184,9 +184,12 @@ def _pair_residual_matrix(filters, duals, N, grid):
     return out
 
 
-def _completeness_residual(filters, duals, N, mode_range):
+def _completeness_residual(filters, duals, N):
+    """Largest residual |sum_i S_i Sdual_i^* e_n - e_n| over all modes n: the
+    image of e_{n+N} is that of e_n times z^N, coefficient for coefficient, so
+    the modes e_0..e_{N-1} give every value exactly."""
     worst = 0.0
-    for n in range(-mode_range, mode_range + 1):
+    for n in range(N):
         e_n = LaurentPoly.monomial(n)
         total = LaurentPoly.zero()
         for m, md in zip(filters, duals):
@@ -196,38 +199,28 @@ def _completeness_residual(filters, duals, N, mode_range):
 
 
 def relation_report(
-    bank: FilterBank,
-    mode_range: int | None = None,
-    tol: float = DEFAULT_TOL,
-    grid: int = DEFAULT_GRID,
+    bank: FilterBank, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID
 ) -> RelationReport:
     """Residuals for the subband relations, plus verdicts at `tol`.
 
-    Completeness is tested exactly on the Fourier modes e_n, |n| <= mode_range;
-    each image is finitely supported, so no truncation enters.  mode_range must
-    be at least N * genus so the tested modes are not clipped.
+    The pairing residuals are sups over `grid` circle points.  Completeness is
+    exact: each image of a Fourier mode is finitely supported, and by shift
+    covariance the modes e_0..e_{N-1} give the residual over all of them.
     """
     N = bank.N
-    floor = N * bank.genus
-    if mode_range is None:
-        mode_range = max(floor, 8)
-    elif mode_range < floor:
-        raise ValueError(f"mode_range {mode_range} below N*genus = {floor}")
-
     duals = bank.duals_or_primaries
     self_res = _pair_residual_matrix(bank.filters, bank.filters, N, grid)
-    self_comp = _completeness_residual(bank.filters, bank.filters, N, mode_range)
+    self_comp = _completeness_residual(bank.filters, bank.filters, N)
     if bank.is_self_dual:
         pair_res, comp = self_res, self_comp
     else:
         pair_res = _pair_residual_matrix(bank.filters, duals, N, grid)
-        comp = _completeness_residual(bank.filters, duals, N, mode_range)
+        comp = _completeness_residual(bank.filters, duals, N)
 
     return RelationReport(
         N=N,
         tolerance=tol,
         grid=grid,
-        mode_range=mode_range,
         pair_residuals=pair_res,
         self_residuals=self_res,
         completeness_residual=comp,
@@ -239,23 +232,6 @@ def relation_report(
 # module expansion over words
 
 
-def all_words(N: int, k: int):
-    """Words (i_1, ..., i_k) over {0..N-1} in lexicographic order."""
-    if k == 0:
-        return [()]
-    return [(i,) + w for i in range(N) for w in all_words(N, k - 1)]
-
-
-def word_basis(bank: FilterBank, word) -> LaurentPoly:
-    """b_w = m_{i_1}(z) m_{i_2}(z^N) ... m_{i_k}(z^{N^(k-1)})."""
-    b = LaurentPoly.one()
-    scale = 1
-    for i in word:
-        b = b * upsample(bank.filters[i], scale)
-        scale *= bank.N
-    return b
-
-
 def module_expand(
     bank: FilterBank,
     f: LaurentPoly,
@@ -263,11 +239,14 @@ def module_expand(
     tol: float = DEFAULT_TOL,
     check: bool = True,
 ) -> dict:
-    """Subband components of f over all words of length k.
+    """Subband components of f over all words of length k, in lexicographic
+    order.
 
     The component at word w = (i_1, ..., i_k) is the iterated dual adjoint
-    Sdual_{i_k}^* ... Sdual_{i_1}^* f with Sdual_{i_1}^* applied first.  For a
-    bank passing the pairing verdict, f = sum_w b_w * upsample(f_w, N^k).
+    Sdual_{i_k}^* ... Sdual_{i_1}^* f with Sdual_{i_1}^* applied first, built
+    level by level as {w + (i,): Sdual_i^* f_w}, so words share prefixes.  For
+    a bank passing the pairing verdict, f = sum_w b_w * upsample(f_w, N^k)
+    with b_w = m_{i_1}(z) m_{i_2}(z^N) ... m_{i_k}(z^(N^(k-1))).
     """
     if k < 1:
         raise ValueError("word length k must be at least 1")
@@ -278,18 +257,25 @@ def module_expand(
                 "bank fails both the orthogonal and the dual-pairing verdict"
             )
     duals = bank.duals_or_primaries
-    components = {}
-    for word in all_words(bank.N, k):
-        g = f
-        for i in word:
-            g = apply_S_adjoint(duals[i], g, bank.N)
-        components[word] = g
+    components = {(): f}
+    for _ in range(k):
+        components = {
+            word + (i,): apply_S_adjoint(d, g, bank.N)
+            for word, g in components.items()
+            for i, d in enumerate(duals)
+        }
     return components
 
 
 def module_reconstruct(bank: FilterBank, components: dict) -> LaurentPoly:
-    """Reassemble sum_w b_w(z) * f_w(z^(N^k)) from `module_expand` output."""
-    total = LaurentPoly.zero()
-    for word, f_w in components.items():
-        total = total + word_basis(bank, word) * upsample(f_w, bank.N ** len(word))
-    return total
+    """Reassemble sum_w b_w(z) * f_w(z^(N^|w|)) from `module_expand` output.
+
+    Folds from the deepest level by nested synthesis: the components at
+    w + (i,) collapse to sum_i S_i f_{w + (i,)} at w, down to the empty word.
+    """
+    parts = dict(components)
+    for k in range(max(map(len, parts), default=0), 0, -1):
+        for word in [w for w in parts if len(w) == k]:
+            g = apply_S(bank.filters[word[-1]], parts.pop(word), bank.N)
+            parts[word[:-1]] = parts.get(word[:-1], LaurentPoly.zero()) + g
+    return parts.get((), LaurentPoly.zero())

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadNormalizationError, NotReconstructiveError
+from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from .filterbank import FilterBank, relation_report
 from .laurent import LaurentPoly, TorusPoint
+
+FOURIER_DEPTH_CAP = 4000
 
 
 @dataclass
@@ -254,7 +256,9 @@ def fourier_product(
     """Partial product prod_{j=1..J} m_0(t/N^j)/sqrt(N) for the scaling symbol.
 
     Requires the lowpass normalisation m_0(1) = sqrt(N).  With J omitted, J is
-    raised until the next factor differs from 1 by less than 1e-12.
+    raised until the next factor differs from 1 by less than 1e-12, and
+    DepthExceededError is raised past FOURIER_DEPTH_CAP.  The angles t/N^j are
+    divided down in floats, so no power of N is formed.
     """
     root_n = math.sqrt(N)
     if abs(m0.eval(TorusPoint(0.0)) - root_n) > tol:
@@ -262,14 +266,19 @@ def fourier_product(
             f"m0(1) = {m0.eval(TorusPoint(0.0)):.6g}, expected sqrt({N})"
         )
     if J is None:
-        J = 1
-        while abs(lowpass_value(m0, t / N ** (J + 1)) / root_n - 1.0) > 1e-12:
+        J, angle = 1, t / N / N
+        while abs(lowpass_value(m0, angle) / root_n - 1.0) > 1e-12:
             J += 1
-            if J > 4000:
-                break
+            if J > FOURIER_DEPTH_CAP:
+                raise DepthExceededError(
+                    f"factors not within 1e-12 of 1 by J = {FOURIER_DEPTH_CAP}"
+                )
+            angle /= N
     value = 1.0 + 0j
-    for j in range(1, J + 1):
-        value *= lowpass_value(m0, t / N**j) / root_n
+    angle = t
+    for _ in range(J):
+        angle /= N
+        value *= lowpass_value(m0, angle) / root_n
     return value
 
 

@@ -259,6 +259,7 @@ def test_bad_tolerance_is_config_error(capsys):
         ("anchor", "--builtin", "haar", "--grid", "8"),
         ("verify", "--builtin", "haar", "--seed", "1"),
         ("fock", "--builtin", "cuntz", "--modes", "2"),
+        ("verify", "--builtin", "haar", "--modes", "8"),
     ],
 )
 def test_unread_flag_is_rejected(capsys, argv):

@@ -1,9 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from wavefock.corpus import random_biorthogonal_bank, random_bank
+from wavefock.corpus import (
+    builtin_bank,
+    random_bank,
+    random_biorthogonal_bank,
+    random_causal_pair,
+    random_orthogonal_bank,
+)
 from wavefock.errors import DualLengthMismatchError, NotReconstructiveError
 from wavefock.filterbank import (
     FilterBank,
@@ -12,9 +19,8 @@ from wavefock.filterbank import (
     module_expand,
     module_reconstruct,
     relation_report,
-    word_basis,
 )
-from wavefock.laurent import LaurentPoly, adjoint_poly, decimate
+from wavefock.laurent import LaurentPoly, adjoint_poly, decimate, upsample
 from wavefock.polyphase import loop_unitarity_residual, loop_from_filters
 
 SQRT2 = math.sqrt(2.0)
@@ -29,6 +35,68 @@ def l2_pairing(f, g):
 def random_poly(rng, span=8, terms=5):
     exps = rng.choice(np.arange(-span, span + 1), size=terms, replace=False)
     return LaurentPoly({int(k): complex(*rng.standard_normal(2)) for k in exps})
+
+
+# ----------------------------------------------------------------------
+# oracles: the exhaustive forms the library no longer computes
+
+
+def wide_completeness_residual(filters, duals, N, mode_range):
+    """sum_i S_i Sdual_i^* e_n - e_n over every |n| <= mode_range."""
+    worst = 0.0
+    for n in range(-mode_range, mode_range + 1):
+        e_n = LaurentPoly.monomial(n)
+        total = LaurentPoly.zero()
+        for m, md in zip(filters, duals):
+            total = total + apply_S(m, apply_S_adjoint(md, e_n, N), N)
+        worst = max(worst, (total - e_n).coeff_norm())
+    return worst
+
+
+def word_chain(bank, f, word):
+    """Sdual_{i_k}^* ... Sdual_{i_1}^* f, rebuilt from f for one word."""
+    g = f
+    for i in word:
+        g = apply_S_adjoint(bank.duals_or_primaries[i], g, bank.N)
+    return g
+
+
+def word_basis(bank, word):
+    """b_w = m_{i_1}(z) m_{i_2}(z^N) ... m_{i_k}(z^{N^(k-1)})."""
+    b = LaurentPoly.one()
+    scale = 1
+    for i in word:
+        b = b * upsample(bank.filters[i], scale)
+        scale *= bank.N
+    return b
+
+
+BUILTIN_BANKS = [
+    ("haar", {}),
+    ("stretched-haar", {}),
+    ("stretched-haar-dual", {}),
+    ("identity-loop", {"N": 2}),
+    ("identity-loop", {"N": 5}),
+    ("random-orthogonal", {"seed": 3}),
+    ("random-biorthogonal", {"seed": 3}),
+    ("random-causal-pair", {"seed": 7}),
+]
+
+
+def _random_banks():
+    out = []
+    for N in range(2, 8):
+        rng = np.random.default_rng(100 + N)
+        out += [
+            (f"orthogonal-{N}", random_orthogonal_bank(N, rng)),
+            (f"biorthogonal-{N}", random_biorthogonal_bank(N, rng)),
+            (f"causal-pair-{N}", random_causal_pair(N, rng)),
+            (f"unstructured-{N}", random_bank(N, rng)),
+        ]
+    return out
+
+
+RANDOM_BANKS = _random_banks()
 
 
 class TestBankBasics:
@@ -125,10 +193,6 @@ class TestRelationReport:
         assert rep.biorthogonal
         assert not rep.cuntz
 
-    def test_mode_range_floor(self, haar):
-        with pytest.raises(ValueError):
-            relation_report(haar, mode_range=1)
-
     def test_report_json_shape(self, haar):
         obj = relation_report(haar).to_json()
         assert set(obj["verdicts"]) == {
@@ -138,6 +202,34 @@ class TestRelationReport:
             "biorthogonal",
         }
         assert len(obj["pair_residuals"]) == 2
+        assert "mode_range" not in obj
+
+
+def _assert_completeness_matches_wide_loop(bank):
+    rep = relation_report(bank)
+    R = max(bank.N * bank.genus, 8)
+    N = bank.N
+    assert rep.self_completeness_residual == wide_completeness_residual(
+        bank.filters, bank.filters, N, R
+    )
+    assert rep.completeness_residual == wide_completeness_residual(
+        bank.filters, bank.duals_or_primaries, N, R
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params", BUILTIN_BANKS, ids=[f"{n}{p or ''}" for n, p in BUILTIN_BANKS]
+)
+def test_completeness_on_one_mode_per_phase_builtin(name, params):
+    _assert_completeness_matches_wide_loop(builtin_bank(name, params))
+
+
+@pytest.mark.parametrize(
+    "bank", [b for _, b in RANDOM_BANKS], ids=[label for label, _ in RANDOM_BANKS]
+)
+def test_completeness_on_one_mode_per_phase_random(bank):
+    # bit-for-bit: shifting e_n by N shifts every image coefficient unchanged
+    _assert_completeness_matches_wide_loop(bank)
 
 
 class TestModuleExpand:
@@ -165,6 +257,29 @@ class TestModuleExpand:
             {2 * k: c for k, c in haar.filters[1].coeffs().items()}
         )
         assert b.isclose(expected, 1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_components_match_per_word_chain(self, k, rng):
+        for _, bank in RANDOM_BANKS[:8]:
+            f = random_poly(rng, span=6, terms=4)
+            comps = module_expand(bank, f, k, check=False)
+            words = itertools.product(range(bank.N), repeat=k)
+            expected = {w: word_chain(bank, f, w) for w in words}
+            assert list(comps) == list(expected)
+            assert comps == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reconstruct_matches_word_basis(self, k, rng):
+        for _, bank in RANDOM_BANKS[:8] + [("stretched", builtin_bank("stretched-haar-dual"))]:
+            f = random_poly(rng, span=6, terms=4)
+            comps = module_expand(bank, f, k, check=False)
+            expected = LaurentPoly.zero()
+            for w, f_w in comps.items():
+                expected = expected + word_basis(bank, w) * upsample(f_w, bank.N**k)
+            assert module_reconstruct(bank, comps).isclose(expected, 1e-12)
+
+    def test_reconstruct_empty(self, haar):
+        assert module_reconstruct(haar, {}).is_zero
 
     def test_not_reconstructive(self, stretched):
         with pytest.raises(NotReconstructiveError):

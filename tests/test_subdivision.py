@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wavefock.corpus import random_biorthogonal_bank
-from wavefock.errors import BadNormalizationError, NotReconstructiveError
+from wavefock.corpus import haar_bank, random_biorthogonal_bank
+from wavefock.errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from wavefock.filterbank import apply_S
 from wavefock.laurent import LaurentPoly
 from wavefock.subdivision import (
@@ -241,3 +241,15 @@ class TestFourierProduct:
     def test_auto_depth(self):
         val = fourier_product(HAAR_C, 2, 0.5)
         assert abs(val - haar_transform_oracle(0.5)) < 1e-9
+
+    def test_auto_depth_cap_raises(self):
+        # inside the normalisation tolerance, but m0(1)/sqrt(2) misses 1 by
+        # 1e-10, so the stop rule is never met
+        m0 = haar_bank().filters[0] * (1 + 1e-10)
+        with pytest.raises(DepthExceededError):
+            fourier_product(m0, 2, 1.0)
+
+    def test_deep_product_has_no_overflow(self):
+        # N^J exceeds the float range; the angles underflow to 0 instead
+        val = fourier_product(HAAR_C, 2, 1.0, J=1200)
+        assert abs(val - haar_transform_oracle(1.0)) < 1e-12
