@@ -10,6 +10,7 @@ config: keys are sorted and wall-clock data never enters the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import csv
 import json
@@ -340,14 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on first use; parsing leaves it unchanged
+
+
 def _config_from_args(args) -> RunConfig:
     given = vars(args)
     return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         return args.fn(args, config)

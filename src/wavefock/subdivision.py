@@ -1,10 +1,10 @@
 """Sequence-space picture: slanted Toeplitz subdivision and pyramids.
 
 Signals are finite windows of an l2(Z) sequence.  Subdivision by a filter c
-at scale N is (Sx)_i = sum_j c_{i-Nj} x_j, the down-slanted Toeplitz action;
-its adjoint decimates.  Everything here works directly on samples so that
-agreement with the polynomial-side operators is a genuine cross-check rather
-than a tautology.
+at scale N is (Sx)_i = sum_j c_{i-Nj} x_j, the down-slanted Toeplitz action:
+upsample by N, then convolve with c's taps; its adjoint correlates and keeps
+every N-th lag.  Both are numpy convolutions on raw samples, never LaurentPoly
+arithmetic, so agreement with the polynomial side is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -110,15 +110,16 @@ class SignalWindow:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SignalWindow":
-        if not isinstance(obj, dict) or "offset" not in obj or "re" not in obj:
-            raise ValueError("signal JSON must have keys 'offset' and 're'")
-        re = obj["re"]
-        im = obj.get("im")
-        if im is None:
-            im = [0.0] * len(re)
-        if len(re) != len(im):
-            raise ValueError("re and im arrays differ in length")
-        return cls(int(obj["offset"]), np.array(re) + 1j * np.array(im))
+        if not isinstance(obj, dict) or "re" not in obj or not isinstance(obj.get("offset"), int):
+            raise ValueError("signal JSON must have an integer 'offset' and an 're' array")
+        try:
+            re = np.asarray(obj["re"], dtype=float)
+            im = np.zeros_like(re) if obj.get("im") is None else np.asarray(obj["im"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"signal JSON arrays must hold numbers: {exc}") from exc
+        if re.ndim != 1 or re.shape != im.shape or not np.isfinite(re + 1j * im).all():
+            raise ValueError("re and im must be flat arrays of finite numbers, of one length")
+        return cls(obj["offset"], re + 1j * im)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -139,6 +140,8 @@ class SignalWindow:
                 continue
             if len(row) != 3:
                 raise ValueError(f"CSV row must be index,re,im: {row!r}")
+            if int(row[0]) in entries:
+                raise ValueError(f"CSV index {row[0]} appears twice")
             entries[int(row[0])] = float(row[1]) + 1j * float(row[2])
         if not entries:
             return cls.zero()
@@ -151,43 +154,37 @@ class SignalWindow:
 
 
 def subdivide(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
-    """(Sx)_i = sum_j c_{i-Nj} x_j; window grows to [N lo + min_exp, N hi + max_exp]."""
+    """(Sx)_i = sum_j c_{i-Nj} x_j on [N lo + min_exp, N hi + max_exp].  Phase r
+    of that window (every N-th sample from sample r) is x convolved with the
+    taps c_{min_exp+r}, c_{min_exp+r+N}, ...; no zero-stuffed sample is formed."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    lo = N * x.offset + c.min_exp
-    hi = N * x.last + c.max_exp
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    for k, ck in c.coeffs().items():
-        for j, xj in enumerate(x.samples):
-            i = k + N * (x.offset + j)
-            out[i - lo] += ck * xj
-    return SignalWindow(lo, out)
+    taps = SignalWindow.from_poly(c)
+    out = np.zeros(N * (len(x.samples) - 1) + len(taps.samples), dtype=complex)
+    for r in range(min(N, len(taps.samples))):
+        out[r::N] = np.convolve(x.samples, taps.samples[r::N])
+    return SignalWindow(N * x.offset + taps.offset, out)
 
 
 def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
-    """(S*x)_j = sum_i conj(c_{i-Nj}) x_i."""
+    """(S*x)_j = sum_k conj(c_k) x_{k+Nj}: lag N j + max_exp - lo of the full
+    correlation of x (window start lo) with c's taps, every N-th lag from
+    j = ceil((lo - max_exp) / N); when no such lag is left the result is zero."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    j_lo = math.ceil((x.offset - c.max_exp) / N)
-    j_hi = math.floor((x.last - c.min_exp) / N)
-    if j_hi < j_lo:
-        return SignalWindow.zero()
-    out = np.zeros(j_hi - j_lo + 1, dtype=complex)
-    for j in range(j_lo, j_hi + 1):
-        acc = 0j
-        for k, ck in c.coeffs().items():
-            acc += ck.conjugate() * x.value(k + N * j)
-        out[j - j_lo] = acc
-    return SignalWindow(j_lo, out)
+    taps = SignalWindow.from_poly(c)
+    corr = np.convolve(x.samples, taps.samples[::-1].conj())
+    j_lo = -((taps.last - x.offset) // N)
+    return SignalWindow(j_lo, corr[N * j_lo + taps.last - x.offset :: N])
 
 
 def dense_slanted_matrix(c: LaurentPoly, N: int, window, col_window=None) -> np.ndarray:
     """Materialise the slanted matrix on `window` (rows; cols default same):
     entry (i, j) is c_{i-Nj}."""
     lo, hi = window
-    if hi < lo:
-        raise ValueError("window is empty")
     c_lo, c_hi = col_window if col_window is not None else window
+    if hi < lo or c_hi < c_lo:
+        raise ValueError("window is empty")
     offsets = np.arange(lo, hi + 1)[:, None] - N * np.arange(c_lo, c_hi + 1)
     out = np.zeros(offsets.shape, dtype=complex)
     for k, v in c.coeffs().items():

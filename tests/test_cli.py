@@ -279,6 +279,24 @@ def test_read_flags_still_accepted(capsys):
     assert code == 0 and sorted(doc["depths"], key=int) == ["-2", "-1", "0", "1", "2"]
 
 
+def test_main_calls_share_no_state(capsys):
+    # main parses with one parser per process; no flag or subcommand default
+    # of one call may reach the next
+    code, doc, _ = run_json(capsys, "verify", "--builtin", "haar", "--tolerance", "1e-3")
+    assert code == 0 and doc["tolerance"] == 1e-3
+    code, doc, _ = run_json(capsys, "anchor", "--builtin", "haar", "--modes", "2")
+    assert code == 0 and len(doc["depths"]) == 5
+    code, _, _ = run(capsys, "fock", "--builtin", "cuntz")
+    assert code == 0
+    code, doc, _ = run_json(capsys, "verify", "--builtin", "haar")
+    assert code == 0 and doc["tolerance"] == 1e-9 and doc["grid"] == 64
+    code, doc, _ = run_json(capsys, "anchor", "--builtin", "haar")
+    assert code == 0 and len(doc["depths"]) == 17
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--builtin", "haar", "--modes", "8"])
+    assert exc.value.code == 2
+
+
 # ----------------------------------------------------------------------
 # acceptance
 

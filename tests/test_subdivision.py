@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from wavefock.corpus import haar_bank, random_biorthogonal_bank
+from wavefock.corpus import (
+    haar_bank,
+    random_biorthogonal_bank,
+    random_orthogonal_bank,
+    stretched_haar_bank,
+)
 from wavefock.errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from wavefock.filterbank import apply_S
 from wavefock.laurent import LaurentPoly
@@ -49,6 +54,57 @@ def pairing(x, y):
     return sum(x.value(i).conjugate() * y.value(i) for i in range(lo, hi + 1))
 
 
+def subdivide_oracle(c, x, N):
+    # the tap-by-sample loop that subdivide replaced
+    if c.is_zero or x.is_zero:
+        return SignalWindow.zero()
+    lo = N * x.offset + c.min_exp
+    hi = N * x.last + c.max_exp
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    for k, ck in c.coeffs().items():
+        for j, xj in enumerate(x.samples):
+            i = k + N * (x.offset + j)
+            out[i - lo] += ck * xj
+    return SignalWindow(lo, out)
+
+
+def decimate_adjoint_oracle(c, x, N):
+    # the output-by-tap loop that decimate_adjoint replaced
+    if c.is_zero or x.is_zero:
+        return SignalWindow.zero()
+    j_lo = math.ceil((x.offset - c.max_exp) / N)
+    j_hi = math.floor((x.last - c.min_exp) / N)
+    if j_hi < j_lo:
+        return SignalWindow.zero()
+    out = np.zeros(j_hi - j_lo + 1, dtype=complex)
+    for j in range(j_lo, j_hi + 1):
+        acc = 0j
+        for k, ck in c.coeffs().items():
+            acc += ck.conjugate() * x.value(k + N * j)
+        out[j - j_lo] = acc
+    return SignalWindow(j_lo, out)
+
+
+def oracle_cases(rng, N, count=60):
+    """Gappy filters with span below and above N, offsets of both signs,
+    signals down to one sample."""
+    for t in range(count):
+        span = int(rng.integers(0, N)) if t % 2 else int(rng.integers(N, 4 * N))
+        lo = int(rng.integers(-2 * N, 2 * N))
+        terms = int(rng.integers(1, span + 2))
+        exps = rng.choice(np.arange(lo, lo + span + 1), size=terms, replace=False)
+        c = LaurentPoly({int(k): complex(*rng.standard_normal(2)) for k in exps})
+        length = 1 if t % 3 == 0 else int(rng.integers(2, 20))
+        samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        yield c, SignalWindow(int(rng.integers(-25, 10)), samples)
+
+
+def assert_same_window(got, want):
+    assert got.offset == want.offset
+    assert got.samples.shape == want.samples.shape
+    assert np.allclose(got.samples, want.samples, rtol=0, atol=1e-12)
+
+
 class TestSignalWindow:
     def test_trimming_and_zero(self):
         x = SignalWindow(3, [0, 0, 1.0, 2.0, 0])
@@ -72,7 +128,14 @@ class TestSignalWindow:
         assert y.isclose(x, 0.0)
 
     @pytest.mark.parametrize(
-        "bad", [{"re": [1.0]}, {"offset": 0, "re": [1.0], "im": []}]
+        "bad",
+        [
+            {"re": [1.0]},
+            {"offset": 0, "re": [1.0], "im": []},
+            {"offset": 0, "re": 5},
+            {"offset": 0.5, "re": [1.0]},
+            {"offset": 0, "re": [None, 1.0]},
+        ],
     )
     def test_json_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -81,6 +144,8 @@ class TestSignalWindow:
     def test_csv_malformed(self):
         with pytest.raises(ValueError):
             SignalWindow.from_csv("0,1.0\n")
+        with pytest.raises(ValueError):
+            SignalWindow.from_csv("index,re,im\n0,1.0,0\n0,2.0,0\n")
 
 
 class TestSubdivide:
@@ -102,6 +167,11 @@ class TestSubdivide:
             pol = apply_S(c, x.to_poly(), N)
             assert seq.isclose(pol, 1e-12)
 
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_matches_loop_oracle(self, rng, N):
+        for c, x in oracle_cases(rng, N):
+            assert_same_window(subdivide(c, x, N), subdivide_oracle(c, x, N))
+
     def test_window_growth(self, rng):
         c = LaurentPoly({-1: 1.0, 2: 1.0})
         x = SignalWindow(3, [1.0, 0.0, 2.0])
@@ -115,6 +185,15 @@ class TestDecimateAdjoint:
         y = decimate_adjoint(HAAR_C, SignalWindow.unit(0), 2)
         assert y.offset == 0
         assert np.allclose(y.samples, [1 / SQRT2])
+
+    def test_empty_decimation(self):
+        # x sits on an odd index, which the even-lag decimation never reads
+        assert decimate_adjoint(LaurentPoly.monomial(0), SignalWindow.unit(1), 2).is_zero
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_matches_loop_oracle(self, rng, N):
+        for c, x in oracle_cases(rng, N):
+            assert_same_window(decimate_adjoint(c, x, N), decimate_adjoint_oracle(c, x, N))
 
     def test_adjointness(self, rng):
         for _ in range(100):
@@ -154,8 +233,9 @@ class TestSlantedMatrix:
                 assert m[i, j] == (1.0 if i == 3 * j else 0.0)
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            dense_slanted_matrix(HAAR_C, 2, (3, 1))
+        for windows in [((3, 1),), ((0, 3), (3, 1))]:
+            with pytest.raises(ValueError):
+                dense_slanted_matrix(HAAR_C, 2, *windows)
 
     def test_matvec_matches_subdivide(self, rng):
         for _ in range(50):
@@ -199,6 +279,22 @@ class TestPyramid:
         x = random_signal(rng, span=16, terms=12)
         y = pyramid_reconstruct(haar, pyramid(haar, x, 5))
         assert (y - x).norm() < 1e-10
+
+    @pytest.mark.parametrize(
+        "make_bank",
+        [
+            lambda rng: random_biorthogonal_bank(2, rng),
+            lambda rng: random_orthogonal_bank(3, rng),
+            lambda rng: stretched_haar_bank(with_duals=True),
+        ],
+        ids=["biorthogonal-N2", "orthogonal-N3", "stretched-haar-dual-N4"],
+    )
+    def test_long_signal_depth3(self, rng, make_bank):
+        bank = make_bank(rng)
+        length = 10_000
+        x = SignalWindow(-length // 3, rng.standard_normal(length) + 1j * rng.standard_normal(length))
+        y = pyramid_reconstruct(bank, pyramid(bank, x, 3))
+        assert np.max(np.abs((y - x).samples), initial=0.0) < 1e-10
 
     def test_not_reconstructive(self, stretched):
         with pytest.raises(NotReconstructiveError):
