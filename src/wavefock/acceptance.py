@@ -29,7 +29,7 @@ from .corpus import (
     random_unitary_loop,
     stretched_haar_bank,
 )
-from .anchor import compute_anchor, cyclicity_check, pullback_depth
+from .anchor import compute_anchor, cyclicity_check, pullback_depths
 from .filterbank import FilterBank, adjoint_poly, decimate, relation_report
 from .fock import ChoiMatrix, creation_matrices, level_kernel, tstar_t_check
 from .laurent import LaurentPoly
@@ -263,10 +263,8 @@ def check_anchor() -> CriterionResult:
             LaurentPoly.monomial(-1)
         )
         cyc = cyclicity_check(bank, anchor, n_range=8)
-        depths = list(cyc.depths.values()) + [
-            pullback_depth(bank, n, anchor) for n in range(-32, 33) if n not in cyc.depths
-        ]
-        return anchor, dim_ok, span_ok, cyc, max(depths)
+        depths = pullback_depths(bank, range(-32, 33), anchor)
+        return anchor, dim_ok, span_ok, cyc, max(depths.values())
 
     (anchor, dim_ok, span_ok, cyc, max_depth), dt = _timed(body)
     cyc_res = max(cyc.reconstruction_residual, cyc.membership_residual)

@@ -1,12 +1,30 @@
 """Co-invariant anchor subspaces of compactly supported dual pairs.
 
-For a bank of genus g the window W = span{e_0, e_{-1}, ..., e_{-Ng+1}} is
-finite dimensional, and each adjoint S_i^* sends a mode e_n to a single
-shifted loop-entry conjugate.  The anchor subspace K is the largest subspace
-of W mapped into itself by all 2N adjoints (primary and dual family); it is
-computed by a shrinking fixed-point iteration.  Every Fourier mode is pulled
-into K by sufficiently long adjoint words, and K together with the word
-expansions recovers every mode: the double-cyclicity check below.
+A bank of scale N and genus g has every filter exponent in [-(Ng-1), Ng-1],
+so S_i^* e_n = decimate(adjoint(m_i) e_n, N) has its modes within
+(|n| + Ng - 1)/N of 0.  On a mode window [-M, M] with M >= (Ng-1)/(N-1),
+which M >= Ng - 1 implies, the 2N adjoints (primary and dual family) map the
+window into itself: they are the finite slanted matrices B_i, the conjugate
+transposes of `dense_slanted_matrix(m_i, N, (-M, M))`.
+
+The anchor subspace K is the largest subspace of span{e_0, ..., e_{-(Ng-1)}}
+mapped into itself by all 2N adjoints.  A shrinking fixed-point iteration
+finds it; each step's leak map is one matmul per adjoint.
+
+Pull-back depths come from one completely positive recursion per family,
+R_0 = I - Pi_K and R_{k+1} = sum_i B_i^* R_k B_i.  Unrolled,
+R_k = sum over words w of length k of B_w^* (I - Pi_K) B_w, so (R_k)_nn is
+the summed squared distance to K of the images of e_n under all length-k
+words: it vanishes exactly when every length-k word sends e_n into K, and
+the depth of e_n is the least k with (R_k)_nn <= tol^2.  R_k is carried as
+a factor, R_k = F_k^* F_k with F_{k+1} the QR factor of the stacked F_k B_i,
+so a diagonal entry is a sum of squares and a mode inside K reads eps^2,
+not eps.  One recursion gives every mode of the window.
+
+Every mode is thus pulled into K by long enough words, and K together with
+the word expansions recovers every mode: the double-cyclicity check expands
+all modes |n| <= n_range at once, as level-by-level stacks of word images,
+and folds them back with the forward slanted matrices.
 """
 
 from __future__ import annotations
@@ -16,14 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceededError, EmptyAnchorError, NotReconstructiveError
-from .filterbank import (
-    FilterBank,
-    module_expand,
-    module_reconstruct,
-    relation_report,
-)
+from .filterbank import FilterBank, relation_report
 from .laurent import LaurentPoly, adjoint_poly
-from .polyphase import LoopMatrix, loop_from_filters
+from .polyphase import loop_from_filters
+from .subdivision import dense_slanted_matrix
 
 MEMBER_TOL = 1e-10
 SVD_CUTOFF = 1e-12
@@ -34,30 +48,45 @@ def adjoint_on_mode(bank: FilterBank, i: int, n: int, dual: bool = False) -> Lau
     """S_i^* e_n via the loop matrix: conj(A_{i,j0}) shifted by (n - j0)/N.
 
     j0 is the phase of n in [0, N-1]; only that one polyphase entry survives
-    the decimation, so the result is a single shifted entry conjugate.
+    the decimation, so the result is a single shifted entry conjugate.  A
+    self-dual bank uses its primary loop for both families.
     """
-    return _mode_adjoint(_family_loops(bank)[bool(dual)], i, n)
-
-
-def _family_loops(bank: FilterBank) -> tuple:
-    """(primary, dual) loops behind the two adjoint families; a self-dual
-    bank uses its primary loop for both."""
-    A, At = loop_from_filters(bank)
-    return A, A if At is None else At
-
-
-def _mode_adjoint(loop: LoopMatrix, i: int, n: int) -> LaurentPoly:
-    if not 0 <= i < loop.N:
+    if not 0 <= i < bank.N:
         raise ValueError("filter index out of range")
-    j0 = n % loop.N
-    return adjoint_poly(loop.entries[i][j0]).shift((n - j0) // loop.N)
+    A, At = loop_from_filters(bank)
+    loop = At if dual and At is not None else A
+    j0 = n % bank.N
+    return adjoint_poly(loop.entries[i][j0]).shift((n - j0) // bank.N)
 
 
-def _poly_adjoint(loop: LoopMatrix, i: int, p: LaurentPoly) -> LaurentPoly:
-    out = LaurentPoly.zero()
-    for k, c in p.coeffs().items():
-        out = out + c * _mode_adjoint(loop, i, k)
-    return out
+# ----------------------------------------------------------------------
+# the mode window
+
+
+def _families(bank: FilterBank) -> list:
+    """(expanding, folding) filter pairs: the dual adjoints expand and the
+    primaries fold back, then the other way round; a self-dual bank has one."""
+    if bank.is_self_dual:
+        return [(bank.filters, bank.filters)]
+    return [(bank.dual_filters, bank.filters), (bank.filters, bank.dual_filters)]
+
+
+def _radius(bank: FilterBank, anchor_size: int, n_max: int = 0) -> int:
+    """M for the window [-M, M]: it holds the anchor window and every mode
+    |n| <= n_max, and M >= Ng - 1 keeps every adjoint image on it."""
+    return max(n_max, bank.N * bank.genus - 1, anchor_size - 1)
+
+
+def _adjoints(filters, N: int, M: int) -> np.ndarray:
+    """(N, 2M+1, 2M+1) stack of the B_i on modes -M..M (row M + n is e_n)."""
+    return np.stack([dense_slanted_matrix(m, N, (-M, M)).conj().T for m in filters])
+
+
+def _embed(basis: np.ndarray, M: int) -> np.ndarray:
+    """Anchor-window coordinates (row r is e_{-r}) on modes -M..M."""
+    X = np.zeros((2 * M + 1, basis.shape[1]), dtype=complex)
+    X[M - basis.shape[0] + 1 : M + 1] = basis[::-1]
+    return X
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +138,6 @@ class AnchorSubspace:
     def contains(self, p: LaurentPoly, tol: float = MEMBER_TOL) -> bool:
         return self.leak(p) <= tol * max(1.0, p.coeff_norm())
 
-    def basis_polys(self) -> list:
-        out = []
-        for c in range(self.dimension):
-            out.append(
-                LaurentPoly({-r: self.basis[r, c] for r in range(self.window_size)})
-            )
-        return out
-
     def to_json(self) -> dict:
         return {
             "N": self.N,
@@ -129,16 +150,6 @@ class AnchorSubspace:
                 for c in range(self.dimension)
             ],
         }
-
-
-def _mode_images(bank: FilterBank) -> list:
-    """Images of each window mode under all 2N adjoints."""
-    W = bank.N * bank.genus
-    return [
-        [_mode_adjoint(loop, i, -r) for r in range(W)]
-        for loop in _family_loops(bank)
-        for i in range(bank.N)
-    ]
 
 
 def compute_anchor(
@@ -157,41 +168,19 @@ def compute_anchor(
         if not (rep.biorthogonal or rep.cuntz):
             raise NotReconstructiveError("anchor needs a dual pair or orthogonal bank")
     W = bank.N * bank.genus
-    images = _mode_images(bank)
+    adjs = np.concatenate([_adjoints(f, bank.N, W - 1) for f, _ in _families(bank)])
 
     basis = np.eye(W, dtype=complex)
     while True:
         dim = basis.shape[1]
         if dim == 0:
             raise EmptyAnchorError("invariant fixed point is the zero subspace")
-        # rows of the leak map: out-of-window coefficients and the component
-        # of the in-window part orthogonal to the current candidate
-        blocks = []
-        for imgs in images:
-            exps = sorted(
-                {k for r in range(W) for k in imgs[r].coeffs() if k > 0 or k <= -W}
-            )
-            row_of = {k: r for r, k in enumerate(exps)}
-            out_block = np.zeros((len(exps), dim), dtype=complex)
-            in_block = np.zeros((W, dim), dtype=complex)
-            for c in range(dim):
-                acc: dict = {}
-                for r in range(W):
-                    w = basis[r, c]
-                    if w == 0:
-                        continue
-                    for k, v in imgs[r].coeffs().items():
-                        acc[k] = acc.get(k, 0j) + w * v
-                for k, v in acc.items():
-                    if k > 0 or k <= -W:
-                        out_block[row_of[k], c] = v
-                    else:
-                        in_block[-k, c] = v
-            in_block -= basis @ (basis.conj().T @ in_block)
-            blocks.append(out_block)
-            blocks.append(in_block)
-        # leak_map has at least W rows, so every singular direction is listed
-        leak_map = np.vstack(blocks)
+        # leak map: every adjoint image of the candidate minus its projection
+        # on the candidate; it has at least W rows, so every singular
+        # direction is listed
+        X = _embed(basis, W - 1)
+        images = adjs @ X
+        leak_map = (images - X @ (X.conj().T @ images)).reshape(-1, dim)
         _, s, vh = np.linalg.svd(leak_map)
         n_kernel = int(np.sum(s <= max(cutoff, cutoff * s[0])))
         if n_kernel == dim:
@@ -210,21 +199,43 @@ def compute_anchor(
 # pull-back depth and cyclicity
 
 
-def _orthonormal_polys(polys: list, cutoff: float = SVD_CUTOFF) -> list:
-    exps = sorted({k for p in polys for k in p.coeffs()})
-    if not exps:
-        return []
-    mat = np.zeros((len(polys), len(exps)), dtype=complex)
-    for r, p in enumerate(polys):
-        for k, v in p.coeffs().items():
-            mat[r, exps.index(k)] = v
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > cutoff * max(s[0], 1.0) if len(s) else s
-    rows = vh[keep]
-    return [
-        LaurentPoly({exps[c]: rows[r, c] for c in range(len(exps))})
-        for r in range(rows.shape[0])
-    ]
+def pullback_depths(
+    bank: FilterBank,
+    modes,
+    anchor: AnchorSubspace | None = None,
+    cap: int = DEPTH_CAP,
+    tol: float = MEMBER_TOL,
+) -> dict:
+    """Smallest k, per mode e_n, with every length-k adjoint word of either
+    family sending e_n into the anchor: the least k with (R_k)_nn <= tol^2.
+
+    Raises DepthExceededError for the first mode, in the order given, that
+    is not absorbed within `cap` steps.
+    """
+    if anchor is None:
+        anchor = compute_anchor(bank)
+    modes = list(modes)
+    M = _radius(bank, anchor.window_size, max(map(abs, modes), default=0))
+    cols = np.array(modes, dtype=int) + M
+    X = _embed(anchor.basis, M)
+    per_family = []
+    for expand, _ in _families(bank):
+        adjs = _adjoints(expand, bank.N, M)
+        F = np.eye(2 * M + 1) - X @ X.conj().T  # R_0 = F^* F = I - Pi_K
+        first = np.full(len(modes), -1)
+        for k in range(cap + 1):
+            absorbed = np.sum(np.abs(F[:, cols]) ** 2, axis=0) <= tol**2
+            first[(first < 0) & absorbed] = k
+            if k == cap or (first >= 0).all():
+                break
+            F = np.linalg.qr((F @ adjs).reshape(-1, 2 * M + 1), mode="r")
+        per_family.append(first)
+    per_family = np.array(per_family)
+    failed = (per_family < 0).any(axis=0)
+    if failed.any():
+        n = modes[int(np.argmax(failed))]
+        raise DepthExceededError(f"mode {n} not absorbed within {cap} adjoint applications")
+    return dict(zip(modes, per_family.max(axis=0).tolist()))
 
 
 def pullback_depth(
@@ -234,34 +245,8 @@ def pullback_depth(
     cap: int = DEPTH_CAP,
     tol: float = MEMBER_TOL,
 ) -> int:
-    """Smallest k with every length-k adjoint word sending e_n into the anchor.
-
-    Tracked per family on an orthonormalised spanning set: all words of
-    length k land in K exactly when the span of their images does.
-    """
-    if anchor is None:
-        anchor = compute_anchor(bank)
-    worst = 0
-    for loop in _family_loops(bank):
-        span = [LaurentPoly.monomial(n)]
-        depth = 0
-        while not all(anchor.contains(p, tol) for p in span):
-            depth += 1
-            if depth > cap:
-                raise DepthExceededError(
-                    f"mode {n} not absorbed within {cap} adjoint applications"
-                )
-            images = [_poly_adjoint(loop, i, p) for p in span for i in range(bank.N)]
-            span = _orthonormal_polys(images)
-        worst = max(worst, depth)
-    return worst
-
-
-def adjoint_on_mode_poly(
-    bank: FilterBank, i: int, p: LaurentPoly, dual: bool = False
-) -> LaurentPoly:
-    """Linear extension of adjoint_on_mode to arbitrary polynomials."""
-    return _poly_adjoint(_family_loops(bank)[bool(dual)], i, p)
+    """Smallest k with every length-k adjoint word sending e_n into the anchor."""
+    return pullback_depths(bank, [n], anchor, cap=cap, tol=tol)[n]
 
 
 @dataclass
@@ -289,29 +274,46 @@ def cyclicity_check(
     """Word expansion of every mode through anchor-absorbed components.
 
     For each family the mode is expanded at depth k = max(pullback depth, 1);
-    all components must lie in K and the primary-side words must rebuild the
-    mode exactly.
+    all components must lie in K and the folding family's words must rebuild
+    the mode exactly.  Modes of one depth share one stack of word images,
+    (N^k, window, modes).  The fold-back runs the forward matrices onto the
+    wider rows [-(NM + Ng - 1), NM + Ng - 1] and keeps the window part.  For
+    a dual pair every exact partial sum lies on the window, so only roundoff
+    is dropped; otherwise the mass that leaves it at each level is added to
+    the residual, which is thus zero only when the untruncated fold's is.
     """
     if anchor is None:
         anchor = compute_anchor(bank)
-    swapped = (
-        bank
-        if bank.is_self_dual
-        else FilterBank(bank.N, bank.dual_filters, bank.filters)
-    )
+    N = bank.N
+    modes = range(-n_range, n_range + 1)
+    depths = pullback_depths(bank, modes, anchor, cap=cap)
+    ks = np.maximum(np.array(list(depths.values())), 1)
+    M = _radius(bank, anchor.window_size, n_range)
+    wide = N * M + N * bank.genus - 1
+    outside = np.ones(2 * wide + 1, dtype=bool)
+    outside[wide - M : wide + M + 1] = False
+    X = _embed(anchor.basis, M)
     recon_worst = 0.0
     member_worst = 0.0
-    depths = {}
-    for n in range(-n_range, n_range + 1):
-        depths[n] = pullback_depth(bank, n, anchor, cap=cap)
-        k = max(depths[n], 1)
-        e_n = LaurentPoly.monomial(n)
-        for b in (bank, swapped):
-            comps = module_expand(b, e_n, k, check=False)
-            for p in comps.values():
-                member_worst = max(member_worst, anchor.leak(p))
-            err = (module_reconstruct(b, comps) - e_n).coeff_norm()
-            recon_worst = max(recon_worst, err)
+    for expand, fold in _families(bank):
+        adjs = _adjoints(expand, N, M)
+        synth = np.stack(
+            [dense_slanted_matrix(m, N, (-wide, wide), (-M, M)) for m in fold]
+        )
+        for k in np.unique(ks):
+            e = np.eye(2 * M + 1)[:, np.flatnonzero(ks == k) + M - n_range]
+            words = e[None]  # word w + (i,) at row N w + i, as in module_expand
+            for _ in range(k):
+                words = (adjs @ words[:, None]).reshape(-1, *e.shape)
+            off = words - X @ (X.conj().T @ words)
+            member_worst = max(member_worst, float(np.linalg.norm(off, axis=1).max()))
+            lost = np.zeros(e.shape[1])
+            for _ in range(k):
+                full = (synth @ words.reshape(-1, N, *e.shape)).sum(axis=1)
+                lost += np.sum(np.abs(full[:, outside]) ** 2, axis=(0, 1))
+                words = full[:, ~outside]
+            err = np.sqrt(np.sum(np.abs(words[0] - e) ** 2, axis=0) + lost)
+            recon_worst = max(recon_worst, float(err.max()))
     return CyclicityReport(
         n_range=n_range,
         reconstruction_residual=recon_worst,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from . import corpus
 from .acceptance import DEFAULT_SEED, run_all
-from .anchor import compute_anchor, cyclicity_check, pullback_depth
+from .anchor import compute_anchor, cyclicity_check, pullback_depths
 from .errors import SizeCapError, WavefockError
 from .filterbank import FilterBank, relation_report
 from .fock import ChoiMatrix, creation_matrices, tstar_t_check
@@ -212,13 +212,11 @@ def cmd_anchor(args, config: RunConfig) -> int:
     n_range = min(span, 8)
     try:
         anchor = compute_anchor(bank, tol=config.tolerance)
-        # cyclicity_check computes the depths for |n| <= n_range, in mode order
-        below = {n: pullback_depth(bank, n, anchor) for n in range(-span, -n_range)}
+        depths = pullback_depths(bank, range(-span, span + 1), anchor)
         cyc = cyclicity_check(bank, anchor, n_range=n_range)
-        above = {n: pullback_depth(bank, n, anchor) for n in range(n_range + 1, span + 1)}
     except WavefockError as exc:
         return _diagnostic(exc)
-    depths = {str(n): d for n, d in {**below, **cyc.depths, **above}.items()}
+    depths = {str(n): d for n, d in depths.items()}
     doc = {"anchor": anchor.to_json(), "depths": depths, "cyclicity": cyc.to_json()}
     _emit(doc, config)
     return 0

@@ -195,7 +195,8 @@ def _fock_levels(P: ChoiMatrix, K: int, size_cap: int):
             G = np.einsum("ijab,wbvc->iwajvc", blocks, g4).reshape(
                 P.N * prev * d, P.N * prev * d
             )
-            drift = float(np.linalg.norm(G - G.conj().T, 2))
+            # Frobenius: a safe-side bound on the spectral norm, without an SVD
+            drift = float(np.linalg.norm(G - G.conj().T))
             if drift > PSD_HARD * scale:
                 raise NotPsdError(
                     f"level {k} Gram is not Hermitian (drift {drift:.3e}); "

@@ -142,7 +142,10 @@ class SignalWindow:
                 raise ValueError(f"CSV row must be index,re,im: {row!r}")
             if int(row[0]) in entries:
                 raise ValueError(f"CSV index {row[0]} appears twice")
-            entries[int(row[0])] = float(row[1]) + 1j * float(row[2])
+            value = complex(float(row[1]), float(row[2]))
+            if not np.isfinite(value):
+                raise ValueError(f"CSV samples must be finite: {row!r}")
+            entries[int(row[0])] = value
         if not entries:
             return cls.zero()
         lo, hi = min(entries), max(entries)
@@ -187,8 +190,10 @@ def dense_slanted_matrix(c: LaurentPoly, N: int, window, col_window=None) -> np.
         raise ValueError("window is empty")
     offsets = np.arange(lo, hi + 1)[:, None] - N * np.arange(c_lo, c_hi + 1)
     out = np.zeros(offsets.shape, dtype=complex)
-    for k, v in c.coeffs().items():
-        out[offsets == k] = v
+    taps = SignalWindow.from_poly(c)
+    idx = offsets - taps.offset
+    hit = (idx >= 0) & (idx < len(taps.samples))
+    out[hit] = taps.samples[idx[hit]]
     return out
 
 

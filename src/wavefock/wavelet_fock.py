@@ -50,15 +50,6 @@ class SampledWaveletChoi:
                 np.fill_diagonal(m[a * g : (a + 1) * g, b * g : (b + 1) * g], pts[:, a, b])
         return ChoiMatrix(n, g, m)
 
-    def eigenvalue_structure_residual(self) -> float:
-        """Nonzero spectrum per point is {lam + 1/lam} over eigenvalues of AA*."""
-        s = self.gram.samples
-        lam = np.linalg.eigvalsh((s + s.conj().transpose(0, 2, 1)) / 2)
-        predicted = np.sort(np.concatenate([lam + 1.0 / lam, np.zeros_like(lam)], axis=1), axis=1)
-        p = self.gram.choi_points
-        actual = np.linalg.eigvalsh((p + p.conj().transpose(0, 2, 1)) / 2)
-        return float(np.abs(actual - predicted).max())
-
     def to_json(self) -> dict:
         doc = self.block_choi().to_json()
         doc["provenance"] = {

@@ -6,30 +6,179 @@ import numpy as np
 import pytest
 
 from wavefock.anchor import (
+    DEPTH_CAP,
+    MEMBER_TOL,
+    SVD_CUTOFF,
     AnchorSubspace,
     CyclicityReport,
     adjoint_on_mode,
-    adjoint_on_mode_poly,
     compute_anchor,
     cyclicity_check,
     pullback_depth,
+    pullback_depths,
 )
 from wavefock.corpus import (
+    builtin_bank,
     haar_bank,
     random_biorthogonal_bank,
     random_causal_pair,
     random_orthogonal_bank,
     stretched_haar_bank,
 )
-from wavefock.errors import DepthExceededError, EmptyAnchorError
-from wavefock.filterbank import FilterBank, apply_S_adjoint
-from wavefock.laurent import LaurentPoly
+from wavefock.errors import (
+    DepthExceededError,
+    EmptyAnchorError,
+    NotReconstructiveError,
+    WavefockError,
+)
+from wavefock.filterbank import (
+    FilterBank,
+    apply_S_adjoint,
+    module_expand,
+    module_reconstruct,
+    relation_report,
+)
+from wavefock.laurent import LaurentPoly, adjoint_poly
+from wavefock.polyphase import loop_from_filters
 
 SQRT2 = math.sqrt(2.0)
 
 
 def pair_bank(seed):
     return random_causal_pair(2, np.random.default_rng(seed))
+
+
+# ----------------------------------------------------------------------
+# the polynomial path, kept as the oracle for the mode-window recursions
+
+
+def basis_polys(K: AnchorSubspace) -> list:
+    return [
+        LaurentPoly({-r: K.basis[r, c] for r in range(K.window_size)})
+        for c in range(K.dimension)
+    ]
+
+
+def _family_loops(bank):
+    A, At = loop_from_filters(bank)
+    return A, A if At is None else At
+
+
+def _mode_adjoint(loop, i, n):
+    j0 = n % loop.N
+    return adjoint_poly(loop.entries[i][j0]).shift((n - j0) // loop.N)
+
+
+def _poly_adjoint(loop, i, p):
+    out = LaurentPoly.zero()
+    for k, c in p.coeffs().items():
+        out = out + c * _mode_adjoint(loop, i, k)
+    return out
+
+
+def adjoint_on_mode_poly(bank, i, p, dual=False):
+    """Linear extension of adjoint_on_mode to arbitrary polynomials."""
+    return _poly_adjoint(_family_loops(bank)[bool(dual)], i, p)
+
+
+def oracle_anchor(bank, cutoff=SVD_CUTOFF):
+    """The fixed point with leak maps accumulated coefficient by coefficient."""
+    rep = relation_report(bank)
+    if not (rep.biorthogonal or rep.cuntz):
+        raise NotReconstructiveError("anchor needs a dual pair or orthogonal bank")
+    W = bank.N * bank.genus
+    images = [
+        [_mode_adjoint(loop, i, -r) for r in range(W)]
+        for loop in _family_loops(bank)
+        for i in range(bank.N)
+    ]
+    basis = np.eye(W, dtype=complex)
+    while True:
+        dim = basis.shape[1]
+        if dim == 0:
+            raise EmptyAnchorError("invariant fixed point is the zero subspace")
+        blocks = []
+        for imgs in images:
+            exps = sorted(
+                {k for r in range(W) for k in imgs[r].coeffs() if k > 0 or k <= -W}
+            )
+            row_of = {k: r for r, k in enumerate(exps)}
+            out_block = np.zeros((len(exps), dim), dtype=complex)
+            in_block = np.zeros((W, dim), dtype=complex)
+            for c in range(dim):
+                acc = {}
+                for r in range(W):
+                    for k, v in imgs[r].coeffs().items():
+                        acc[k] = acc.get(k, 0j) + basis[r, c] * v
+                for k, v in acc.items():
+                    if k > 0 or k <= -W:
+                        out_block[row_of[k], c] = v
+                    else:
+                        in_block[-k, c] = v
+            in_block -= basis @ (basis.conj().T @ in_block)
+            blocks += [out_block, in_block]
+        _, s, vh = np.linalg.svd(np.vstack(blocks))
+        n_kernel = int(np.sum(s <= max(cutoff, cutoff * s[0])))
+        if n_kernel == dim:
+            return AnchorSubspace(bank.N, bank.genus, basis, float(s[0]))
+        if n_kernel == 0:
+            raise EmptyAnchorError("invariant fixed point is the zero subspace")
+        basis, _ = np.linalg.qr(basis @ vh.conj().T[:, dim - n_kernel :])
+
+
+def _orthonormal_polys(polys, cutoff=SVD_CUTOFF):
+    exps = sorted({k for p in polys for k in p.coeffs()})
+    if not exps:
+        return []
+    mat = np.zeros((len(polys), len(exps)), dtype=complex)
+    for r, p in enumerate(polys):
+        for k, v in p.coeffs().items():
+            mat[r, exps.index(k)] = v
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    rows = vh[s > cutoff * max(s[0], 1.0)]
+    return [LaurentPoly(dict(zip(exps, row))) for row in rows]
+
+
+def oracle_depth(loops, n, anchor, cap=DEPTH_CAP, tol=MEMBER_TOL):
+    """Per mode, an orthonormalised polynomial span of the word images."""
+    worst = 0
+    for loop in loops:
+        span = [LaurentPoly.monomial(n)]
+        depth = 0
+        while not all(anchor.contains(p, tol) for p in span):
+            depth += 1
+            if depth > cap:
+                raise DepthExceededError(
+                    f"mode {n} not absorbed within {cap} adjoint applications"
+                )
+            images = [_poly_adjoint(loop, i, p) for p in span for i in range(loop.N)]
+            span = _orthonormal_polys(images)
+        worst = max(worst, depth)
+    return worst
+
+
+def oracle_cyclicity(bank, anchor, n_range):
+    """Expand and fold back each mode on its own through module_expand."""
+    loops = _family_loops(bank)
+    swapped = (
+        bank if bank.is_self_dual else FilterBank(bank.N, bank.dual_filters, bank.filters)
+    )
+    recon = member = 0.0
+    for n in range(-n_range, n_range + 1):
+        k = max(oracle_depth(loops, n, anchor), 1)
+        e_n = LaurentPoly.monomial(n)
+        for b in (bank, swapped):
+            comps = module_expand(b, e_n, k, check=False)
+            member = max([member] + [anchor.leak(p) for p in comps.values()])
+            recon = max(recon, (module_reconstruct(b, comps) - e_n).coeff_norm())
+    return recon, member
+
+
+def outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except WavefockError as exc:
+        return (type(exc), str(exc))
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +270,7 @@ def test_anchor_invariant_under_all_adjoints(bank_fn):
     bank = bank_fn()
     K = compute_anchor(bank)
     assert 1 <= K.dimension <= bank.N * bank.genus
-    for p in K.basis_polys():
+    for p in basis_polys(K):
         for dual in (False, True):
             for i in range(bank.N):
                 img = adjoint_on_mode_poly(bank, i, p, dual=dual)
@@ -185,6 +334,27 @@ def test_pullback_depth_cap(haar):
         pullback_depth(haar, 4, cap=2)
 
 
+def test_pullback_depths_name_first_failing_mode(haar):
+    assert pullback_depths(haar, [1, -2, 0]) == {1: 1, -2: 1, 0: 0}
+    assert pullback_depths(haar, []) == {}
+    with pytest.raises(DepthExceededError, match="mode -8 not absorbed within 2"):
+        pullback_depths(haar, range(-8, 9), cap=2)
+    with pytest.raises(DepthExceededError, match="mode 8 not absorbed within 2"):
+        pullback_depths(haar, range(8, -9, -1), cap=2)
+
+
+@pytest.mark.parametrize("bank_fn", [haar_bank, lambda: pair_bank(5)])
+def test_depths_do_not_depend_on_anchor_basis(bank_fn, rng):
+    # a rotated basis spans the same K; its projector reads 1 - 1 = O(eps) on
+    # the diagonal, which the factored recursion squares away below tol^2
+    bank = bank_fn()
+    K = compute_anchor(bank)
+    q, _ = np.linalg.qr(rng.normal(size=(K.dimension,) * 2) + 1j * rng.normal(size=(K.dimension,) * 2))
+    rotated = AnchorSubspace(K.N, K.genus, K.basis @ q, K.coinvariance_residual)
+    modes = range(-16, 17)
+    assert pullback_depths(bank, modes, rotated) == pullback_depths(bank, modes, K)
+
+
 @pytest.mark.parametrize("seed", [1, 3])
 def test_random_pair_depths_finite(seed):
     bank = pair_bank(seed)
@@ -221,6 +391,18 @@ def test_random_pair_cyclicity(seed):
     assert report.membership_residual < 1e-9
 
 
+def test_cyclicity_flags_a_bank_that_does_not_reconstruct():
+    # perturbed duals: the anchor and the depths exist, but the fold-back
+    # misses each mode and lets mass leave the mode window on the way
+    base = pair_bank(2)
+    bank = FilterBank(2, base.filters, [f + LaurentPoly({0: 0.05}) for f in base.dual_filters])
+    K = compute_anchor(bank, check=False)
+    report = cyclicity_check(bank, K, n_range=4)
+    recon, member = oracle_cyclicity(bank, K, 4)
+    assert report.membership_residual == member == 0.0
+    assert report.reconstruction_residual > 0.1 and recon > 0.1
+
+
 def test_cyclicity_report_json(haar):
     doc = cyclicity_check(haar, n_range=2).to_json()
     assert set(doc) == {
@@ -230,3 +412,55 @@ def test_cyclicity_report_json(haar):
         "depths",
     }
     assert doc["depths"]["0"] == 0
+
+
+# ----------------------------------------------------------------------
+# the mode-window recursions against the polynomial oracle
+
+BUILTINS = [
+    ("haar", {}),
+    ("stretched-haar", {}),
+    ("stretched-haar-dual", {}),
+    ("identity-loop", {"N": 2}),
+    ("identity-loop", {"N": 3}),
+    ("identity-loop", {"N": 4}),
+    ("random-orthogonal", {}),
+    ("random-biorthogonal", {}),
+    ("random-causal-pair", {}),
+]
+RANDOM_FAMILIES = ["random-orthogonal", "random-biorthogonal", "random-causal-pair"]
+RANDOM = [
+    (RANDOM_FAMILIES[s % 3], {"N": 2 + s // 3 % 3, "seed": s}) for s in range(100)
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    BUILTINS + RANDOM,
+    ids=[name + "".join(f"-{k}{v}" for k, v in p.items()) for name, p in BUILTINS + RANDOM],
+)
+def test_window_recursions_match_polynomial_oracle(name, params):
+    bank = builtin_bank(name, params)
+    K = outcome(compute_anchor, bank)
+    K_ref = outcome(oracle_anchor, bank)
+    if isinstance(K_ref, tuple):
+        assert K == K_ref
+        return
+    assert K.dimension == K_ref.dimension
+    assert np.allclose(K.basis @ K.basis.conj().T, K_ref.basis @ K_ref.basis.conj().T, atol=1e-12)
+    assert abs(K.coinvariance_residual - K_ref.coinvariance_residual) < 1e-12
+
+    loops = _family_loops(bank)
+    modes = range(-32, 33)
+    for cap in (DEPTH_CAP, 1):
+        depths = outcome(pullback_depths, bank, modes, K, cap=cap)
+        try:
+            expected = {n: oracle_depth(loops, n, K, cap=cap) for n in modes}
+        except DepthExceededError as exc:
+            expected = (DepthExceededError, str(exc))
+        assert depths == expected
+
+    cyc = cyclicity_check(bank, K, n_range=6)
+    recon, member = oracle_cyclicity(bank, K, 6)
+    assert abs(cyc.reconstruction_residual - recon) < 1e-12
+    assert abs(cyc.membership_residual - member) < 1e-12

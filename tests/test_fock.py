@@ -150,6 +150,17 @@ def test_gram_noncommuting_blocks_abort():
         level_gram(P, 2)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_noncommuting_blocks_not_hermitian(seed):
+    # the abort comes from the Hermiticity drift at level 2, not from the
+    # eigenvalue check after it; commuting blocks pass the same drift test
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(NotPsdError, match="level 2 Gram is not Hermitian"):
+        level_gram(ChoiMatrix(2, 2, x @ x.conj().T), 2)
+    level_gram(ChoiMatrix(2, 2, random_commuting_choi(2, 2, rng)), 3)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gram_psd_for_valid_input(seed):
     rng = np.random.default_rng(seed)

@@ -146,6 +146,10 @@ class TestSignalWindow:
             SignalWindow.from_csv("0,1.0\n")
         with pytest.raises(ValueError):
             SignalWindow.from_csv("index,re,im\n0,1.0,0\n0,2.0,0\n")
+        with pytest.raises(ValueError):
+            SignalWindow.from_csv("index,re,im\n0,nan,0\n")
+        with pytest.raises(ValueError):
+            SignalWindow.from_csv("index,re,im\n0,1.0,0\n1,0,inf\n")
 
 
 class TestSubdivide:
