@@ -1,30 +1,33 @@
 """Co-invariant anchor subspaces of compactly supported dual pairs.
 
 A bank of scale N and genus g has every filter exponent in [-(Ng-1), Ng-1],
-so S_i^* e_n = decimate(adjoint(m_i) e_n, N) has its modes within
-(|n| + Ng - 1)/N of 0.  On a mode window [-M, M] with M >= (Ng-1)/(N-1),
-which M >= Ng - 1 implies, the 2N adjoints (primary and dual family) map the
-window into itself: they are the finite slanted matrices B_i, the conjugate
-transposes of `dense_slanted_matrix(m_i, N, (-M, M))`.
+so S_i^* e_n = decimate(adjoint(m_i) e_n, N) lives on the modes from
+(n - Ng + 1)/N to (n + Ng - 1)/N.  The 2N adjoints (primary and dual family)
+act as finite slanted matrices B_i, from `dense_slanted_matrix`, on:
 
-The anchor subspace K is the largest subspace of span{e_0, ..., e_{-(Ng-1)}}
-mapped into itself by all 2N adjoints.  A shrinking fixed-point iteration
-finds it; each step's leak map is one matmul per adjoint.
+- the window [-(Ng-1), Ng-1], mapped into itself as Ng - 1 >= (Ng-1)/(N-1).
+  The anchor subspace K is the largest subspace of span{e_0, ..., e_{-(Ng-1)}}
+  mapped into itself by all 2N adjoints, found by a shrinking fixed-point
+  iteration whose leak maps are one batched matmul each;
+- frames [c - Mf, c + Mf] with (N-1) Mf >= Ng - 1 + N - 1, so that the images
+  of a vector on the frame at c lie on the frame at trunc(c / N): the level-k
+  word images of e_n share one frame of 2 Mf + 1 modes however large |n| is.
 
-Pull-back depths come from one completely positive recursion per family,
-R_0 = I - Pi_K and R_{k+1} = sum_i B_i^* R_k B_i.  Unrolled,
-R_k = sum over words w of length k of B_w^* (I - Pi_K) B_w, so (R_k)_nn is
-the summed squared distance to K of the images of e_n under all length-k
-words: it vanishes exactly when every length-k word sends e_n into K, and
-the depth of e_n is the least k with (R_k)_nn <= tol^2.  R_k is carried as
-a factor, R_k = F_k^* F_k with F_{k+1} the QR factor of the stacked F_k B_i,
-so a diagonal entry is a sum of squares and a mode inside K reads eps^2,
-not eps.  One recursion gives every mode of the window.
+Pull-back depths come from the completely positive recursions
+R_{k+1} = sum_i B_i^* R_k B_i from R_0 = I - Pi_K, and G_{k+1} likewise from
+G_0 = I, per family.  Unrolled, (R_k)_nn = sum over length-k words w of
+||(I - Pi_K) B_w e_n||^2 and (G_k)_nn = sum_w ||B_w e_n||^2, so (R_k)_nn
+vanishes exactly when every length-k word sends e_n into K.  The depth of e_n
+is the least k with (R_k)_nn <= tol^2 (G_k)_nn: relative, so images that grow
+or shrink with k (large-norm duals) are judged by their roundoff, not their
+scale.  Unlike a test of each unit direction of their span, it passes a small
+out-of-K image beside large ones in K.  Both diagonals are read off V_k, the
+QR factor of the stacked images of V_{k-1}'s rows: it keeps the Gram matrix
+of all length-k word images of e_n in at most 2 Mf + 1 rows.
 
-Every mode is thus pulled into K by long enough words, and K together with
-the word expansions recovers every mode: the double-cyclicity check expands
-all modes |n| <= n_range at once, as level-by-level stacks of word images,
-and folds them back with the forward slanted matrices.
+The double-cyclicity check expands all modes |n| <= n_range at once, as
+level-by-level stacks of word images on their frames, and folds them back
+with the forward slanted matrices.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def adjoint_on_mode(bank: FilterBank, i: int, n: int, dual: bool = False) -> Lau
 
 
 # ----------------------------------------------------------------------
-# the mode window
+# frames
 
 
 def _families(bank: FilterBank) -> list:
@@ -71,22 +74,44 @@ def _families(bank: FilterBank) -> list:
     return [(bank.dual_filters, bank.filters), (bank.filters, bank.dual_filters)]
 
 
-def _radius(bank: FilterBank, anchor_size: int, n_max: int = 0) -> int:
-    """M for the window [-M, M]: it holds the anchor window and every mode
-    |n| <= n_max, and M >= Ng - 1 keeps every adjoint image on it."""
-    return max(n_max, bank.N * bank.genus - 1, anchor_size - 1)
+def _frame_matrices(bank: FilterBank, filters) -> tuple:
+    """The forward S_i from the frame at 0 onto modes -wide..wide,
+    wide = N (Mf + g) - 1, as an (N, 2 wide + 1, L) stack, L = 2 Mf + 1, and,
+    sliced from it, the (2N-1, N, L, L) stack whose entry [s + N - 1, i] is
+    B_i from the frame at N c + s to the frame at c."""
+    N = bank.N
+    Mf = -(-(N * bank.genus - 1) // (N - 1)) + 1
+    wide = N * (Mf + bank.genus) - 1
+    fwd = np.stack([dense_slanted_matrix(m, N, (-wide, wide), (-Mf, Mf)) for m in filters])
+    rows = [fwd[:, wide + s - Mf : wide + s + Mf + 1] for s in range(1 - N, N)]
+    return fwd, np.stack(rows).conj().swapaxes(-1, -2)
 
 
-def _adjoints(filters, N: int, M: int) -> np.ndarray:
-    """(N, 2M+1, 2M+1) stack of the B_i on modes -M..M (row M + n is e_n)."""
-    return np.stack([dense_slanted_matrix(m, N, (-M, M)).conj().T for m in filters])
+def _frame_step(V: np.ndarray, c: np.ndarray, frames: np.ndarray) -> tuple:
+    """Adjoint images of the rows of each V[p], a (rows, L) block on the frame
+    at c[p]: a (P, rows, N, L) stack with row w's image under B_i at (w, i),
+    the new centres trunc(c / N) and the phases c - N trunc(c / N)."""
+    N = frames.shape[1]
+    q = np.sign(c) * (np.abs(c) // N)
+    s = c - N * q
+    out = np.empty(V.shape[:2] + (N, V.shape[-1]), dtype=complex)
+    for p in np.unique(s):
+        sel = s == p
+        out[sel] = np.swapaxes(V[sel][:, None] @ frames[p + N - 1].swapaxes(-1, -2), 1, 2)
+    return out, q, s
 
 
-def _embed(basis: np.ndarray, M: int) -> np.ndarray:
-    """Anchor-window coordinates (row r is e_{-r}) on modes -M..M."""
-    X = np.zeros((2 * M + 1, basis.shape[1]), dtype=complex)
-    X[M - basis.shape[0] + 1 : M + 1] = basis[::-1]
-    return X
+def _leaks(V: np.ndarray, c: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(P, rows) distances to K of the rows of each V[p] on the frame at c[p]:
+    the mass off K's modes plus the distance to K of the rest."""
+    L = V.shape[-1]
+    r = L // 2 - c[:, None] - np.arange(L)  # anchor-window row of each column
+    on = (r >= 0) & (r < basis.shape[0])
+    p, j = np.nonzero(on)
+    Vk = np.zeros((len(V), V.shape[1], basis.shape[0]), dtype=complex)
+    Vk[p, :, r[p, j]] = V[p, :, j]
+    off = np.sum(np.abs(V * ~on[:, None]) ** 2, axis=2)
+    return np.sqrt(off + np.sum(np.abs(Vk - (Vk @ basis.conj()) @ basis.T) ** 2, axis=2))
 
 
 # ----------------------------------------------------------------------
@@ -114,24 +139,15 @@ class AnchorSubspace:
     def dimension(self) -> int:
         return self.basis.shape[1]
 
-    def window_modes(self) -> list:
-        return [-r for r in range(self.window_size)]
-
-    def coords(self, p: LaurentPoly) -> np.ndarray:
-        """Window coordinates of p, ignoring out-of-window terms."""
+    def leak(self, p: LaurentPoly) -> float:
+        """Distance from p to K: out-of-window mass plus off-span mass."""
         v = np.zeros(self.window_size, dtype=complex)
+        outside = 0.0
         for k, c in p.coeffs().items():
             if -self.window_size < k <= 0:
                 v[-k] = c
-        return v
-
-    def leak(self, p: LaurentPoly) -> float:
-        """Distance from p to K: out-of-window mass plus off-span mass."""
-        outside = 0.0
-        for k, c in p.coeffs().items():
-            if k > 0 or k <= -self.window_size:
+            else:
                 outside += abs(c) ** 2
-        v = self.coords(p)
         inside = v - self.basis @ (self.basis.conj().T @ v)
         return float(np.sqrt(outside + np.linalg.norm(inside) ** 2))
 
@@ -143,7 +159,7 @@ class AnchorSubspace:
             "N": self.N,
             "genus": self.genus,
             "dimension": self.dimension,
-            "window_modes": self.window_modes(),
+            "window_modes": [-r for r in range(self.window_size)],
             "coinvariance_residual": self.coinvariance_residual,
             "basis": [
                 [[float(x.real), float(x.imag)] for x in self.basis[:, c]]
@@ -168,8 +184,9 @@ def compute_anchor(
         if not (rep.biorthogonal or rep.cuntz):
             raise NotReconstructiveError("anchor needs a dual pair or orthogonal bank")
     W = bank.N * bank.genus
-    adjs = np.concatenate([_adjoints(f, bank.N, W - 1) for f, _ in _families(bank)])
-
+    # the B_i of both families on modes -(W-1)..W-1, row W - 1 + n for e_n
+    adjs = [dense_slanted_matrix(m, bank.N, (1 - W, W - 1)) for f, _ in _families(bank) for m in f]
+    adjs = np.stack(adjs).conj().swapaxes(1, 2)
     basis = np.eye(W, dtype=complex)
     while True:
         dim = basis.shape[1]
@@ -178,18 +195,14 @@ def compute_anchor(
         # leak map: every adjoint image of the candidate minus its projection
         # on the candidate; it has at least W rows, so every singular
         # direction is listed
-        X = _embed(basis, W - 1)
+        X = np.zeros((2 * W - 1, dim), dtype=complex)
+        X[:W] = basis[::-1]  # basis row r is e_{-r}
         images = adjs @ X
         leak_map = (images - X @ (X.conj().T @ images)).reshape(-1, dim)
         _, s, vh = np.linalg.svd(leak_map)
         n_kernel = int(np.sum(s <= max(cutoff, cutoff * s[0])))
         if n_kernel == dim:
-            return AnchorSubspace(
-                N=bank.N,
-                genus=bank.genus,
-                basis=basis,
-                coinvariance_residual=float(s[0]),
-            )
+            return AnchorSubspace(bank.N, bank.genus, basis, float(s[0]))
         if n_kernel == 0:
             raise EmptyAnchorError("invariant fixed point is the zero subspace")
         basis, _ = np.linalg.qr(basis @ vh.conj().T[:, dim - n_kernel :])
@@ -199,6 +212,32 @@ def compute_anchor(
 # pull-back depth and cyclicity
 
 
+MODE_BLOCK = 1024  # modes per block of a pull-back depth run
+WORD_BUDGET = 1 << 20  # complex entries per chunk of a cyclicity expansion
+
+
+def _first_absorbed(modes, frames, basis, cap: int, tol: float) -> np.ndarray:
+    """Per mode, the least k <= cap with (R_k)_nn <= tol^2 (G_k)_nn, or -1."""
+    if len(modes) > MODE_BLOCK:
+        parts = [modes[b : b + MODE_BLOCK] for b in range(0, len(modes), MODE_BLOCK)]
+        return np.concatenate([_first_absorbed(m, frames, basis, cap, tol) for m in parts])
+    L = frames.shape[-1]
+    first = np.full(len(modes), -1)
+    live = np.arange(len(modes))
+    c = np.array(modes, dtype=np.int64)
+    V = np.tile(np.eye(L, dtype=complex)[L // 2], (len(modes), 1, 1))  # e_n on its frame
+    for k in range(cap + 1):
+        leak = np.sum(_leaks(V, c, basis) ** 2, axis=1)
+        hit = leak <= tol**2 * np.sum(np.abs(V) ** 2, axis=(1, 2))
+        first[live[hit]] = k
+        live, c, V = live[~hit], c[~hit], V[~hit]
+        if not live.size or k == cap:
+            break
+        images, c, _ = _frame_step(V, c, frames)
+        V = np.linalg.qr(images.reshape(len(live), -1, L), mode="r")
+    return first
+
+
 def pullback_depths(
     bank: FilterBank,
     modes,
@@ -206,31 +245,15 @@ def pullback_depths(
     cap: int = DEPTH_CAP,
     tol: float = MEMBER_TOL,
 ) -> dict:
-    """Smallest k, per mode e_n, with every length-k adjoint word of either
-    family sending e_n into the anchor: the least k with (R_k)_nn <= tol^2.
-
-    Raises DepthExceededError for the first mode, in the order given, that
-    is not absorbed within `cap` steps.
-    """
+    """Per mode e_n, the least k with (R_k)_nn <= tol^2 (G_k)_nn in both
+    families: every length-k adjoint word sends e_n into the anchor.  Raises
+    DepthExceededError for the first mode, in the order given, that is not
+    absorbed within `cap` steps."""
     if anchor is None:
         anchor = compute_anchor(bank)
     modes = list(modes)
-    M = _radius(bank, anchor.window_size, max(map(abs, modes), default=0))
-    cols = np.array(modes, dtype=int) + M
-    X = _embed(anchor.basis, M)
-    per_family = []
-    for expand, _ in _families(bank):
-        adjs = _adjoints(expand, bank.N, M)
-        F = np.eye(2 * M + 1) - X @ X.conj().T  # R_0 = F^* F = I - Pi_K
-        first = np.full(len(modes), -1)
-        for k in range(cap + 1):
-            absorbed = np.sum(np.abs(F[:, cols]) ** 2, axis=0) <= tol**2
-            first[(first < 0) & absorbed] = k
-            if k == cap or (first >= 0).all():
-                break
-            F = np.linalg.qr((F @ adjs).reshape(-1, 2 * M + 1), mode="r")
-        per_family.append(first)
-    per_family = np.array(per_family)
+    frames = [_frame_matrices(bank, expand)[1] for expand, _ in _families(bank)]
+    per_family = np.array([_first_absorbed(modes, f, anchor.basis, cap, tol) for f in frames])
     failed = (per_family < 0).any(axis=0)
     if failed.any():
         n = modes[int(np.argmax(failed))]
@@ -265,6 +288,33 @@ class CyclicityReport:
         }
 
 
+def _expand_and_fold(ns, k: int, frames, fwd, basis) -> np.ndarray:
+    """(membership, reconstruction) residuals of the modes ns at depth k."""
+    P, N, L = len(ns), frames.shape[1], frames.shape[-1]
+    if P * N**k * fwd.shape[1] > WORD_BUDGET and P > 1:
+        parts = np.array_split(ns, 2)
+        return np.max([_expand_and_fold(m, k, frames, fwd, basis) for m in parts], axis=0)
+    c = np.array(ns, dtype=np.int64)
+    words = np.tile(np.eye(L, dtype=complex)[L // 2], (P, 1, 1))
+    phases = []
+    for _ in range(k):  # word w + (i,) at row N w + i, as in module_expand
+        words, c, s = _frame_step(words, c, frames)
+        words = words.reshape(P, -1, L)
+        phases.append(s)
+    member = _leaks(words, c, basis).max()
+    wide, synth = fwd.shape[1] // 2, fwd.transpose(0, 2, 1).reshape(N * L, -1)
+    lost = np.zeros(P)
+    for s in reversed(phases):
+        full = words.reshape(P, -1, N * L) @ synth
+        rows = (s + wide - L // 2)[:, None] + np.arange(L)
+        outside = np.ones((P, full.shape[-1]), dtype=bool)
+        outside[np.arange(P)[:, None], rows] = False
+        lost += np.sum(np.abs(full) ** 2 * outside[:, None], axis=(1, 2))
+        words = np.take_along_axis(full, rows[:, None], axis=2)
+    words[:, 0, L // 2] -= 1.0
+    return np.array([member, np.sqrt(np.sum(np.abs(words[:, 0]) ** 2, axis=1) + lost).max()])
+
+
 def cyclicity_check(
     bank: FilterBank,
     anchor: AnchorSubspace | None = None,
@@ -275,48 +325,19 @@ def cyclicity_check(
 
     For each family the mode is expanded at depth k = max(pullback depth, 1);
     all components must lie in K and the folding family's words must rebuild
-    the mode exactly.  Modes of one depth share one stack of word images,
-    (N^k, window, modes).  The fold-back runs the forward matrices onto the
-    wider rows [-(NM + Ng - 1), NM + Ng - 1] and keeps the window part.  For
-    a dual pair every exact partial sum lies on the window, so only roundoff
-    is dropped; otherwise the mass that leaves it at each level is added to
-    the residual, which is thus zero only when the untruncated fold's is.
+    the mode exactly.  Each fold-back step maps the frame at c' onto
+    N c' + [-wide, wide] and keeps the frame at c: for a dual pair only
+    roundoff leaves it, and any mass that does is added to the residual.
     """
     if anchor is None:
         anchor = compute_anchor(bank)
-    N = bank.N
-    modes = range(-n_range, n_range + 1)
-    depths = pullback_depths(bank, modes, anchor, cap=cap)
-    ks = np.maximum(np.array(list(depths.values())), 1)
-    M = _radius(bank, anchor.window_size, n_range)
-    wide = N * M + N * bank.genus - 1
-    outside = np.ones(2 * wide + 1, dtype=bool)
-    outside[wide - M : wide + M + 1] = False
-    X = _embed(anchor.basis, M)
-    recon_worst = 0.0
-    member_worst = 0.0
+    modes = np.arange(-n_range, n_range + 1)
+    depths = pullback_depths(bank, modes.tolist(), anchor, cap=cap)
+    ks = np.maximum(list(depths.values()), 1)
+    worst, mats = [], {id(f): _frame_matrices(bank, f) for pair in _families(bank) for f in pair}
     for expand, fold in _families(bank):
-        adjs = _adjoints(expand, N, M)
-        synth = np.stack(
-            [dense_slanted_matrix(m, N, (-wide, wide), (-M, M)) for m in fold]
-        )
-        for k in np.unique(ks):
-            e = np.eye(2 * M + 1)[:, np.flatnonzero(ks == k) + M - n_range]
-            words = e[None]  # word w + (i,) at row N w + i, as in module_expand
-            for _ in range(k):
-                words = (adjs @ words[:, None]).reshape(-1, *e.shape)
-            off = words - X @ (X.conj().T @ words)
-            member_worst = max(member_worst, float(np.linalg.norm(off, axis=1).max()))
-            lost = np.zeros(e.shape[1])
-            for _ in range(k):
-                full = (synth @ words.reshape(-1, N, *e.shape)).sum(axis=1)
-                lost += np.sum(np.abs(full[:, outside]) ** 2, axis=(0, 1))
-                words = full[:, ~outside]
-            err = np.sqrt(np.sum(np.abs(words[0] - e) ** 2, axis=0) + lost)
-            recon_worst = max(recon_worst, float(err.max()))
-    return CyclicityReport(
-        n_range=n_range,
-        reconstruction_residual=recon_worst,
-        membership_residual=member_worst,
-        depths=depths,
-    )
+        frames, fwd = mats[id(expand)][1], mats[id(fold)][0]
+        for k in np.unique(ks).tolist():
+            worst.append(_expand_and_fold(modes[ks == k], k, frames, fwd, anchor.basis))
+    member, recon = np.max(worst, axis=0).tolist()
+    return CyclicityReport(n_range, recon, member, depths)

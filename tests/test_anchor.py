@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wavefock.anchor as anchor_module
 from wavefock.anchor import (
     DEPTH_CAP,
     MEMBER_TOL,
@@ -460,6 +461,81 @@ def test_window_recursions_match_polynomial_oracle(name, params):
             expected = (DepthExceededError, str(exc))
         assert depths == expected
 
+    cyc = cyclicity_check(bank, K, n_range=6)
+    recon, member = oracle_cyclicity(bank, K, 6)
+    assert abs(cyc.reconstruction_residual - recon) < 1e-12
+    assert abs(cyc.membership_residual - member) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# far modes, large mode sets and scaled duals against the oracle
+
+
+@pytest.mark.parametrize(
+    "name, params, n",
+    [("haar", {}, n) for n in (4096, -4096, 12345, 10**6)]
+    + [("random-causal-pair", {"N": 4}, n) for n in (777, -5000, 4096)]
+    + [("random-biorthogonal", {"N": 3}, n) for n in (999, -4096)],
+)
+def test_far_mode_depths_match_oracle(name, params, n):
+    # the images of e_n stay on one short frame, so the cost grows with
+    # log |n| and not with a window of 2|n| + 1 modes
+    bank = builtin_bank(name, params)
+    K = compute_anchor(bank)
+    assert pullback_depth(bank, n, K) == oracle_depth(_family_loops(bank), n, K)
+
+
+def test_many_modes_match_oracle(haar):
+    K = compute_anchor(haar)
+    depths = pullback_depths(haar, range(-3000, 3001), K)
+    loops = _family_loops(haar)
+    assert all(depths[n] == oracle_depth(loops, n, K) for n in range(-3000, 3001, 250))
+
+
+def test_blocks_and_chunks_do_not_change_results(monkeypatch):
+    bank = builtin_bank("random-causal-pair", {"N": 3})
+    K = compute_anchor(bank)
+    depths = pullback_depths(bank, range(-40, 41), K)
+    cyc = cyclicity_check(bank, K, n_range=6)
+    monkeypatch.setattr(anchor_module, "MODE_BLOCK", 7)
+    monkeypatch.setattr(anchor_module, "WORD_BUDGET", 64)
+    assert pullback_depths(bank, range(-40, 41), K) == depths
+    assert cyclicity_check(bank, K, n_range=6) == cyc
+
+
+@pytest.mark.parametrize("name, params, n_range", [("haar", {}, 40), ("random-causal-pair", {"N": 3}, 16)])
+def test_wide_cyclicity_matches_oracle(name, params, n_range):
+    bank = builtin_bank(name, params)
+    K = compute_anchor(bank)
+    cyc = cyclicity_check(bank, K, n_range=n_range)
+    recon, member = oracle_cyclicity(bank, K, n_range)
+    assert abs(cyc.reconstruction_residual - recon) < 1e-12
+    assert abs(cyc.membership_residual - member) < 1e-12
+
+
+def scaled_pair(scale):
+    # primaries / scale and duals * scale are still a dual pair: the dual
+    # family's word images grow like scale^k and the primary family's shrink
+    base = builtin_bank("random-biorthogonal", {"N": 2, "seed": 4})
+    return FilterBank(
+        2, [f * (1 / scale) for f in base.filters], [f * scale for f in base.dual_filters]
+    )
+
+
+@pytest.mark.parametrize("scale", [10.0, 1e3])
+def test_scaled_dual_depths_match_oracle(scale):
+    # an absolute leak bound reads the size of the images, not their
+    # roundoff, and gave depth 5 against the oracle's 6 at scale 10
+    bank = scaled_pair(scale)
+    K = compute_anchor(bank)
+    loops = _family_loops(bank)
+    modes = range(-32, 33)
+    assert pullback_depths(bank, modes, K) == {n: oracle_depth(loops, n, K) for n in modes}
+
+
+def test_scaled_dual_cyclicity_matches_oracle():
+    bank = scaled_pair(10.0)
+    K = compute_anchor(bank)
     cyc = cyclicity_check(bank, K, n_range=6)
     recon, member = oracle_cyclicity(bank, K, 6)
     assert abs(cyc.reconstruction_residual - recon) < 1e-12

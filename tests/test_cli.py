@@ -151,6 +151,14 @@ def test_anchor_seeded_regression(capsys):
     }
 
 
+def test_anchor_many_modes(capsys):
+    code, doc, _ = run_json(capsys, "anchor", "--builtin", "haar", "--modes", "3000")
+    assert code == 0
+    assert len(doc["depths"]) == 6001
+    assert (doc["depths"]["3000"], doc["depths"]["-3000"]) == (12, 12)
+    assert doc["cyclicity"]["n_range"] == 8
+
+
 def test_anchor_rejects_unstructured_bank(tmp_path, capsys):
     rng = np.random.default_rng(0)
     from wavefock.corpus import random_bank
