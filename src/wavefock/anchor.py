@@ -79,9 +79,9 @@ def _frame_matrices(bank: FilterBank, filters) -> tuple:
     wide = N (Mf + g) - 1, as an (N, 2 wide + 1, L) stack, L = 2 Mf + 1, and,
     sliced from it, the (2N-1, N, L, L) stack whose entry [s + N - 1, i] is
     B_i from the frame at N c + s to the frame at c."""
-    N = bank.N
-    Mf = -(-(N * bank.genus - 1) // (N - 1)) + 1
-    wide = N * (Mf + bank.genus) - 1
+    N, g = bank.N, bank.genus
+    Mf = -(-(N * g - 1) // (N - 1)) + 1
+    wide = N * (Mf + g) - 1
     fwd = np.stack([dense_slanted_matrix(m, N, (-wide, wide), (-Mf, Mf)) for m in filters])
     rows = [fwd[:, wide + s - Mf : wide + s + Mf + 1] for s in range(1 - N, N)]
     return fwd, np.stack(rows).conj().swapaxes(-1, -2)
@@ -334,7 +334,9 @@ def cyclicity_check(
     modes = np.arange(-n_range, n_range + 1)
     depths = pullback_depths(bank, modes.tolist(), anchor, cap=cap)
     ks = np.maximum(list(depths.values()), 1)
-    worst, mats = [], {id(f): _frame_matrices(bank, f) for pair in _families(bank) for f in pair}
+    mats = {id(f): f for f in _families(bank)[0]}  # both filter sets, once each
+    mats = {key: _frame_matrices(bank, f) for key, f in mats.items()}
+    worst = []
     for expand, fold in _families(bank):
         frames, fwd = mats[id(expand)][1], mats[id(fold)][0]
         for k in np.unique(ks).tolist():
