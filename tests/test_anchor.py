@@ -50,7 +50,7 @@ def pair_bank(seed):
 
 
 # ----------------------------------------------------------------------
-# the polynomial path, kept as the oracle for the mode-window recursions
+# the polynomial path, kept as the oracle for the slanted-matrix recursions
 
 
 def basis_polys(K: AnchorSubspace) -> list:
@@ -394,7 +394,7 @@ def test_random_pair_cyclicity(seed):
 
 def test_cyclicity_flags_a_bank_that_does_not_reconstruct():
     # perturbed duals: the anchor and the depths exist, but the fold-back
-    # misses each mode and lets mass leave the mode window on the way
+    # misses each mode and lets mass leave the frames on the way
     base = pair_bank(2)
     bank = FilterBank(2, base.filters, [f + LaurentPoly({0: 0.05}) for f in base.dual_filters])
     K = compute_anchor(bank, check=False)
@@ -416,7 +416,7 @@ def test_cyclicity_report_json(haar):
 
 
 # ----------------------------------------------------------------------
-# the mode-window recursions against the polynomial oracle
+# the slanted-matrix recursions against the polynomial oracle
 
 BUILTINS = [
     ("haar", {}),
@@ -440,7 +440,7 @@ RANDOM = [
     BUILTINS + RANDOM,
     ids=[name + "".join(f"-{k}{v}" for k, v in p.items()) for name, p in BUILTINS + RANDOM],
 )
-def test_window_recursions_match_polynomial_oracle(name, params):
+def test_slanted_recursions_match_polynomial_oracle(name, params):
     bank = builtin_bank(name, params)
     K = outcome(compute_anchor, bank)
     K_ref = outcome(oracle_anchor, bank)
@@ -478,8 +478,8 @@ def test_window_recursions_match_polynomial_oracle(name, params):
     + [("random-biorthogonal", {"N": 3}, n) for n in (999, -4096)],
 )
 def test_far_mode_depths_match_oracle(name, params, n):
-    # the images of e_n stay on one short frame, so the cost grows with
-    # log |n| and not with a window of 2|n| + 1 modes
+    # the images of e_n stay on one short frame: a far mode costs
+    # O(log |n|) steps of fixed size
     bank = builtin_bank(name, params)
     K = compute_anchor(bank)
     assert pullback_depth(bank, n, K) == oracle_depth(_family_loops(bank), n, K)
