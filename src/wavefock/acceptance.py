@@ -114,7 +114,7 @@ def check_haar_loop() -> CriterionResult:
     return CriterionResult(
         name="haar-loop-constant",
         passed=err < 1e-12 and best < 1e-3,
-        details={"entry_error": err, "under_1ms": best < 1e-3},
+        details={"entry_error": err},
         seconds=best,
     )
 
@@ -199,7 +199,7 @@ def check_equivalence_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         name="relation-equivalence-suite",
         passed=agree == total and dt < 10.0,
-        details={"agree": agree, "total": total, "worst_residual": worst, "under_10s": dt < 10.0},
+        details={"agree": agree, "total": total, "worst_residual": worst},
         seconds=dt,
     )
 
@@ -262,9 +262,9 @@ def check_anchor() -> CriterionResult:
         span_ok = anchor.contains(LaurentPoly.monomial(0)) and anchor.contains(
             LaurentPoly.monomial(-1)
         )
-        cyc = cyclicity_check(bank, anchor, n_range=8)
-        depths = pullback_depths(bank, range(-32, 33), anchor)
-        return anchor, dim_ok, span_ok, cyc, max(depths.values())
+        cyc = cyclicity_check(bank, anchor, n_range=8)  # depths for |n| <= 8
+        depths = pullback_depths(bank, [n for n in range(-32, 33) if abs(n) > 8], anchor)
+        return anchor, dim_ok, span_ok, cyc, max({**cyc.depths, **depths}.values())
 
     (anchor, dim_ok, span_ok, cyc, max_depth), dt = _timed(body)
     cyc_res = max(cyc.reconstruction_residual, cyc.membership_residual)

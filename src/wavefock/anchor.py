@@ -59,7 +59,8 @@ def adjoint_on_mode(bank: FilterBank, i: int, n: int, dual: bool = False) -> Lau
     A, At = loop_from_filters(bank)
     loop = At if dual and At is not None else A
     j0 = n % bank.N
-    return adjoint_poly(loop.entries[i][j0]).shift((n - j0) // bank.N)
+    entry = LaurentPoly.from_array(loop.lo, loop.taps[:, i, j0])
+    return adjoint_poly(entry).shift((n - j0) // bank.N)
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +253,8 @@ def pullback_depths(
     if anchor is None:
         anchor = compute_anchor(bank)
     modes = list(modes)
+    if not modes:
+        return {}
     frames = [_frame_matrices(bank, expand)[1] for expand, _ in _families(bank)]
     per_family = np.array([_first_absorbed(modes, f, anchor.basis, cap, tol) for f in frames])
     failed = (per_family < 0).any(axis=0)

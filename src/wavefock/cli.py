@@ -212,11 +212,12 @@ def cmd_anchor(args, config: RunConfig) -> int:
     n_range = min(span, 8)
     try:
         anchor = compute_anchor(bank, tol=config.tolerance)
-        depths = pullback_depths(bank, range(-span, span + 1), anchor)
-        cyc = cyclicity_check(bank, anchor, n_range=n_range)
+        outer = [n for n in range(-span, span + 1) if abs(n) > n_range]
+        depths = pullback_depths(bank, outer, anchor)
+        cyc = cyclicity_check(bank, anchor, n_range=n_range)  # depths for |n| <= n_range
     except WavefockError as exc:
         return _diagnostic(exc)
-    depths = {str(n): d for n, d in depths.items()}
+    depths = {str(n): d for n, d in {**cyc.depths, **depths}.items()}
     doc = {"anchor": anchor.to_json(), "depths": depths, "cyclicity": cyc.to_json()}
     _emit(doc, config)
     return 0

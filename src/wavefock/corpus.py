@@ -71,15 +71,9 @@ def _conditioned_invertible(N: int, rng, smin=0.6, smax=1.5) -> np.ndarray:
 
 def _monomial_diag(N: int, rng, max_shift: int) -> LoopMatrix:
     shifts = rng.integers(0, max_shift + 1, size=N)
-    return LoopMatrix(
-        [
-            [
-                LaurentPoly.monomial(int(shifts[i])) if i == j else LaurentPoly.zero()
-                for j in range(N)
-            ]
-            for i in range(N)
-        ]
-    )
+    taps = np.zeros((max_shift + 1, N, N), dtype=complex)
+    taps[shifts, np.arange(N), np.arange(N)] = 1.0
+    return LoopMatrix.from_array(0, taps)
 
 
 def random_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> LoopMatrix:
@@ -98,12 +92,11 @@ def random_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> Lo
 def _shear(N: int, rng, coeff_scale: float) -> LoopMatrix:
     a, b = rng.choice(N, size=2, replace=False)
     exps = rng.choice(np.arange(-1, 2), size=2, replace=False)
-    p = LaurentPoly(
-        {int(k): coeff_scale * complex(*rng.standard_normal(2)) for k in exps}
-    )
-    E = LoopMatrix.identity(N)
-    E.entries[int(a)][int(b)] = p
-    return E
+    taps = np.zeros((3, N, N), dtype=complex)
+    taps[1] = np.eye(N)
+    for k in exps:  # I + p(z) e_ab with p supported on `exps`
+        taps[k + 1, a, b] = coeff_scale * complex(*rng.standard_normal(2))
+    return LoopMatrix.from_array(-1, taps)
 
 
 def random_invertible_loop(

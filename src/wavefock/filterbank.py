@@ -17,14 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DualLengthMismatchError, NotReconstructiveError
 from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
     adjoint_poly,
     decimate,
+    grid_angles,
     poly_from_json,
     poly_to_json,
+    stack_polys,
     upsample,
 )
 
@@ -171,31 +175,43 @@ class RelationReport:
         }
 
 
-def _pair_residual_matrix(filters, duals, N, grid):
-    out = []
-    for i, mi in enumerate(filters):
-        row = []
-        for j, mj in enumerate(duals):
-            q = decimate(adjoint_poly(mi) * mj, N)
-            if i == j:
-                q = q - LaurentPoly.one()
-            row.append(q.sup_grid(grid))
-        out.append(row)
-    return out
+def _residuals(F, lo_f: int, D, lo_d: int, N: int, grid: int):
+    """(pair residual matrix, completeness residual) of primaries F and duals
+    D, coefficient stacks of shapes (N, L) and (N, Ld) from exponents lo_f
+    and lo_d.
 
+    adj(m_i) mdual_j holds conj(F[i, s]) D[j, t] at lag t - s; lag k - (L-1)
+    is read from D padded by L - 1 zeros, and only the lags on exponents in
+    N Z are gathered, so the N^2 decimated products are one matmul.  The
+    image of e_n under sum_i S_i Sdual_i^* holds (D^* F)[s, t] at
+    n + lo_f - lo_d + t - s for the rows s = n - lo_d (mod N): the diagonal
+    sums of D^* F over each residue class of rows.
+    """
+    L, Ld = F.shape[1], D.shape[1]
+    base = lo_d - lo_f - (L - 1)  # exponent of lag index 0
+    lags = np.arange(-base % N, L + Ld - 1, N)
+    padded = np.zeros((N, Ld + 2 * (L - 1)), dtype=complex)
+    padded[:, L - 1 : L - 1 + Ld] = D
+    pair = np.matmul(padded[:, lags[:, None] + np.arange(L)], F.conj().T).transpose(2, 0, 1)
+    d0 = (base + lags[0]) // N if len(lags) else 0  # exponent of pair[..., 0]
+    d_lo, d_hi = min(d0, 0), max(d0 + len(lags) - 1, 0)
+    residual = np.zeros((N, N, d_hi - d_lo + 1), dtype=complex)
+    residual[:, :, d0 - d_lo : d0 - d_lo + len(lags)] = pair
+    residual[:, :, -d_lo] -= np.eye(N)
+    phases = np.exp(1j * np.multiply.outer(np.arange(d_lo, d_hi + 1), grid_angles(grid)))
+    pair_res = np.abs(residual @ phases).max(axis=-1)
 
-def _completeness_residual(filters, duals, N):
-    """Largest residual |sum_i S_i Sdual_i^* e_n - e_n| over all modes n: the
-    image of e_{n+N} is that of e_n times z^N, coefficient for coefficient, so
-    the modes e_0..e_{N-1} give every value exactly."""
-    worst = 0.0
-    for n in range(N):
-        e_n = LaurentPoly.monomial(n)
-        total = LaurentPoly.zero()
-        for m, md in zip(filters, duals):
-            total = total + apply_S(m, apply_S_adjoint(md, e_n, N), N)
-        worst = max(worst, (total - e_n).coeff_norm())
-    return worst
+    rows = -(-Ld // N) * N
+    diags = np.zeros((rows, L + Ld - 1), dtype=complex)
+    s = np.arange(Ld)[:, None]
+    diags[s, np.arange(L) - s + Ld - 1] = D.conj().T @ F
+    images = diags.reshape(-1, N, L + Ld - 1).sum(axis=0)
+    unit = lo_d - lo_f + Ld - 1  # column of e_n
+    if 0 <= unit < images.shape[1]:
+        images[:, unit] -= 1.0
+    else:  # e_n lies outside every image
+        images = np.hstack([images, -np.ones((N, 1))])
+    return pair_res.tolist(), float(np.linalg.norm(images, axis=1).max())
 
 
 def relation_report(
@@ -208,14 +224,13 @@ def relation_report(
     covariance the modes e_0..e_{N-1} give the residual over all of them.
     """
     N = bank.N
-    duals = bank.duals_or_primaries
-    self_res = _pair_residual_matrix(bank.filters, bank.filters, N, grid)
-    self_comp = _completeness_residual(bank.filters, bank.filters, N)
+    lo_f, F = stack_polys(bank.filters)
+    self_res, self_comp = _residuals(F, lo_f, F, lo_f, N, grid)
     if bank.is_self_dual:
         pair_res, comp = self_res, self_comp
     else:
-        pair_res = _pair_residual_matrix(bank.filters, duals, N, grid)
-        comp = _completeness_residual(bank.filters, duals, N)
+        lo_d, D = stack_polys(bank.dual_filters)
+        pair_res, comp = _residuals(F, lo_f, D, lo_d, N, grid)
 
     return RelationReport(
         N=N,

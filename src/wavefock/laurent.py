@@ -1,66 +1,42 @@
-"""Sparse Laurent polynomials on the unit circle.
+"""Laurent polynomials on the unit circle, as coefficient windows.
 
-Coefficients are stored in a dict keyed by integer exponent, so supports may
-be negative and gappy.  All higher layers (filter banks, loop matrices,
-subdivision operators) reduce to a handful of exact coefficient operations
-defined here: products, adjoints, decimation and upsampling.  Grid sampling
-on the circle is the only inexact operation and is kept separate from the
-coefficient arithmetic.
+A polynomial sum_k c_k z^k is stored as its lowest exponent `lo` and the
+dense complex array `taps` of c_lo, c_lo+1, ..., c_hi; both ends are nonzero
+and the zero polynomial has no taps.  Only exact zeros are trimmed, so no
+result depends on the scale of its coefficients.  All higher layers (filter
+banks, loop matrices, subdivision operators) reduce to a handful of array
+operations defined here: convolution, reverse-and-conjugate, a strided slice
+(decimation) and zero stuffing (upsampling).  Grid sampling on the circle is
+the only inexact operation and is kept separate from the coefficient
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-# Coefficients with modulus below this are dropped after arithmetic.
-PRUNE_EPS = 1e-14
 
 # Default number of circle samples used by residual checks.
 DEFAULT_GRID = 256
 
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point on the unit circle, stored by angle.
-
-    The angle is normalised into [0, 2*pi).  Storing the angle rather than a
-    complex number keeps |z| = 1 exact and makes fiber constructions (N-th
-    roots of a point) unambiguous: the principal root halves the angle range
-    instead of picking a branch of a complex logarithm.
-    """
-
-    angle: float
-
-    def __post_init__(self):
-        two_pi = 2.0 * math.pi
-        object.__setattr__(self, "angle", self.angle % two_pi)
-
-    @property
-    def value(self) -> complex:
-        return complex(math.cos(self.angle), math.sin(self.angle))
-
-    def root(self, N: int, branch: int = 0) -> "TorusPoint":
-        """Principal N-th root, rotated by `branch` fiber steps."""
-        if N < 1:
-            raise ValueError("root order must be positive")
-        return TorusPoint(self.angle / N + 2.0 * math.pi * branch / N)
-
-    def power(self, k: int) -> "TorusPoint":
-        return TorusPoint(self.angle * k)
-
-
-def torus_grid(n: int = DEFAULT_GRID) -> list[TorusPoint]:
-    """Equispaced circle points exp(2*pi*i*k/n), k = 0..n-1."""
-    if n < 1:
-        raise ValueError("grid size must be positive")
-    return [TorusPoint(2.0 * math.pi * k / n) for k in range(n)]
+# A DFT-recovered coefficient counts as roundoff when its modulus is at most
+# this many machine epsilons per grid point times the stack's largest one.
+ROUNDOFF_ULPS = 64
 
 
 def grid_angles(n: int = DEFAULT_GRID) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
+
+
+def _trimmed(lo: int, taps: np.ndarray):
+    """(lo, taps) with exact zeros removed from both ends."""
+    if len(taps) and taps[0] and taps[-1]:
+        return lo, taps
+    nz = np.flatnonzero(taps)
+    if not len(nz):
+        return 0, taps[:0]
+    return lo + int(nz[0]), taps[nz[0] : nz[-1] + 1]
 
 
 class LaurentPoly:
@@ -71,23 +47,30 @@ class LaurentPoly:
     >>> q.coeff(2)
     (1+0j)
 
-    Instances behave as immutable values; arithmetic returns new objects and
-    prunes coefficients below `PRUNE_EPS`.
+    Instances behave as immutable values; arithmetic returns new objects.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("lo", "taps")
 
-    def __init__(self, coeffs: dict | None = None, prune_eps: float = PRUNE_EPS):
-        c = {}
+    def __init__(self, coeffs: dict | None = None):
         if coeffs:
+            lo = min(coeffs)
+            taps = np.zeros(max(coeffs) - lo + 1, dtype=complex)
             for k, v in coeffs.items():
-                v = complex(v)
-                if abs(v) > prune_eps:
-                    c[int(k)] = v
-        self._c = c
+                taps[k - lo] = v
+            self.lo, self.taps = _trimmed(int(lo), taps)
+        else:
+            self.lo, self.taps = 0, np.zeros(0, dtype=complex)
 
     # ------------------------------------------------------------------
     # constructors
+
+    @classmethod
+    def from_array(cls, lo: int, taps) -> "LaurentPoly":
+        """The polynomial sum_t taps[t] z^(lo + t); the array is not copied."""
+        p = cls.__new__(cls)
+        p.lo, p.taps = _trimmed(int(lo), np.asarray(taps, dtype=complex))
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -95,137 +78,128 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1.0})
+        return cls.monomial(0)
 
     @classmethod
     def monomial(cls, exponent: int, coeff: complex = 1.0) -> "LaurentPoly":
-        return cls({exponent: coeff})
+        return cls.from_array(exponent, [coeff])
 
     # ------------------------------------------------------------------
     # structure
 
     @property
     def support(self) -> list[int]:
-        return sorted(self._c)
+        return [self.lo + k for k, v in enumerate(self.taps.tolist()) if v]
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not len(self.taps)
 
     @property
     def min_exp(self) -> int:
-        if not self._c:
-            return 0
-        return min(self._c)
+        return self.lo
 
     @property
     def max_exp(self) -> int:
-        if not self._c:
-            return 0
-        return max(self._c)
+        return self.lo + max(len(self.taps) - 1, 0)
 
     def coeff(self, k: int) -> complex:
-        return self._c.get(k, 0j)
+        t = k - self.lo
+        return complex(self.taps[t]) if 0 <= t < len(self.taps) else 0j
 
     def coeffs(self) -> dict:
-        return dict(self._c)
+        return {self.lo + k: v for k, v in enumerate(self.taps.tolist()) if v}
 
     def coeff_norm(self) -> float:
         """l2 norm of the coefficient sequence."""
-        return math.sqrt(sum(abs(v) ** 2 for v in self._c.values()))
+        return float(np.linalg.norm(self.taps))
 
     def coeff_sup(self) -> float:
-        return max((abs(v) for v in self._c.values()), default=0.0)
+        return float(np.abs(self.taps).max()) if len(self.taps) else 0.0
 
     # ------------------------------------------------------------------
     # arithmetic
 
+    def _combine(self, other: "LaurentPoly", sign: float) -> "LaurentPoly":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other if sign > 0 else -other
+        lo = min(self.lo, other.lo)
+        out = np.zeros(max(self.max_exp, other.max_exp) - lo + 1, dtype=complex)
+        out[self.lo - lo : self.lo - lo + len(self.taps)] = self.taps
+        out[other.lo - lo : other.lo - lo + len(other.taps)] += sign * other.taps
+        return LaurentPoly.from_array(lo, out)
+
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0j) + v
-        return LaurentPoly(c)
+        return self._combine(other, 1.0)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0j) - v
-        return LaurentPoly(c)
+        return self._combine(other, -1.0)
 
     def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self._c.items()})
+        return LaurentPoly.from_array(self.lo, -self.taps)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            c = {}
-            for k1, v1 in self._c.items():
-                for k2, v2 in other._c.items():
-                    k = k1 + k2
-                    c[k] = c.get(k, 0j) + v1 * v2
-            return LaurentPoly(c)
+            if self.is_zero or other.is_zero:
+                return LaurentPoly()
+            return LaurentPoly.from_array(self.lo + other.lo, np.convolve(self.taps, other.taps))
         if isinstance(other, (int, float, complex)):
-            return LaurentPoly({k: v * other for k, v in self._c.items()})
+            return LaurentPoly.from_array(self.lo, self.taps * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by z^d."""
-        return LaurentPoly({k + d: v for k, v in self._c.items()})
+        return LaurentPoly.from_array(self.lo + d, self.taps)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self.lo == other.lo and np.array_equal(self.taps, other.taps)
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self.lo, tuple(self.taps.tolist())))
 
     def isclose(self, other: "LaurentPoly", tol: float = 1e-12) -> bool:
-        keys = set(self._c) | set(other._c)
-        return all(abs(self.coeff(k) - other.coeff(k)) <= tol for k in keys)
+        return (self - other).coeff_sup() <= tol
 
     # ------------------------------------------------------------------
     # evaluation
 
-    def eval(self, z: TorusPoint | complex) -> complex:
-        """Value at a point of the unit circle."""
-        if isinstance(z, TorusPoint):
-            z = z.value
-        total = 0j
-        for k, v in self._c.items():
-            total += v * z**k
-        return total
-
-    __call__ = eval
+    def eval(self, z: complex) -> complex:
+        """Value at a nonzero complex point, by Horner's rule."""
+        acc = 0j
+        for v in reversed(self.taps.tolist()):
+            acc = acc * z + v
+        return acc * z**self.lo
 
     def eval_at(self, theta) -> np.ndarray:
         """Values at the circle points exp(i theta), for an angle array of
         any shape; the result has the shape of `theta`."""
         theta = np.asarray(theta, dtype=float)
-        if not self._c:
-            return np.zeros(theta.shape, dtype=complex)
-        exps = np.fromiter(self._c, dtype=float, count=len(self._c))
-        coeffs = np.fromiter(self._c.values(), dtype=complex, count=len(self._c))
-        return np.exp(1j * np.multiply.outer(theta, exps)) @ coeffs
+        exps = np.arange(self.lo, self.lo + len(self.taps))
+        return np.exp(1j * np.multiply.outer(theta, exps)) @ self.taps
 
     def eval_grid(self, n: int = DEFAULT_GRID) -> np.ndarray:
         """Values at the n equispaced circle points."""
         return self.eval_at(grid_angles(n))
 
     def sup_grid(self, n: int = DEFAULT_GRID) -> float:
-        if not self._c:
+        if self.is_zero:
             return 0.0
         return float(np.max(np.abs(self.eval_grid(n))))
 
     def __repr__(self):
-        if not self._c:
+        if self.is_zero:
             return "LaurentPoly(0)"
-        parts = [f"{v:.6g}*z^{k}" for k, v in sorted(self._c.items())]
+        parts = [f"{v:.6g}*z^{k}" for k, v in self.coeffs().items()]
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
@@ -239,7 +213,7 @@ def adjoint_poly(p: LaurentPoly) -> LaurentPoly:
     On the circle this is pointwise complex conjugation of the function:
     eval(adjoint_poly(p), z) == conj(eval(p, z)) for |z| = 1.
     """
-    return LaurentPoly({-k: v.conjugate() for k, v in p.coeffs().items()})
+    return LaurentPoly.from_array(-p.max_exp, p.taps[::-1].conj())
 
 
 def decimate(p: LaurentPoly, N: int) -> LaurentPoly:
@@ -250,37 +224,49 @@ def decimate(p: LaurentPoly, N: int) -> LaurentPoly:
     """
     if N < 1:
         raise ValueError("decimation factor must be positive")
-    return LaurentPoly({k // N: v for k, v in p.coeffs().items() if k % N == 0})
+    first = -p.lo % N
+    return LaurentPoly.from_array((p.lo + first) // N, p.taps[first::N])
 
 
 def upsample(p: LaurentPoly, N: int) -> LaurentPoly:
     """Substitute z -> z^N: coefficient c_k moves to exponent N k."""
     if N < 1:
         raise ValueError("upsampling factor must be positive")
-    return LaurentPoly({N * k: v for k, v in p.coeffs().items()})
+    if p.is_zero:
+        return p
+    out = np.zeros(N * (len(p.taps) - 1) + 1, dtype=complex)
+    out[::N] = p.taps
+    return LaurentPoly.from_array(N * p.lo, out)
 
 
-def polys_from_grid(values, lo: int):
-    """Polynomials with exponents in [lo, lo + M - 1] from their values at
-    the M grid points, read along axis 0: the inverse of `eval_grid(M)` on
-    that window, by one DFT.
+def stack_polys(polys) -> tuple:
+    """(lo, C) with C[i, t] the coefficient of z^(lo + t) in polys[i], on the
+    smallest window holding every support (one zero tap if all are zero)."""
+    live = [p for p in polys if not p.is_zero] or [LaurentPoly.one()]
+    lo = min(p.lo for p in live)
+    C = np.zeros((len(polys), max(p.max_exp for p in live) - lo + 1), dtype=complex)
+    for row, p in zip(C, polys):
+        row[p.lo - lo : p.lo - lo + len(p.taps)] = p.taps
+    return lo, C
 
-    `values` of shape (M,) gives one LaurentPoly; shape (M, *S) gives nested
-    lists of shape S.  A polynomial with terms outside the window aliases
-    onto it, so the window must cover the support.
+
+def polys_from_grid(values, lo: int) -> np.ndarray:
+    """Coefficients, on exponents lo .. lo + M - 1 along axis 0, of the
+    polynomials whose values at the M grid points are read along axis 0 of
+    `values`: the inverse of `eval_grid(M)` on that window, by one DFT.
+
+    Coefficients at most ROUNDOFF_ULPS * M * eps times the largest one of
+    the whole stack are roundoff and set to exactly 0, so an entry that
+    should vanish does not keep its noise.  A polynomial with terms outside
+    the window aliases onto it, so the window must cover the support.
     """
     values = np.asarray(values)
     M = values.shape[0]
     phase = np.exp(-1j * lo * grid_angles(M)).reshape((M,) + (1,) * (values.ndim - 1))
-    coeffs = np.moveaxis(np.fft.fft(values * phase, axis=0) / M, 0, -1)
-    exps = range(lo, lo + M)
-
-    def build(c):
-        if c.ndim == 1:
-            return LaurentPoly(dict(zip(exps, c)))
-        return [build(row) for row in c]
-
-    return build(coeffs)
+    coeffs = np.fft.fft(values * phase, axis=0) / M
+    size = np.abs(coeffs)
+    coeffs[size <= ROUNDOFF_ULPS * M * np.finfo(float).eps * size.max()] = 0
+    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +277,7 @@ def polys_from_grid(values, lo: int):
 
 
 def poly_to_json(p: LaurentPoly) -> list:
-    return [[k, p.coeff(k).real, p.coeff(k).imag] for k in p.support]
+    return [[k, v.real, v.imag] for k, v in p.coeffs().items()]
 
 
 def poly_from_json(obj) -> LaurentPoly:

@@ -10,11 +10,13 @@ the circle characterises the orthogonal case; invertibility with dual loop
 Atilde = A^{*-1} characterises the dual-pair case.  The Gram data of the
 operator family is carried by AA*(z) and its pointwise inverse.
 
-Every sampled quantity goes through `LaurentPoly.eval_at`, one array of
-angles at a time, and every sup over the grid is one batched norm.  The
-determinant and the exact dual loop are recovered the other way: sample on
-enough points to cover the known exponent window, invert or take
-determinants pointwise, and read the coefficients back with one DFT.
+A loop is one (taps, N, N) coefficient array: products are tap convolutions
+of matrix products, the adjoint is the reversed conjugate transpose, and the
+values on a grid are one contraction with the grid phases; every sup over
+the grid is one batched norm.  The determinant and the exact dual loop are
+recovered the other way: sample on enough points to cover the known exponent
+window, invert or take determinants pointwise, and read the coefficients back
+with one DFT.
 """
 
 from __future__ import annotations
@@ -33,79 +35,94 @@ from .laurent import (
     poly_from_json,
     poly_to_json,
     polys_from_grid,
-    upsample,
+    stack_polys,
 )
 
 SINGULAR_TOL = 1e-10
 
 
 class LoopMatrix:
-    """N x N matrix of Laurent polynomials; rows index filters, columns phases."""
+    """N x N matrix of Laurent polynomials; rows index filters, columns phases.
+
+    Stored as the lowest exponent `lo` and the (T, N, N) array `taps`, with
+    taps[t] the coefficient matrix of z^(lo + t); the end taps are nonzero
+    and the zero matrix keeps a single zero tap.
+    """
 
     def __init__(self, entries):
         entries = [list(row) for row in entries]
         N = len(entries)
         if any(len(row) != N for row in entries):
             raise ValueError("loop matrix must be square")
-        self.N = N
-        self.entries = entries
+        lo, C = stack_polys([p for row in entries for p in row])
+        self._set(lo, C.T.reshape(-1, N, N))
+
+    def _set(self, lo: int, taps: np.ndarray):
+        live = np.flatnonzero(taps.reshape(len(taps), -1).any(axis=1))
+        if len(live):
+            lo, taps = lo + int(live[0]), taps[live[0] : live[-1] + 1]
+        else:
+            lo, taps = 0, np.zeros((1,) + taps.shape[1:], dtype=complex)
+        self.lo, self.taps, self.N = lo, taps, taps.shape[1]
+
+    @classmethod
+    def from_array(cls, lo: int, taps) -> "LoopMatrix":
+        """The loop sum_t taps[t] z^(lo + t) from a (T, N, N) array, not copied."""
+        A = cls.__new__(cls)
+        A._set(int(lo), np.asarray(taps, dtype=complex))
+        return A
 
     @classmethod
     def identity(cls, N: int) -> "LoopMatrix":
-        return cls(
-            [
-                [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(N)]
-                for i in range(N)
-            ]
-        )
+        return cls.from_constant(np.eye(N))
 
     @classmethod
     def from_constant(cls, mat) -> "LoopMatrix":
-        mat = np.asarray(mat)
-        return cls(
-            [[LaurentPoly({0: mat[i, j]}) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
-        )
+        return cls.from_array(0, np.array(mat, dtype=complex)[None])
+
+    @property
+    def hi(self) -> int:
+        """Highest exponent with a nonzero tap (0 for the zero loop)."""
+        return self.lo + len(self.taps) - 1
+
+    @property
+    def entries(self) -> list:
+        """The N x N nested list of entry polynomials."""
+        return [
+            [LaurentPoly.from_array(self.lo, self.taps[:, i, j]) for j in range(self.N)]
+            for i in range(self.N)
+        ]
 
     def __matmul__(self, other: "LoopMatrix") -> "LoopMatrix":
         if self.N != other.N:
             raise ValueError("size mismatch")
-        out = []
-        for i in range(self.N):
-            row = []
-            for j in range(self.N):
-                acc = LaurentPoly.zero()
-                for k in range(self.N):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return LoopMatrix(out)
+        a, b = self.taps, other.taps
+        out = np.zeros((len(a) + len(b) - 1, self.N, self.N), dtype=complex)
+        for s, tap in enumerate(a):
+            out[s : s + len(b)] += tap @ b
+        return LoopMatrix.from_array(self.lo + other.lo, out)
 
     def adjoint(self) -> "LoopMatrix":
         """Pointwise conjugate transpose as a Laurent-matrix function."""
-        return LoopMatrix(
-            [[adjoint_poly(self.entries[j][i]) for j in range(self.N)] for i in range(self.N)]
-        )
+        return LoopMatrix.from_array(-self.hi, self.taps[::-1].conj().transpose(0, 2, 1))
 
     def sample_grid(self, grid: int = DEFAULT_GRID) -> np.ndarray:
         """Values at the grid points, shape (grid, N, N)."""
-        theta = grid_angles(grid)
-        values = np.array([[p.eval_at(theta) for p in row] for row in self.entries])
-        return values.transpose(2, 0, 1)
+        exps = np.arange(self.lo, self.lo + len(self.taps))
+        phases = np.exp(1j * np.multiply.outer(grid_angles(grid), exps))
+        return np.tensordot(phases, self.taps, axes=1)
 
     def max_abs_exp(self) -> int:
-        m = 0
-        for row in self.entries:
-            for p in row:
-                if not p.is_zero:
-                    m = max(m, abs(p.min_exp), abs(p.max_exp))
-        return m
+        if not self.taps.any():
+            return 0
+        return max(abs(self.lo), abs(self.hi))
 
     def isclose(self, other: "LoopMatrix", tol: float = 1e-12) -> bool:
-        return all(
-            self.entries[i][j].isclose(other.entries[i][j], tol)
-            for i in range(self.N)
-            for j in range(self.N)
-        )
+        lo = min(self.lo, other.lo)
+        diff = np.zeros((max(self.hi, other.hi) + 1 - lo, self.N, self.N), dtype=complex)
+        diff[self.lo - lo : self.lo - lo + len(self.taps)] = self.taps
+        diff[other.lo - lo : other.lo - lo + len(other.taps)] -= other.taps
+        return float(np.abs(diff).max()) <= tol
 
     def to_json(self) -> dict:
         return {
@@ -131,64 +148,39 @@ class SampledLoop:
     N: int
     grid: int
     values: np.ndarray  # shape (grid, N, N)
-    exact: bool = False
 
 
 # ----------------------------------------------------------------------
 # filters <-> loop
 
 
+def _split(N: int, polys) -> LoopMatrix:
+    """Loop whose row k holds the N phases of polys[k]: the coefficient of
+    z^(N m + l) in polys[k] becomes that of z^m in entry (k, l)."""
+    lo, C = stack_polys(polys)
+    start = lo - lo % N
+    T = -(-(lo + C.shape[1] - start) // N)
+    phased = np.zeros((N, T * N), dtype=complex)
+    phased[:, lo - start : lo - start + C.shape[1]] = C
+    return LoopMatrix.from_array(start // N, phased.reshape(N, T, N).transpose(1, 0, 2))
+
+
 def loop_from_filters(bank: FilterBank):
     """Loop matrices (A, Atilde or None) of a bank, by coefficient splitting."""
-
-    def one_side(filters):
-        rows = []
-        for m in filters:
-            row = []
-            for l in range(bank.N):
-                row.append(
-                    LaurentPoly(
-                        {
-                            (k - l) // bank.N: c
-                            for k, c in m.coeffs().items()
-                            if (k - l) % bank.N == 0
-                        }
-                    )
-                )
-            rows.append(row)
-        return LoopMatrix(rows)
-
-    A = one_side(bank.filters)
-    At = None if bank.dual_filters is None else one_side(bank.dual_filters)
+    A = _split(bank.N, bank.filters)
+    At = None if bank.dual_filters is None else _split(bank.N, bank.dual_filters)
     return A, At
 
 
 def filters_from_loop(A: LoopMatrix) -> FilterBank:
     """Bank with m_k(z) = sum_l A_{k,l}(z^N) z^l (primary side only)."""
     N = A.N
-    filters = []
-    for k in range(N):
-        m = LaurentPoly.zero()
-        for l in range(N):
-            m = m + upsample(A.entries[k][l], N).shift(l)
-        filters.append(m)
-    return FilterBank(N, filters)
+    rows = A.taps.transpose(1, 0, 2).reshape(N, -1)
+    return FilterBank(N, [LaurentPoly.from_array(N * A.lo, row) for row in rows])
 
 
 # ----------------------------------------------------------------------
 # determinants and the dual loop
-
-
-def _row_exponent_ranges(A: LoopMatrix):
-    """(min, max) exponent over the nonzero entries of each row, or None
-    when some row is zero."""
-    ranges = []
-    for row in A.entries:
-        live = [p for p in row if not p.is_zero]
-        if not live:
-            return None
-        ranges.append((min(p.min_exp for p in live), max(p.max_exp for p in live)))
-    return ranges
 
 
 def loop_det(A: LoopMatrix) -> LaurentPoly:
@@ -198,12 +190,13 @@ def loop_det(A: LoopMatrix) -> LaurentPoly:
     in [sum of row minima, sum of row maxima].  det A(z) is sampled on as
     many grid points as that window holds and read back with one DFT.
     """
-    ranges = _row_exponent_ranges(A)
-    if ranges is None:
-        return LaurentPoly.zero()
-    lo = sum(r[0] for r in ranges)
-    hi = sum(r[1] for r in ranges)
-    return polys_from_grid(np.linalg.det(A.sample_grid(hi - lo + 1)), lo)
+    live = A.taps.any(axis=2)  # (T, N): tap t of row i is nonzero
+    if not live.any(axis=0).all():
+        return LaurentPoly.zero()  # a zero row
+    lo = A.N * A.lo + int(live.argmax(axis=0).sum())
+    hi = A.N * A.hi - int(live[::-1].argmax(axis=0).sum())
+    dets = np.linalg.det(A.sample_grid(hi - lo + 1))
+    return LaurentPoly.from_array(lo, polys_from_grid(dets, lo))
 
 
 def as_monomial_unit(p: LaurentPoly, eps: float = 1e-12):
@@ -242,16 +235,14 @@ def dual_loop(A: LoopMatrix, grid: int = DEFAULT_GRID):
     A_star = A.adjoint()
     unit = as_monomial_unit(adjoint_poly(det))
     if unit is not None:
-        ranges = _row_exponent_ranges(A_star)
-        lo = min(r[0] for r in ranges)
-        hi = max(r[1] for r in ranges)
         N, e = A.N, unit[0]
-        inverse = np.linalg.inv(A_star.sample_grid((N - 1) * (hi - lo) + 1))
-        At = LoopMatrix(polys_from_grid(inverse, (N - 1) * lo - e))
+        lo = (N - 1) * A_star.lo - e
+        inverse = np.linalg.inv(A_star.sample_grid((N - 1) * (A_star.hi - A_star.lo) + 1))
+        At = LoopMatrix.from_array(lo, polys_from_grid(inverse, lo))
         if (A_star @ At).isclose(LoopMatrix.identity(N)):
             return At
     vals = A_star.sample_grid(grid)
-    return SampledLoop(N=A.N, grid=grid, values=np.linalg.inv(vals), exact=False)
+    return SampledLoop(N=A.N, grid=grid, values=np.linalg.inv(vals))
 
 
 def _sup_norm(stack: np.ndarray) -> float:
@@ -324,7 +315,7 @@ class GramMatrixFunction:
 
     N: int
     grid: int
-    gram: list  # N x N nested list of LaurentPoly for AA*
+    gram: LoopMatrix  # AA*
     samples: np.ndarray  # (grid, N, N) values of AA*
     inverses: np.ndarray  # (grid, N, N) pointwise inverses
     choi_points: np.ndarray  # (grid, 2N, 2N)
@@ -366,7 +357,7 @@ def gram_function(
     return GramMatrixFunction(
         N=N,
         grid=grid,
-        gram=gram.entries,
+        gram=gram,
         samples=samples,
         inverses=inverses,
         choi_points=choi_points,

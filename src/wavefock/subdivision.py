@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from .filterbank import FilterBank, relation_report
-from .laurent import LaurentPoly, TorusPoint
+from .laurent import LaurentPoly
 
 FOURIER_DEPTH_CAP = 4000
 
@@ -90,16 +90,11 @@ class SignalWindow:
         return (self - other).norm() <= tol
 
     def to_poly(self) -> LaurentPoly:
-        return LaurentPoly(
-            {self.offset + k: v for k, v in enumerate(self.samples)}
-        )
+        return LaurentPoly.from_array(self.offset, self.samples)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "SignalWindow":
-        if p.is_zero:
-            return cls.zero()
-        lo, hi = p.min_exp, p.max_exp
-        return cls(lo, [p.coeff(k) for k in range(lo, hi + 1)])
+        return cls(p.lo, p.taps)
 
     def to_json(self) -> dict:
         return {
@@ -162,11 +157,10 @@ def subdivide(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
     taps c_{min_exp+r}, c_{min_exp+r+N}, ...; no zero-stuffed sample is formed."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    taps = SignalWindow.from_poly(c)
-    out = np.zeros(N * (len(x.samples) - 1) + len(taps.samples), dtype=complex)
-    for r in range(min(N, len(taps.samples))):
-        out[r::N] = np.convolve(x.samples, taps.samples[r::N])
-    return SignalWindow(N * x.offset + taps.offset, out)
+    out = np.zeros(N * (len(x.samples) - 1) + len(c.taps), dtype=complex)
+    for r in range(min(N, len(c.taps))):
+        out[r::N] = np.convolve(x.samples, c.taps[r::N])
+    return SignalWindow(N * x.offset + c.lo, out)
 
 
 def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
@@ -175,10 +169,9 @@ def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
     j = ceil((lo - max_exp) / N); when no such lag is left the result is zero."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    taps = SignalWindow.from_poly(c)
-    corr = np.convolve(x.samples, taps.samples[::-1].conj())
-    j_lo = -((taps.last - x.offset) // N)
-    return SignalWindow(j_lo, corr[N * j_lo + taps.last - x.offset :: N])
+    corr = np.convolve(x.samples, c.taps[::-1].conj())
+    j_lo = -((c.max_exp - x.offset) // N)
+    return SignalWindow(j_lo, corr[N * j_lo + c.max_exp - x.offset :: N])
 
 
 def dense_slanted_matrix(c: LaurentPoly, N: int, window, col_window=None) -> np.ndarray:
@@ -190,10 +183,9 @@ def dense_slanted_matrix(c: LaurentPoly, N: int, window, col_window=None) -> np.
         raise ValueError("window is empty")
     offsets = np.arange(lo, hi + 1)[:, None] - N * np.arange(c_lo, c_hi + 1)
     out = np.zeros(offsets.shape, dtype=complex)
-    taps = SignalWindow.from_poly(c)
-    idx = offsets - taps.offset
-    hit = (idx >= 0) & (idx < len(taps.samples))
-    out[hit] = taps.samples[idx[hit]]
+    idx = offsets - c.lo
+    hit = (idx >= 0) & (idx < len(c.taps))
+    out[hit] = c.taps[idx[hit]]
     return out
 
 
@@ -249,7 +241,7 @@ def pyramid_reconstruct(bank: FilterBank, pyr: PyramidDecomposition) -> SignalWi
 
 def lowpass_value(m0: LaurentPoly, t: float) -> complex:
     """The 2pi-periodic filter variable m_0(t) := m_0(e^{-it})."""
-    return m0.eval(TorusPoint(-t))
+    return m0.eval(cmath.exp(-1j * t))
 
 
 def fourier_product(
@@ -263,10 +255,8 @@ def fourier_product(
     divided down in floats, so no power of N is formed.
     """
     root_n = math.sqrt(N)
-    if abs(m0.eval(TorusPoint(0.0)) - root_n) > tol:
-        raise BadNormalizationError(
-            f"m0(1) = {m0.eval(TorusPoint(0.0)):.6g}, expected sqrt({N})"
-        )
+    if abs(m0.eval(1.0) - root_n) > tol:
+        raise BadNormalizationError(f"m0(1) = {m0.eval(1.0):.6g}, expected sqrt({N})")
     if J is None:
         J, angle = 1, t / N / N
         while abs(lowpass_value(m0, angle) / root_n - 1.0) > 1e-12:

@@ -4,6 +4,8 @@ Each test reruns its check from scratch and fails with the check's own
 pass/fail line, so the pytest output doubles as the acceptance report.
 """
 
+import json
+
 from wavefock import acceptance
 
 
@@ -76,3 +78,20 @@ def test_summary_shape():
     # timing stays out of the machine-readable report
     assert "seconds" not in doc["criteria"][0]
     assert len(summary.lines()) == 3
+
+
+def test_json_report_holds_no_wall_clock_data():
+    for res in (acceptance.check_haar_loop(), acceptance.check_equivalence_suite()):
+        text = json.dumps(res.to_json())
+        assert "under_" not in text and "seconds" not in text
+
+
+def test_time_bounds_still_enforced(monkeypatch):
+    # a clock that advances 2 ms per read puts the loop split over 1 ms
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(ticks) * 2e-3)
+    assert not acceptance.check_haar_loop().passed
+    # and an equivalence suite that took 11 s fails its 10 s bound
+    monkeypatch.setattr(acceptance, "_timed", lambda fn: (fn(), 11.0))
+    res = acceptance.check_equivalence_suite()
+    assert res.details["agree"] == res.details["total"] and not res.passed

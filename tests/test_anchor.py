@@ -39,7 +39,8 @@ from wavefock.filterbank import (
     module_reconstruct,
     relation_report,
 )
-from wavefock.laurent import LaurentPoly, adjoint_poly
+from oracles import DictPoly
+from wavefock.laurent import LaurentPoly
 from wavefock.polyphase import loop_from_filters
 
 SQRT2 = math.sqrt(2.0)
@@ -50,7 +51,8 @@ def pair_bank(seed):
 
 
 # ----------------------------------------------------------------------
-# the polynomial path, kept as the oracle for the slanted-matrix recursions
+# the polynomial path in dict arithmetic, kept as the oracle for the
+# slanted-matrix recursions
 
 
 def basis_polys(K: AnchorSubspace) -> list:
@@ -61,25 +63,30 @@ def basis_polys(K: AnchorSubspace) -> list:
 
 
 def _family_loops(bank):
+    """Per family, the loop entries as dict polynomials."""
     A, At = loop_from_filters(bank)
-    return A, A if At is None else At
+    return [[[DictPoly.of(p) for p in row] for row in L.entries] for L in (A, At or A)]
 
 
 def _mode_adjoint(loop, i, n):
-    j0 = n % loop.N
-    return adjoint_poly(loop.entries[i][j0]).shift((n - j0) // loop.N)
+    N = len(loop)
+    j0 = n % N
+    return loop[i][j0].adjoint().shift((n - j0) // N)
 
 
 def _poly_adjoint(loop, i, p):
-    out = LaurentPoly.zero()
+    """sum_k c_k S_i^* e_k, accumulated coefficient by coefficient."""
+    N, out = len(loop), {}
     for k, c in p.coeffs().items():
-        out = out + c * _mode_adjoint(loop, i, k)
-    return out
+        j0 = k % N
+        for e, v in loop[i][j0].c.items():  # e_k -> conj(A_{i,j0}) z^((k - j0) / N)
+            out[(k - j0) // N - e] = out.get((k - j0) // N - e, 0j) + c * v.conjugate()
+    return DictPoly(out)
 
 
 def adjoint_on_mode_poly(bank, i, p, dual=False):
     """Linear extension of adjoint_on_mode to arbitrary polynomials."""
-    return _poly_adjoint(_family_loops(bank)[bool(dual)], i, p)
+    return LaurentPoly(_poly_adjoint(_family_loops(bank)[bool(dual)], i, p).coeffs())
 
 
 def oracle_anchor(bank, cutoff=SVD_CUTOFF):
@@ -137,14 +144,14 @@ def _orthonormal_polys(polys, cutoff=SVD_CUTOFF):
             mat[r, exps.index(k)] = v
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     rows = vh[s > cutoff * max(s[0], 1.0)]
-    return [LaurentPoly(dict(zip(exps, row))) for row in rows]
+    return [DictPoly(dict(zip(exps, row))) for row in rows]
 
 
 def oracle_depth(loops, n, anchor, cap=DEPTH_CAP, tol=MEMBER_TOL):
     """Per mode, an orthonormalised polynomial span of the word images."""
     worst = 0
     for loop in loops:
-        span = [LaurentPoly.monomial(n)]
+        span = [DictPoly({n: 1.0})]
         depth = 0
         while not all(anchor.contains(p, tol) for p in span):
             depth += 1
@@ -152,7 +159,7 @@ def oracle_depth(loops, n, anchor, cap=DEPTH_CAP, tol=MEMBER_TOL):
                 raise DepthExceededError(
                     f"mode {n} not absorbed within {cap} adjoint applications"
                 )
-            images = [_poly_adjoint(loop, i, p) for p in span for i in range(loop.N)]
+            images = [_poly_adjoint(loop, i, p) for p in span for i in range(len(loop))]
             span = _orthonormal_polys(images)
         worst = max(worst, depth)
     return worst

@@ -159,6 +159,27 @@ def test_anchor_many_modes(capsys):
     assert doc["cyclicity"]["n_range"] == 8
 
 
+@pytest.mark.parametrize("modes, outer", [("4", []), ("8", []), ("11", [-11, -10, -9, 9, 10, 11])])
+def test_anchor_depths_computed_once_per_mode(monkeypatch, capsys, modes, outer):
+    # |n| <= 8 comes from the cyclicity check's report; only the modes
+    # beyond it get a pull-back depth run of their own
+    from wavefock.anchor import pullback_depths
+    from wavefock.corpus import builtin_bank
+
+    calls = []
+
+    def recording(bank, ns, *args, **kw):
+        calls.append(list(ns))
+        return pullback_depths(bank, ns, *args, **kw)
+
+    monkeypatch.setattr(cli, "pullback_depths", recording)
+    code, doc, _ = run_json(capsys, "anchor", "--builtin", "random-causal-pair", "N=3", "--modes", modes)
+    assert code == 0 and calls == [outer]
+    span = int(modes)
+    direct = pullback_depths(builtin_bank("random-causal-pair", {"N": "3"}), range(-span, span + 1))
+    assert doc["depths"] == {str(n): d for n, d in direct.items()}
+
+
 def test_anchor_rejects_unstructured_bank(tmp_path, capsys):
     rng = np.random.default_rng(0)
     from wavefock.corpus import random_bank

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DictPoly, TorusPoint, torus_grid
 from wavefock.laurent import (
     LaurentPoly,
-    TorusPoint,
     adjoint_poly,
     decimate,
     grid_angles,
     poly_from_json,
     poly_to_json,
     polys_from_grid,
-    torus_grid,
     upsample,
 )
 
@@ -66,31 +65,31 @@ class TestTorusPoint:
 class TestEval:
     def test_direct_substitution(self):
         p = LaurentPoly({0: 1, 2: 1})
-        assert p.eval(TorusPoint(math.pi / 2)) == pytest.approx(0.0)
+        assert p.eval(1j) == pytest.approx(0.0)
 
     def test_lowpass_normalisation_at_one(self):
         p = LaurentPoly({0: 1 / SQRT2, 1: 1 / SQRT2})
-        assert p.eval(TorusPoint(0.0)) == pytest.approx(SQRT2)
+        assert p.eval(1.0) == pytest.approx(SQRT2)
 
-    def test_matches_horner_oracle(self):
-        p = LaurentPoly({0: 1, 2: 1})
-        z = TorusPoint(math.pi / 3)
-        assert abs(p.eval(z) - horner_eval(p, z.value)) < 1e-14
+    def test_matches_power_sum_oracle(self):
+        p = LaurentPoly({-1: 0.5j, 0: 1, 2: 1})
         for t in torus_grid(128):
-            assert abs(p.eval(t) - horner_eval(p, t.value)) < 1e-14
+            z = t.value
+            assert abs(p.eval(z) - (0.5j / z + 1 + z**2)) < 1e-14
 
     @given(poly_st)
     @settings(max_examples=50, deadline=None)
     def test_horner_oracle_random(self, p):
         for t in torus_grid(8):
             n = max(len(p.support), 1)
-            assert abs(p.eval(t) - horner_eval(p, t.value)) < 1e-10 * n
+            power_sum = sum(c * t.value**k for k, c in p.coeffs().items())
+            assert abs(p.eval(t.value) - power_sum) < 1e-10 * n
 
     def test_eval_grid_matches_pointwise(self):
         p = LaurentPoly({-2: 1j, 0: 0.5, 3: -1.0})
         vals = p.eval_grid(16)
         for i, t in enumerate(torus_grid(16)):
-            assert vals[i] == pytest.approx(p.eval(t))
+            assert vals[i] == pytest.approx(p.eval(t.value))
 
     @given(poly_st)
     @settings(max_examples=50, deadline=None)
@@ -111,11 +110,11 @@ class TestPolysFromGrid:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_on_window(self, p):
         lo, M = -12, 25
-        q = polys_from_grid(p.eval_grid(M), lo)
-        assert q.isclose(p, 1e-12 * max(1.0, p.coeff_sup()))
-        assert set(q.support) <= set(range(lo, lo + M))
+        coeffs = polys_from_grid(p.eval_grid(M), lo)
+        assert coeffs.shape == (M,)
+        assert LaurentPoly.from_array(lo, coeffs).isclose(p, 1e-12 * max(1.0, p.coeff_sup()))
 
-    def test_stacked_values_give_nested_lists(self):
+    def test_stacked_values_give_coefficient_stack(self):
         polys = [
             [LaurentPoly({-1: 1.0, 2: 2j}), LaurentPoly.zero()],
             [LaurentPoly.one(), LaurentPoly({0: 3.0, 1: -1.0})],
@@ -123,14 +122,24 @@ class TestPolysFromGrid:
         M, theta = 6, grid_angles(6)
         values = np.array([[p.eval_at(theta) for p in row] for row in polys]).transpose(2, 0, 1)
         got = polys_from_grid(values, -2)
+        assert got.shape == (M, 2, 2)
         for i in range(2):
             for j in range(2):
-                assert got[i][j].isclose(polys[i][j], 1e-13)
+                assert LaurentPoly.from_array(-2, got[:, i, j]).isclose(polys[i][j], 1e-13)
+        # the zero entry keeps none of the DFT's roundoff
+        assert LaurentPoly.from_array(-2, got[:, 0, 1]).is_zero
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_cut_is_relative_to_the_stack(self, scale):
+        p = LaurentPoly({-1: 1.0, 0: 1e-9, 3: 0.5j}) * scale
+        got = LaurentPoly.from_array(-2, polys_from_grid(p.eval_grid(8), -2))
+        assert got.support == p.support
+        assert got.isclose(p, 1e-13 * scale)
 
     def test_window_too_small_aliases(self):
         # z^3 on 3 points is indistinguishable from z^0
         aliased = polys_from_grid(LaurentPoly.monomial(3).eval_grid(3), 0)
-        assert aliased.isclose(LaurentPoly.one(), 1e-13)
+        assert LaurentPoly.from_array(0, aliased).isclose(LaurentPoly.one(), 1e-13)
 
 
 class TestAdjoint:
@@ -145,7 +154,7 @@ class TestAdjoint:
         q = adjoint_poly(p)
         # oracle: pointwise conjugation on 64 torus samples
         for t in torus_grid(64):
-            assert abs(q.eval(t) - p.eval(t).conjugate()) < 1e-14
+            assert abs(q.eval(t.value) - p.eval(t.value).conjugate()) < 1e-14
         assert q == LaurentPoly({0: 1 / SQRT2, -1: 1 / SQRT2})
 
     @given(poly_st)
@@ -155,7 +164,7 @@ class TestAdjoint:
         assert adjoint_poly(q) == p
         for t in torus_grid(8):
             n = max(len(p.support), 1)
-            assert abs(q.eval(t) - p.eval(t).conjugate()) < 1e-9 * n
+            assert abs(q.eval(t.value) - p.eval(t.value).conjugate()) < 1e-9 * n
 
 
 class TestDecimate:
@@ -175,9 +184,9 @@ class TestDecimate:
     def test_fiber_average(self, p, N):
         # decimate(p, N)(z) = (1/N) sum of p over the N-th roots of z
         for t in torus_grid(6):
-            avg = sum(p.eval(t.root(N, b)) for b in range(N)) / N
+            avg = sum(p.eval(t.root(N, b).value) for b in range(N)) / N
             n = max(len(p.support), 1)
-            assert abs(decimate(p, N).eval(t) - avg) < 1e-10 * n
+            assert abs(decimate(p, N).eval(t.value) - avg) < 1e-10 * n
 
 
 class TestUpsample:
@@ -205,7 +214,7 @@ class TestUpsample:
         q = upsample(p, N)
         for t in torus_grid(5):
             n = max(len(p.support), 1)
-            assert abs(q.eval(t) - p.eval(t.power(N))) < 1e-9 * n
+            assert abs(q.eval(t.value) - p.eval(t.power(N).value)) < 1e-9 * n
 
 
 class TestArithmetic:
@@ -215,25 +224,80 @@ class TestArithmetic:
         r = p * q
         bound = 1e-9 * max(len(p.support) * len(q.support), 1)
         for t in torus_grid(8):
-            assert abs(r.eval(t) - p.eval(t) * q.eval(t)) < bound
+            z = t.value
+            assert abs(r.eval(z) - p.eval(z) * q.eval(z)) < bound
 
     def test_product_rule_64_points(self):
         p = LaurentPoly({-1: 0.5j, 0: 1, 2: -0.25})
         q = LaurentPoly({0: 1 / SQRT2, 1: 1 / SQRT2})
         r = p * q
         for t in torus_grid(64):
-            assert abs(r.eval(t) - p.eval(t) * q.eval(t)) < 1e-12 * 6
+            z = t.value
+            assert abs(r.eval(z) - p.eval(z) * q.eval(z)) < 1e-12 * 6
 
-    def test_pruning(self):
-        p = LaurentPoly({0: 1.0, 5: 1e-20})
-        assert p.support == [0]
-        q = LaurentPoly({0: 1.0}) - LaurentPoly({0: 1.0 - 1e-16})
-        assert q.is_zero
+    def test_no_absolute_prune(self):
+        # only exact zeros are dropped, so tiny scales keep their supports
+        p = LaurentPoly({0: 1e-8, 1: 1e-8})
+        assert (p * p).support == [0, 1, 2]
+        assert (p * p).coeff(1) == pytest.approx(2e-16)
+        assert not LaurentPoly({0: 1e-15}).is_zero
+        assert LaurentPoly({0: 1.0, 5: 1e-20}).support == [0, 5]
+
+    def test_exact_zeros_trimmed(self):
+        p = LaurentPoly({-3: 0.0, 0: 1.0, 2: 0.0, 4: 2.0, 6: 0.0})
+        assert (p.min_exp, p.max_exp, p.support) == (0, 4, [0, 4])
+        assert (p - p).is_zero
+        assert LaurentPoly.from_array(5, np.zeros(3)) == LaurentPoly.zero()
 
     def test_scalar_and_shift(self):
         p = LaurentPoly({0: 1, 1: 2})
         assert 2 * p == LaurentPoly({0: 2, 1: 4})
         assert p.shift(-3) == LaurentPoly({-3: 1, -2: 2})
+
+
+gauss_int = st.integers(-8, 8)
+dyadic_st = st.dictionaries(st.integers(-12, 12), st.builds(complex, gauss_int, gauss_int), max_size=9)
+
+
+class TestDictOracle:
+    """Array arithmetic against the dict oracle at scales c in [1e-8, 1e8]."""
+
+    @staticmethod
+    def pairs(p, q, dp, dq, N):
+        return [
+            ("+", p + q, dp + dq),
+            ("-", p - q, dp - dq),
+            ("*", p * q, dp * dq),
+            ("adjoint", adjoint_poly(p), dp.adjoint()),
+            ("decimate", decimate(p, N), dp.decimate(N)),
+            ("upsample", upsample(p, N), dp.upsample(N)),
+        ]
+
+    @given(dyadic_st, dyadic_st, st.integers(-26, 26), st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_at_dyadic_scales(self, a, b, e, N):
+        # Gaussian-integer coefficients times c = 2^e: every operation is
+        # exact on both sides, so supports and values must agree exactly
+        c = 2.0**e
+        p, q = LaurentPoly(a) * c, LaurentPoly(b) * c
+        for name, got, want in self.pairs(p, q, DictPoly(a).scale(c), DictPoly(b).scale(c), N):
+            assert got.coeffs() == want.coeffs(), name
+
+    @given(poly_st, poly_st, st.floats(1e-8, 1e8), st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_any_scale(self, a, b, c, N):
+        p, q = a * c, b * c
+        dp, dq = DictPoly.of(a).scale(c), DictPoly.of(b).scale(c)
+        for name, got, want in self.pairs(p, q, dp, dq, N):
+            if name != "*":  # no rounding: the same values on the same support
+                assert got.coeffs() == want.coeffs(), name
+                continue
+            # products differ in summation order only: by roundoff of c^2, and
+            # a coefficient on one side alone is that roundoff
+            bound = 1e-13 * c * c * max(1.0, a.coeff_sup() * b.coeff_sup() * len(a.support))
+            got_c, want_c = got.coeffs(), want.coeffs()
+            for k in set(got_c) | set(want_c):
+                assert abs(got_c.get(k, 0j) - want_c.get(k, 0j)) <= bound
 
 
 class TestJson:
