@@ -256,7 +256,12 @@ def pullback_depths(
     if not modes:
         return {}
     frames = [_frame_matrices(bank, expand)[1] for expand, _ in _families(bank)]
-    per_family = np.array([_first_absorbed(modes, f, anchor.basis, cap, tol) for f in frames])
+    return _depths(modes, frames, anchor.basis, cap, tol)
+
+
+def _depths(modes: list, frames: list, basis, cap: int, tol: float) -> dict:
+    """`pullback_depths` on the expanding families' frame stacks."""
+    per_family = np.array([_first_absorbed(modes, f, basis, cap, tol) for f in frames])
     failed = (per_family < 0).any(axis=0)
     if failed.any():
         n = modes[int(np.argmax(failed))]
@@ -335,10 +340,11 @@ def cyclicity_check(
     if anchor is None:
         anchor = compute_anchor(bank)
     modes = np.arange(-n_range, n_range + 1)
-    depths = pullback_depths(bank, modes.tolist(), anchor, cap=cap)
-    ks = np.maximum(list(depths.values()), 1)
     mats = {id(f): f for f in _families(bank)[0]}  # both filter sets, once each
     mats = {key: _frame_matrices(bank, f) for key, f in mats.items()}
+    frames = [mats[id(expand)][1] for expand, _ in _families(bank)]
+    depths = _depths(modes.tolist(), frames, anchor.basis, cap, MEMBER_TOL)
+    ks = np.maximum(list(depths.values()), 1)
     worst = []
     for expand, fold in _families(bank):
         frames, fwd = mats[id(expand)][1], mats[id(fold)][0]

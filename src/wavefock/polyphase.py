@@ -110,7 +110,7 @@ class LoopMatrix:
         """Values at the grid points, shape (grid, N, N)."""
         exps = np.arange(self.lo, self.lo + len(self.taps))
         phases = np.exp(1j * np.multiply.outer(grid_angles(grid), exps))
-        return np.tensordot(phases, self.taps, axes=1)
+        return (phases @ self.taps.reshape(len(self.taps), -1)).reshape(grid, self.N, self.N)
 
     def max_abs_exp(self) -> int:
         if not self.taps.any():
