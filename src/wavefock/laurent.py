@@ -274,6 +274,9 @@ def polys_from_grid(values, lo: int) -> np.ndarray:
 
 # A polynomial is stored as a JSON array of [exponent, re, im] triples with
 # strictly increasing exponents, e.g. [[0, 0.707, 0.0], [1, 0.707, 0.0]].
+# Its coefficient array covers every exponent between the first and the
+# last, so a read polynomial may span at most MAX_JSON_SPAN of them.
+MAX_JSON_SPAN = 1 << 20
 
 
 def poly_to_json(p: LaurentPoly) -> list:
@@ -295,4 +298,6 @@ def poly_from_json(obj) -> LaurentPoly:
             raise ValueError("exponents must be strictly increasing")
         last = k
         coeffs[k] = complex(re, im)
+    if coeffs and last - min(coeffs) >= MAX_JSON_SPAN:
+        raise ValueError(f"polynomial spans more than {MAX_JSON_SPAN} exponents")
     return LaurentPoly(coeffs)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import DictPoly, TorusPoint, torus_grid
 from wavefock.laurent import (
+    MAX_JSON_SPAN,
     LaurentPoly,
     adjoint_poly,
     decimate,
@@ -83,8 +84,7 @@ class TestEval:
     def test_horner_oracle_random(self, p):
         for t in torus_grid(8):
             n = max(len(p.support), 1)
-            power_sum = sum(c * t.value**k for k, c in p.coeffs().items())
-            assert abs(p.eval(t.value) - power_sum) < 1e-10 * n
+            assert abs(p.eval(t.value) - horner_eval(p, t.value)) < 1e-10 * n
 
     def test_eval_grid_matches_pointwise(self):
         p = LaurentPoly({-2: 1j, 0: 0.5, 3: -1.0})
@@ -326,3 +326,12 @@ class TestJson:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             poly_from_json(bad)
+
+    def test_span_is_bounded(self):
+        # the dense window of a read polynomial is bounded before it is allocated
+        assert poly_from_json([[-3, 1.0, 0.0], [MAX_JSON_SPAN - 4, 1.0, 0.0]]).support == [
+            -3,
+            MAX_JSON_SPAN - 4,
+        ]
+        with pytest.raises(ValueError, match="spans more than"):
+            poly_from_json([[-3, 1.0, 0.0], [MAX_JSON_SPAN - 3, 1.0, 0.0]])
