@@ -324,7 +324,7 @@ def check_fock_collapse() -> CriterionResult:
 
     def body():
         P = ChoiMatrix.from_matrix(choi_collapse(2))
-        ops = creation_matrices(P, 3, letter_cap=16)
+        ops = creation_matrices(P, 3)
         pair = 0.0
         for k in range(3):
             for i in range(2):
@@ -377,13 +377,13 @@ def check_norm_laws(seed: int = DEFAULT_SEED) -> CriterionResult:
             N = 2 + s % 2
             r = 1 + s % N
             P = ChoiMatrix.from_matrix(random_psd_choi(N, r, rng))
-            rep = tstar_t_check(creation_matrices(P, 3), P)
+            rep = tstar_t_check(creation_matrices(P, 3))
             scalar_gap = max(scalar_gap, abs(rep.gram_norm_gap), rep.attainment_gap)
         comm_res = 0.0
         argmax_ok = True
         for _ in range(5):
             P = ChoiMatrix.from_matrix(random_commuting_choi(2, 2, rng), d=2)
-            rep = tstar_t_check(creation_matrices(P, 3), P)
+            rep = tstar_t_check(creation_matrices(P, 3))
             comm_res = max(comm_res, rep.norm_law_residual)
             argmax_ok = argmax_ok and rep.norm_law_argmax == 0
         return scalar_gap, comm_res, argmax_ok

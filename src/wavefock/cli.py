@@ -232,8 +232,8 @@ def cmd_fock(args, config: RunConfig) -> int:
             cor6 = cor6_check(obj, grid_size=config.grid_size, K=K)
             ops, tstar = cor6.ops, cor6.tstar
         else:
-            ops = creation_matrices(obj, K, letter_cap=max(16, obj.N * obj.d))
-            tstar = tstar_t_check(ops, obj)
+            ops = creation_matrices(obj, K)
+            tstar = tstar_t_check(ops)
     except SizeCapError as exc:
         # caps are configuration, not a verdict about the input
         raise CliParseError(str(exc)) from exc
@@ -256,7 +256,9 @@ def cmd_fock(args, config: RunConfig) -> int:
         doc["cor6"] = cor6.to_json()
     _emit(doc, config)
 
-    failed = max(tstar.vacuum_residual, tstar.general_residual) > config.tolerance
+    # T_i* T_j scales with P, so its residuals are judged relative to ||P||
+    scale = max(1.0, choi_rep.norm)
+    failed = max(tstar.vacuum_residual, tstar.general_residual) > config.tolerance * scale
     if cor6 is not None:
         failed = failed or cor6.residual > config.tolerance
     return VERDICT_FAILED if failed else 0

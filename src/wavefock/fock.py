@@ -7,11 +7,17 @@ entry p_{w_1 w'_1} ... p_{w_k w'_k}.  Quotienting by the Gram kernel gives a
 finite-dimensional truncated Fock space on which the letter-prepending
 creation operators act; their compressions recover p_ij through T_i* T_j.
 
-Everything is dense numpy; the level caps keep eigendecompositions cheap.
+Blocks that commute are diagonal in one unitary basis W of the base space,
+so P splits into d scalar N x N layers P_s and the level-k Gram is unitarily
+the direct sum of their Kronecker powers P_s^(x)k.  Every level is built from
+the eigenpairs of the layers: no level Gram is formed or diagonalized, and
+the level-k rank is sum_s rank(P_s)^k by construction.  `level_gram` keeps
+the dense word-product recursion as the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +28,6 @@ PSD_HARD = 1e-8
 PSD_WARN = 1e-10
 RANK_CUTOFF = 1e-10
 SIZE_CAP = 4096
-LETTER_CAP = 16
 MAX_LEVEL = 4
 
 
@@ -92,78 +97,122 @@ class ChoiMatrix:
 @dataclass
 class ChoiReport:
     hermiticity_residual: float
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # ascending
+    eigenvectors: np.ndarray
     rank: int
     norm: float
-    kernel: np.ndarray
     warning: bool
 
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
 
-    def to_json(self) -> dict:
-        return {
-            "hermiticity_residual": self.hermiticity_residual,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "min_eigenvalue": self.min_eigenvalue,
-            "rank": self.rank,
-            "norm": self.norm,
-            "kernel_dimension": int(self.kernel.shape[1]),
-            "warning": self.warning,
-        }
+    @property
+    def kernel(self) -> np.ndarray:
+        """Eigenvectors of the eigenvalues at or below the rank cutoff."""
+        return self.eigenvectors[:, : self.eigenvalues.size - self.rank]
 
 
-def _level_spectrum(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors, keep) of a Hermitian Gram, ascending.
-
-    `keep` marks the eigenvalues above RANK_CUTOFF times the largest one,
-    so the rank decision is invariant under scaling and a zero Gram has
-    rank 0; the other eigenvectors span the numerical kernel.
-    """
-    eigvals, eigvecs = np.linalg.eigh(G)
-    keep = eigvals > RANK_CUTOFF * eigvals[-1]
-    return eigvals, eigvecs, keep
+def _kept(eigvals: np.ndarray) -> np.ndarray:
+    """Eigenvalues above RANK_CUTOFF times the largest one, so the rank
+    decision is invariant under scaling and a zero matrix has rank 0."""
+    return eigvals > RANK_CUTOFF * eigvals.max()
 
 
 def validate_choi(P: ChoiMatrix, hard: float = PSD_HARD, warn: float = PSD_WARN) -> ChoiReport:
     """Hermiticity and spectrum report; hard failure below -`hard`."""
     m = P.matrix
     herm = float(np.linalg.norm(m - m.conj().T, 2))
-    eigvals, eigvecs, keep = _level_spectrum((m + m.conj().T) / 2)
+    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2)
     lo = float(eigvals[0])
     if lo < -hard:
         raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{hard:.0e}")
     return ChoiReport(
         hermiticity_residual=herm,
         eigenvalues=eigvals,
-        rank=int(np.sum(keep)),
+        eigenvectors=eigvecs,
+        rank=int(np.sum(_kept(eigvals))),
         norm=float(max(eigvals[-1], 0.0)),
-        kernel=eigvecs[:, ~keep],
         warning=lo < -warn or herm > warn,
     )
 
 
 # ----------------------------------------------------------------------
-# levels: Gram, spectrum, quotient
+# scalar layers and levels
+
+
+def _drift_bound(pnorm: float, k: int) -> float:
+    """Largest Hermiticity drift accepted in the level-k Gram."""
+    return PSD_HARD * max(1.0, pnorm**k)
+
+
+def _off_diagonal(blocks: np.ndarray) -> np.ndarray:
+    return blocks[..., ~np.eye(blocks.shape[-1], dtype=bool)]
+
+
+def _commutator_norm(blocks: np.ndarray) -> float:
+    """sqrt(sum_{a,b} ||[p_a, p_b]||_F^2) over ordered pairs of blocks: exactly
+    ||G_2 - G_2*||_F, as block ((i w), (j w')) of G_2 - G_2* is [p_ij, p_ww']."""
+    if not _off_diagonal(blocks).any():
+        return 0.0
+    flat = blocks.reshape(-1, *blocks.shape[-2:])
+    return float(np.sqrt(sum(np.linalg.norm(b @ flat - flat @ b) ** 2 for b in flat)))
+
+
+def _layers(P: ChoiMatrix, report: ChoiReport, commuting: bool):
+    """(W, layers, eigenvalues, eigenvectors), layers[s]_ij = (W* p_ij W)_ss.
+
+    Commuting blocks are normal (p_ji = p_ij*), so one unitary W makes them
+    all diagonal: the identity for diagonal blocks, else the eigenbasis of a
+    fixed Hermitian combination (weights are golden-ratio Weyl phases, so no
+    random numbers are drawn).  Off-diagonal mass left above the level-2
+    drift bound raises.  For d = 1, and for blocks that do not commute, P is
+    one layer with the eigenpairs `validate_choi` computed.
+    """
+    N, d = P.N, P.d
+    if d == 1 or not commuting:
+        return np.ones((1, 1)), P.matrix[None], report.eigenvalues[None], report.eigenvectors[None]
+    rotated, W = P.blocks(), np.eye(d)
+    if _off_diagonal(rotated).any():
+        weights = np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) * np.arange(1, N * N + 1))
+        M = np.einsum("ij,ijab->ab", weights.reshape(N, N), rotated)
+        W = np.linalg.eigh(M + M.conj().T)[1]
+        rotated = W.conj().T @ rotated @ W
+        off = float(np.linalg.norm(_off_diagonal(rotated)))
+        if off > _drift_bound(report.norm, 2):
+            raise NotPsdError(f"commuting blocks keep off-diagonal mass {off:.3e} in one eigenbasis")
+    layers = np.diagonal(rotated, axis1=2, axis2=3).transpose(2, 0, 1)
+    layers = (layers + layers.conj().transpose(0, 2, 1)) / 2
+    return (W, layers, *np.linalg.eigh(layers))
 
 
 @dataclass
 class FockLevel:
+    """Level k of the quotient, from the kept eigenpairs (lambda, x) of G_k.
+
+    `factor` is V_k* G_k = Lambda^(1/2) X* and `quotient` is
+    V_k = X Lambda^(-1/2): factor @ quotient = I, and factor* factor is G_k
+    without its numerical kernel.
+    """
+
     k: int
-    gram: np.ndarray
-    eigenvalues: np.ndarray  # of the Gram, ascending
-    quotient: np.ndarray  # V_k
-    kernel: np.ndarray
+    eigenvalues: np.ndarray  # all of G_k's, layer by layer
+    factor: np.ndarray
+    quotient: np.ndarray
+    prepend_residual: float  # worst x* G_{k+1}[block i, block i] x, x dropped
 
     @property
     def q(self) -> int:
         return int(self.quotient.shape[1])
 
     @property
+    def kernel_dim(self) -> int:
+        return int(self.eigenvalues.size) - self.q
+
+    @property
     def norm(self) -> float:
         """Spectral norm of the Gram, read off its spectrum."""
-        return float(max(self.eigenvalues[-1], -self.eigenvalues[0]))
+        return float(np.abs(self.eigenvalues).max())
 
 
 def _level_size(P: ChoiMatrix, k: int, size_cap: int) -> None:
@@ -172,138 +221,31 @@ def _level_size(P: ChoiMatrix, k: int, size_cap: int) -> None:
         raise SizeCapError(f"level {k} needs {size} spanning vectors (cap {size_cap})")
 
 
-def _fock_levels(P: ChoiMatrix, K: int, size_cap: int):
-    """Yield levels 0..K in word-major order, i_1 most significant, each
-    Gram built from the one before.
+def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
+    """Dense Gram of level k in word-major order, i_1 most significant: the
+    oracle for the layered levels.
 
-    Recursion: prepending letters multiplies the new block on the left,
-    G_{k+1}[(i w), (j w')] = p_ij G_k[w, w'].  Products of noncommuting
-    blocks need not produce a Hermitian matrix; that failure aborts the run
-    rather than being symmetrized away.  The level's own eigendecomposition
-    gives the PSD check, the quotient V_k (V_k* G_k V_k = I) and the kernel.
+    Recursion: G_{k+1}[(i w), (j w')] = p_ij G_k[w, w'].  Noncommuting blocks
+    make a non-Hermitian product; that aborts rather than being symmetrized.
     """
-    d = P.d
-    blocks = P.blocks()
-    pnorm = P.norm
-    G = np.eye(d, dtype=complex)
-    for k in range(K + 1):
-        _level_size(P, k, size_cap)
-        scale = max(1.0, pnorm**k)
-        if k:
-            prev = G.shape[0] // d
-            g4 = G.reshape(prev, d, prev, d)
-            G = np.einsum("ijab,wbvc->iwajvc", blocks, g4).reshape(
-                P.N * prev * d, P.N * prev * d
-            )
-            # Frobenius: a safe-side bound on the spectral norm, without an SVD
-            drift = float(np.linalg.norm(G - G.conj().T))
-            if drift > PSD_HARD * scale:
-                raise NotPsdError(
-                    f"level {k} Gram is not Hermitian (drift {drift:.3e}); "
-                    "noncommuting blocks break the word-product form"
-                )
-            G = (G + G.conj().T) / 2
-        eigvals, eigvecs, keep = _level_spectrum(G)
-        if eigvals[0] < -PSD_HARD * scale:
-            raise NotPsdError(f"level {k} Gram eigenvalue {eigvals[0]:.3e}")
-        yield FockLevel(
-            k=k,
-            gram=G,
-            eigenvalues=eigvals,
-            quotient=eigvecs[:, keep] / np.sqrt(eigvals[keep]),
-            kernel=eigvecs[:, ~keep],
-        )
-
-
-def _top_level(P: ChoiMatrix, k: int, size_cap: int) -> FockLevel:
     if k < 0:
         raise ValueError("level must be nonnegative")
     _level_size(P, k, size_cap)
-    for lvl in _fock_levels(P, k, size_cap):
-        pass
-    return lvl
-
-
-def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
-    """Gram of level k in word-major order, i_1 most significant.
-
-    Every level up to k is checked for Hermiticity and positivity on the way.
-    """
-    return _top_level(P, k, size_cap).gram
-
-
-@dataclass
-class KernelReport:
-    k: int
-    basis: np.ndarray
-    predicted_dim: int | None
-    spanning_residual: float | None
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[1])
-
-    @property
-    def matches_prediction(self) -> bool | None:
-        if self.predicted_dim is None:
-            return None
-        return self.dim == self.predicted_dim
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "dimension": self.dim,
-            "predicted_dimension": self.predicted_dim,
-            "matches_prediction": self.matches_prediction,
-            "spanning_residual": self.spanning_residual,
-        }
-
-
-def level_kernel(
-    P: ChoiMatrix,
-    k: int,
-    size_cap: int = SIZE_CAP,
-    rng: np.random.Generator | None = None,
-) -> KernelReport:
-    """Kernel of the level-k Gram with the scalar-case cross-checks.
-
-    For d = 1 the Gram is an exact Kronecker power, so the kernel dimension
-    is N^k - r^k and is spanned by word tensors with one factor in ker P;
-    both facts are verified.  No closed form is attempted for d > 1.
-    """
-    top = _top_level(P, k, size_cap)
-    G = top.gram
-
-    predicted = None
-    spanning = None
-    if P.d == 1:
-        choi_report = validate_choi(P)
-        predicted = P.N**k - choi_report.rank**k
-        if k >= 1 and predicted > 0:
-            kerP = choi_report.kernel
-            rng = rng or np.random.default_rng(0)
-            worst = 0.0
-            for pos in range(k):
-                for col in range(kerP.shape[1]):
-                    factors = [
-                        rng.standard_normal(P.N) + 1j * rng.standard_normal(P.N)
-                        for _ in range(k)
-                    ]
-                    factors[pos] = kerP[:, col]
-                    t = factors[0]
-                    for f in factors[1:]:
-                        t = np.kron(t, f)
-                    nrm = np.linalg.norm(t)
-                    if nrm > 0:
-                        worst = max(worst, float(np.linalg.norm(G @ t) / nrm))
-            spanning = worst
-        elif predicted == 0:
-            spanning = 0.0
-    return KernelReport(k=k, basis=top.kernel, predicted_dim=predicted, spanning_residual=spanning)
-
-
-# ----------------------------------------------------------------------
-# the truncated space and its creation operators
+    d, pnorm = P.d, P.norm
+    G = np.eye(d, dtype=complex)
+    for j in range(1, k + 1):
+        prev = G.shape[0] // d
+        G = np.einsum("ijab,wbvc->iwajvc", P.blocks(), G.reshape(prev, d, prev, d))
+        G = G.reshape(P.N * prev * d, -1)
+        # Frobenius: a safe-side bound on the spectral norm, without an SVD
+        drift = float(np.linalg.norm(G - G.conj().T))
+        if drift > _drift_bound(pnorm, j):
+            raise NotPsdError(
+                f"level {j} Gram is not Hermitian (drift {drift:.3e}); "
+                "noncommuting blocks break the word-product form"
+            )
+        G = (G + G.conj().T) / 2
+    return G
 
 
 @dataclass
@@ -311,7 +253,12 @@ class TruncatedFock:
     choi: ChoiMatrix
     K: int
     choi_report: ChoiReport
+    commutator: float  # ||G_2 - G_2*||_F
     levels: list = field(default_factory=list)
+
+    @property
+    def commuting(self) -> bool:
+        return self.commutator <= _drift_bound(self.choi_report.norm, 2)
 
     def level(self, k: int) -> FockLevel:
         return self.levels[k]
@@ -324,26 +271,113 @@ class TruncatedFock:
         return {
             "K": self.K,
             "quotient_dims": self.quotient_dims,
-            "kernel_dims": [int(lvl.kernel.shape[1]) for lvl in self.levels],
+            "kernel_dims": [lvl.kernel_dim for lvl in self.levels],
             "gram_norms": [lvl.norm for lvl in self.levels],
         }
 
 
 def truncated_fock(
-    P: ChoiMatrix,
-    K: int,
-    size_cap: int = SIZE_CAP,
-    max_level: int = MAX_LEVEL,
-    letter_cap: int = LETTER_CAP,
+    P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
 ) -> TruncatedFock:
-    choi_report = validate_choi(P)
+    """Levels 0..K in word-major order, i_1 most significant.
+
+    Level 0 is the base space.  Above it G_k is unitarily the direct sum over
+    layers s of P_s^(x)k: its eigenpairs are Kronecker products of the
+    layers' eigenpairs times column s of W, and the kept ones are products
+    of kept level-1 pairs, so the rank is sum_s rank(P_s)^k by construction.
+    Noncommuting blocks make no Hermitian level-2 Gram; that aborts the run.
+    Letter i prepended to a level-k eigenvector of layer s, eigenvalue mu,
+    has the form mu (P_s)_ii, which gives `prepend_residual`.
+    """
+    report = validate_choi(P)
+    if K < 0:
+        raise ValueError("level must be nonnegative")
     if K > max_level:
         raise SizeCapError(f"truncation level {K} above cap {max_level}")
-    if P.N * P.d > letter_cap:
-        raise SizeCapError(f"N*d = {P.N * P.d} above cap {letter_cap}")
-    return TruncatedFock(
-        choi=P, K=K, choi_report=choi_report, levels=list(_fock_levels(P, K, size_cap))
-    )
+    fock = TruncatedFock(P, K, report, _commutator_norm(P.blocks()))
+    _level_size(P, 0, size_cap)
+    eye = np.eye(P.d, dtype=complex)
+    fock.levels.append(FockLevel(0, np.ones(P.d), eye, eye, 0.0))
+    W, layers, mu, U = _layers(P, report, fock.commuting)
+    keep1 = _kept(mu)
+    s1, a1 = np.nonzero(keep1)
+    A1 = np.sqrt(mu[s1, a1])[:, None] * U[s1, :, a1].conj()  # kept sqrt(mu) u*
+    diag = np.diagonal(layers, axis1=1, axis2=2).real.max(axis=1)
+    # per layer: every level-k eigenvalue and its keep flag; F holds the kept
+    # rows of the layers' factor powers, and `layer` the layer of each row
+    eig, keep = np.ones((len(mu), 1)), np.ones((len(mu), 1), dtype=bool)
+    F, layer = np.ones((len(mu), 1), dtype=complex), np.arange(len(mu))
+    for k in range(1, K + 1):
+        _level_size(P, k, size_cap)
+        if k == 2 and not fock.commuting:
+            raise NotPsdError(
+                f"level 2 Gram is not Hermitian (drift {fock.commutator:.3e}); "
+                "noncommuting blocks break the word-product form"
+            )
+        eig = (eig[:, :, None] * mu[:, None, :]).reshape(len(mu), -1)
+        keep = (keep[:, :, None] & keep1[:, None, :]).reshape(len(mu), -1)
+        rows, cols = np.nonzero(layer[:, None] == s1)
+        F = (F[rows][:, :, None] * A1[cols][:, None, :]).reshape(rows.size, -1)
+        layer = s1[cols]
+        factor = (F[:, :, None] * W.conj().T[layer][:, None, :]).reshape(rows.size, -1)
+        dropped = np.abs(eig[~keep]) * diag[np.nonzero(~keep)[0]]
+        fock.levels.append(
+            FockLevel(k, eig.ravel(), factor, factor.conj().T / eig[keep], dropped.max(initial=0.0))
+        )
+    return fock
+
+
+@dataclass
+class KernelReport:
+    k: int
+    dim: int
+    predicted_dim: int | None
+    spanning_residual: float | None
+
+    @property
+    def matches_prediction(self) -> bool | None:
+        if self.predicted_dim is None:
+            return None
+        return self.dim == self.predicted_dim
+
+
+def level_kernel(
+    P: ChoiMatrix,
+    k: int,
+    size_cap: int = SIZE_CAP,
+    rng: np.random.Generator | None = None,
+) -> KernelReport:
+    """Kernel of the level-k Gram with the scalar-case cross-checks.
+
+    For d = 1 the Gram is an exact Kronecker power, so the kernel dimension
+    is N^k - r^k and is spanned by word tensors with one factor in ker P;
+    both facts are verified, the second by the quotient norm ||F_k t|| / ||t||
+    of such tensors t.  No closed form is attempted for d > 1.
+    """
+    fock = truncated_fock(P, k, size_cap)
+    top = fock.level(k)
+    predicted = spanning = None
+    if P.d == 1:
+        rank = fock.choi_report.rank
+        predicted = P.N**k - rank**k
+        spanning = 0.0 if predicted == 0 else None
+        if k >= 1 and predicted > 0:
+            rng = rng or np.random.default_rng(0)
+            spanning = 0.0
+            for pos in range(k):
+                for col in fock.choi_report.kernel.T:
+                    factors = [
+                        rng.standard_normal(P.N) + 1j * rng.standard_normal(P.N)
+                        for _ in range(k)
+                    ]
+                    factors[pos] = col
+                    t = functools.reduce(np.kron, factors)
+                    spanning = max(spanning, float(np.linalg.norm(top.factor @ t) / np.linalg.norm(t)))
+    return KernelReport(k=k, dim=top.kernel_dim, predicted_dim=predicted, spanning_residual=spanning)
+
+
+# ----------------------------------------------------------------------
+# creation operators
 
 
 @dataclass
@@ -351,7 +385,7 @@ class CreationOps:
     """Quotient matrices of T_i between consecutive truncation levels."""
 
     fock: TruncatedFock
-    ops: list  # ops[k][i]: level k -> k+1
+    ops: list  # ops[k]: (N, q_{k+1}, q_k), letter i -> T_i from level k
     well_definedness_residual: float
 
     @property
@@ -363,63 +397,34 @@ class CreationOps:
 
     def products(self, k: int) -> np.ndarray:
         """T_i* T_j on level k for every letter pair, shape (N, N, q_k, q_k)."""
-        T = np.stack(self.ops[k])
+        T = self.ops[k]
         return T.conj().transpose(0, 2, 1)[:, None] @ T[None]
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "quotient_dims": self.fock.quotient_dims,
-            "well_definedness_residual": self.well_definedness_residual,
-        }
 
 
 def creation_matrices(
-    P: ChoiMatrix,
-    K: int,
-    size_cap: int = SIZE_CAP,
-    max_level: int = MAX_LEVEL,
-    letter_cap: int = LETTER_CAP,
+    P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
 ) -> CreationOps:
-    """T_i^(k) = V_{k+1}* G_{k+1}[:, block i] V_k for all letters and levels k < K.
+    """T_i^(k) = (V_{k+1}* G_{k+1})[:, block i] V_k for all letters and levels k < K.
 
     Block i holds the level-(k+1) words that start with letter i, so the
-    column slice is the Gram composed with the embedding w -> iw.
-    Letter-prepending maps Gram-null vectors to Gram-null vectors; the
-    returned residual is the worst squared Phi-norm of such an image,
-    ker* G_{k+1}[block i, block i] ker (the quadratic form itself; its
-    square root sits at sqrt(eps) even for exact kernels, so the form is
-    the meaningful zero test).
+    column slice is the Gram composed with the embedding w -> iw.  For d = 1
+    and P = V*V with columns v_i, T_i = v_i (x) I; commuting blocks give this
+    layer by layer.  Letter-prepending maps Gram-null vectors to Gram-null
+    vectors; the returned residual is the worst squared Phi-norm of such an
+    image, from the dropped eigenvalues (the quadratic form itself; its
+    square root sits at sqrt(eps) even for exact kernels, so the form is the
+    meaningful zero test).
     """
-    fock = truncated_fock(P, K, size_cap, max_level, letter_cap)
+    fock = truncated_fock(P, K, size_cap, max_level)
     ops = []
-    worst = 0.0
-    for k in range(K):
-        lvl, nxt = fock.level(k), fock.level(k + 1)
-        size, ker = lvl.gram.shape[0], lvl.kernel
-        row = []
-        for i in range(P.N):
-            block = slice(i * size, (i + 1) * size)
-            row.append(nxt.quotient.conj().T @ nxt.gram[:, block] @ lvl.quotient)
-            if ker.shape[1]:
-                sq = np.einsum("ij,ij->j", ker.conj(), nxt.gram[block, block] @ ker).real
-                worst = max(worst, float(np.abs(sq).max()))
-        ops.append(row)
-    return CreationOps(fock=fock, ops=ops, well_definedness_residual=worst)
+    for lvl, nxt in zip(fock.levels, fock.levels[1:]):
+        ops.append(nxt.factor.reshape(nxt.q, P.N, -1).transpose(1, 0, 2) @ lvl.quotient)
+    worst = max((lvl.prepend_residual for lvl in fock.levels[:K]), default=0.0)
+    return CreationOps(fock=fock, ops=ops, well_definedness_residual=float(worst))
 
 
 # ----------------------------------------------------------------------
 # relation checks
-
-
-def _blocks_commute(P: ChoiMatrix, tol: float = 1e-10) -> bool:
-    blocks = P.blocks().reshape(P.N * P.N, P.d, P.d)
-    for a in range(blocks.shape[0] - 1):
-        rest = blocks[a + 1 :]
-        comm = blocks[a] @ rest - rest @ blocks[a]
-        if np.linalg.norm(comm, 2, axis=(-2, -1)).max() > tol:
-            return False
-    return True
 
 
 @dataclass
@@ -444,8 +449,8 @@ class TstarTReport:
         }
 
 
-def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport:
-    """T_i* T_j against the block data of P.
+def tstar_t_check(ops: CreationOps) -> TstarTReport:
+    """T_i* T_j against the block data of the block matrix behind `ops`.
 
     (a) on the vacuum level the product matrix is p_ij exactly;
     (b) at level k it is the quotient compression of w (x) h -> w (x) p_ij h;
@@ -453,8 +458,8 @@ def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport
         equals ||p_ii|| and is attained on the vacuum;
     (d) ||G_k|| <= ||P||^k, attained for d = 1 by top-eigenvector powers.
     """
-    P = P or ops.fock.choi
     fock = ops.fock
+    P = fock.choi
     N, d = P.N, P.d
     blocks = P.blocks()
     letters = np.arange(N)
@@ -463,19 +468,18 @@ def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport
     general = 0.0
     diag_norms = []  # ||T_i* T_i|| per level
     # level k target for pair (i, j): V_k* G_k (I_{N^k} (x) p_ij) V_k, with
-    # the Kronecker factor applied blockwise to the columns of V_k* G_k
+    # the Kronecker factor applied blockwise to the columns of the factor
     for k in range(ops.K):
         lvl = fock.level(k)
         prods = ops.products(k)
-        VG = (lvl.quotient.conj().T @ lvl.gram).reshape(lvl.q, N**k, d)
-        target = (VG @ blocks[:, :, None]).reshape(N, N, lvl.q, -1) @ lvl.quotient
+        F = lvl.factor.reshape(lvl.q, N**k, d)
+        target = (F @ blocks[:, :, None]).reshape(N, N, lvl.q, -1) @ lvl.quotient
         general = max(general, float(np.linalg.norm(prods - target, 2, axis=(-2, -1)).max()))
         diag_norms.append(np.linalg.norm(prods[letters, letters], 2, axis=(-2, -1)))
 
-    commuting = _blocks_commute(P)
     norm_law = None
     argmax = None
-    if commuting:
+    if fock.commuting:
         norm_law = 0.0
         targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
         for i in range(N):
@@ -496,18 +500,16 @@ def tstar_t_check(ops: CreationOps, P: ChoiMatrix | None = None) -> TstarTReport
         gap = max(gap, (gk - pnorm**k) / max(1.0, pnorm**k))
     if d == 1:
         attain = 0.0
-        eigvals, eigvecs = np.linalg.eigh((P.matrix + P.matrix.conj().T) / 2)
-        top = eigvecs[:, -1]
+        top = fock.choi_report.eigenvectors[:, -1]
+        t = top
         for k in range(1, ops.K + 1):
-            t = top
-            for _ in range(k - 1):
-                t = np.kron(t, top)
-            rayleigh = float((t.conj() @ fock.level(k).gram @ t).real)
+            rayleigh = float(np.linalg.norm(fock.level(k).factor @ t) ** 2)
             attain = max(attain, abs(pnorm**k - rayleigh) / max(1.0, pnorm**k))
+            t = np.kron(t, top)
     return TstarTReport(
         vacuum_residual=vacuum,
         general_residual=general,
-        commuting=commuting,
+        commuting=fock.commuting,
         norm_law_residual=norm_law,
         norm_law_argmax=argmax,
         gram_norm_gap=gap,
@@ -521,7 +523,8 @@ def basis_change_equivalence(
     """Residual of the unitary equivalence under a letter basis change.
 
     P' = (U (x) I_d) P (U* (x) I_d); level-wise U^{(x)k} (x) I_d compresses
-    to a quotient unitary Q_k, and Q_{k+1} T_i = sum_a U_{ai} T'_a Q_k.
+    to a quotient unitary Q_k = V'_k* G'_k (U^{(x)k} (x) I_d) V_k, and
+    Q_{k+1} T_i = sum_a U_{ai} T'_a Q_k.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (P.N, P.N):
@@ -536,23 +539,16 @@ def basis_change_equivalence(
     )
     ops = creation_matrices(P, K, **caps)
     ops_p = creation_matrices(Pp, K, **caps)
-    omegas = []
-    for k in range(K + 1):
-        W = np.eye(1, dtype=complex)
-        for _ in range(k):
-            W = np.kron(W, U)
-        omegas.append(np.kron(W, np.eye(P.d)))
-    Q = []
-    for k in range(K + 1):
-        lvl_p = ops_p.fock.level(k)
-        Q.append(lvl_p.quotient.conj().T @ lvl_p.gram @ omegas[k] @ ops.fock.level(k).quotient)
     residual = 0.0
+    Q, W = [], np.eye(1, dtype=complex)
     for k in range(K + 1):
+        omega = np.kron(W, np.eye(P.d))
+        Q.append(ops_p.fock.level(k).factor @ omega @ ops.fock.level(k).quotient)
         eye_defect = np.linalg.norm(Q[k].conj().T @ Q[k] - np.eye(Q[k].shape[1]), 2)
         residual = max(residual, float(eye_defect))
+        W = np.kron(W, U)
     for k in range(K):
-        for i in range(P.N):
-            lhs = Q[k + 1] @ ops.op(i, k)
-            rhs = sum(U[a, i] * ops_p.op(a, k) @ Q[k] for a in range(P.N))
-            residual = max(residual, float(np.linalg.norm(lhs - rhs, 2)))
+        rhs = np.einsum("ai,axy->ixy", U, ops_p.ops[k]) @ Q[k]
+        err = np.linalg.norm(Q[k + 1] @ ops.ops[k] - rhs, 2, axis=(-2, -1))
+        residual = max(residual, float(err.max()))
     return residual

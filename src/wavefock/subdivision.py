@@ -89,13 +89,6 @@ class SignalWindow:
     def isclose(self, other: "SignalWindow", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
 
-    def to_poly(self) -> LaurentPoly:
-        return LaurentPoly.from_array(self.offset, self.samples)
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "SignalWindow":
-        return cls(p.lo, p.taps)
-
     def to_json(self) -> dict:
         return {
             "offset": self.offset,

@@ -136,7 +136,7 @@ def cor6_check(
     sw = sampled_choi(bank, grid_size)
     N, g = bank.N, grid_size
     P = sw.block_choi()
-    ops = creation_matrices(P, K, letter_cap=max(16, 2 * N * g))
+    ops = creation_matrices(P, K)
 
     # vacuum product (a, b) is diagonal: entry (a, b) of the doubled Gram
     # at each grid point
@@ -156,5 +156,5 @@ def cor6_check(
         cross_residual=float(max(res[N:, :N].max(), res[:N, N:].max())),
         norm_law_residual=float(np.abs(got - sup).max()),
         ops=ops,
-        tstar=tstar_t_check(ops, P),
+        tstar=tstar_t_check(ops),
     )

@@ -1,10 +1,13 @@
-"""Test oracles: circle points stored by angle, and dict-based Laurent
-arithmetic.
+"""Test oracles: circle points stored by angle, dict-based Laurent
+arithmetic, and the dense Fock build.
 
 `DictPoly` is the sparse representation the package used before its
 coefficient arrays: a dict from exponent to coefficient, with products by a
 double loop over both supports.  It keeps every nonzero coefficient, so it
 agrees with `LaurentPoly` on supports at any scale.
+
+`dense_creation` is the Fock build the package used before its scalar
+layers: a dense eigh of every level Gram.
 """
 
 from __future__ import annotations
@@ -12,6 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from wavefock.errors import NotPsdError, SizeCapError
+from wavefock.fock import (
+    MAX_LEVEL,
+    PSD_HARD,
+    RANK_CUTOFF,
+    SIZE_CAP,
+    ChoiMatrix,
+    CreationOps,
+    FockLevel,
+    TruncatedFock,
+    level_gram,
+    validate_choi,
+)
 from wavefock.laurent import LaurentPoly
 
 
@@ -102,3 +120,58 @@ class DictPoly:
 
     def coeff_norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self.c.values()))
+
+
+# ----------------------------------------------------------------------
+# the dense Fock build
+
+
+def dense_creation(
+    P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
+) -> CreationOps:
+    """`creation_matrices` from a dense eigh of each level Gram.
+
+    Level k keeps the eigenpairs of `level_gram(P, k)` above RANK_CUTOFF
+    times its top eigenvalue; V_k = X Lambda^(-1/2), the factor is V_k* G_k,
+    and T_i = (V_{k+1}* G_{k+1})[:, block i] V_k.  The well-definedness
+    residual is the worst form ker* G_{k+1}[block i, block i] ker over the
+    eigenvectors below the cutoff, and the commutator sums the pairwise
+    ||[p_a, p_b]||_F^2 by a loop.  Every consumer of `CreationOps` runs on
+    the result unchanged.
+    """
+    report = validate_choi(P)
+    if K > max_level:
+        raise SizeCapError(f"truncation level {K} above cap {max_level}")
+    N, d = P.N, P.d
+    flat = [P.block(i, j) for i in range(N) for j in range(N)]
+    commutator = math.sqrt(
+        sum(np.linalg.norm(a @ b - b @ a) ** 2 for a in flat for b in flat)
+    )
+    grams = [level_gram(P, k, size_cap) for k in range(K + 1)]
+    levels = []
+    for k, G in enumerate(grams):
+        eigvals, eigvecs = np.linalg.eigh(G)
+        if eigvals[0] < -PSD_HARD * max(1.0, P.norm**k):
+            raise NotPsdError(f"level {k} Gram eigenvalue {eigvals[0]:.3e}")
+        keep = eigvals > RANK_CUTOFF * eigvals[-1]
+        V = eigvecs[:, keep] / np.sqrt(eigvals[keep])
+        ker, size = eigvecs[:, ~keep], G.shape[0]
+        prepend = 0.0
+        if k < K and ker.shape[1]:
+            for i in range(N):
+                block = grams[k + 1][i * size : (i + 1) * size, i * size : (i + 1) * size]
+                sq = np.einsum("ij,ij->j", ker.conj(), block @ ker).real
+                prepend = max(prepend, float(np.abs(sq).max()))
+        levels.append(FockLevel(k, eigvals, V.conj().T @ G, V, prepend))
+    ops = []
+    for k in range(K):
+        lvl, nxt = levels[k], levels[k + 1]
+        size = grams[k].shape[0]
+        ops.append(
+            np.stack(
+                [nxt.factor[:, i * size : (i + 1) * size] @ lvl.quotient for i in range(N)]
+            )
+        )
+    fock = TruncatedFock(P, K, report, commutator, levels)
+    worst = max((lvl.prepend_residual for lvl in levels[:K]), default=0.0)
+    return CreationOps(fock=fock, ops=ops, well_definedness_residual=worst)

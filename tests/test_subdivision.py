@@ -34,6 +34,14 @@ def haar_transform_oracle(t):
     return cmath.exp(-1j * t / 2) * math.sin(t / 2) / (t / 2)
 
 
+def window_to_poly(x):
+    return LaurentPoly.from_array(x.offset, x.samples)
+
+
+def window_from_poly(p):
+    return SignalWindow(p.lo, p.taps)
+
+
 def random_signal(rng, span=8, terms=6):
     idx = rng.choice(np.arange(-span, span + 1), size=terms, replace=False)
     lo = int(idx.min())
@@ -115,7 +123,7 @@ class TestSignalWindow:
     def test_poly_round_trip(self, rng):
         for _ in range(20):
             x = random_signal(rng)
-            assert SignalWindow.from_poly(x.to_poly()).isclose(x, 0.0)
+            assert window_from_poly(window_to_poly(x)).isclose(x, 0.0)
 
     def test_json_round_trip(self):
         x = SignalWindow(-2, [1 + 2j, 0.5, -1j])
@@ -167,8 +175,8 @@ class TestSubdivide:
             N = int(rng.integers(2, 5))
             c = random_filter(rng)
             x = random_signal(rng)
-            seq = subdivide(c, x, N).to_poly()
-            pol = apply_S(c, x.to_poly(), N)
+            seq = window_to_poly(subdivide(c, x, N))
+            pol = apply_S(c, window_to_poly(x), N)
             assert seq.isclose(pol, 1e-12)
 
     @pytest.mark.parametrize("N", range(2, 8))

@@ -129,7 +129,7 @@ def test_cor6_haar(haar):
 def test_cor6_haar_isometries(haar):
     # orthogonal bank: AA* = I, so every letter acts isometrically
     sw = sampled_choi(haar, grid_size=8)
-    ops = creation_matrices(sw.block_choi(), 2, letter_cap=32)
+    ops = creation_matrices(sw.block_choi(), 2)
     for k in range(2):
         for a in range(4):
             prod = ops.op(a, k).conj().T @ ops.op(a, k)
@@ -143,7 +143,7 @@ def test_cor6_stretched():
     assert rep.residual < 1e-9
 
     sw = sampled_choi(bank, grid_size=8)
-    ops = creation_matrices(sw.block_choi(), 2, letter_cap=64)
+    ops = creation_matrices(sw.block_choi(), 2)
     eye = np.eye(8)
     for i in range(4):
         prim = ops.op(i, 0).conj().T @ ops.op(i, 0)
