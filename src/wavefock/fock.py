@@ -160,7 +160,7 @@ def _commutator_norm(blocks: np.ndarray) -> float:
 
 
 def _layers(P: ChoiMatrix, report: ChoiReport, commuting: bool):
-    """(W, layers, eigenvalues, eigenvectors), layers[s]_ij = (W* p_ij W)_ss.
+    """(W, eigenvalues, eigenvectors) of the layers P_s, (P_s)_ij = (W* p_ij W)_ss.
 
     Commuting blocks are normal (p_ji = p_ij*), so one unitary W makes them
     all diagonal: the identity for diagonal blocks, else the eigenbasis of a
@@ -171,7 +171,7 @@ def _layers(P: ChoiMatrix, report: ChoiReport, commuting: bool):
     """
     N, d = P.N, P.d
     if d == 1 or not commuting:
-        return np.ones((1, 1)), P.matrix[None], report.eigenvalues[None], report.eigenvectors[None]
+        return np.ones((1, 1)), report.eigenvalues[None], report.eigenvectors[None]
     rotated, W = P.blocks(), np.eye(d)
     if _off_diagonal(rotated).any():
         weights = np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) * np.arange(1, N * N + 1))
@@ -183,7 +183,7 @@ def _layers(P: ChoiMatrix, report: ChoiReport, commuting: bool):
             raise NotPsdError(f"commuting blocks keep off-diagonal mass {off:.3e} in one eigenbasis")
     layers = np.diagonal(rotated, axis1=2, axis2=3).transpose(2, 0, 1)
     layers = (layers + layers.conj().transpose(0, 2, 1)) / 2
-    return (W, layers, *np.linalg.eigh(layers))
+    return (W, *np.linalg.eigh(layers))
 
 
 @dataclass
@@ -298,11 +298,11 @@ def truncated_fock(
     _level_size(P, 0, size_cap)
     eye = np.eye(P.d, dtype=complex)
     fock.levels.append(FockLevel(0, np.ones(P.d), eye, eye, 0.0))
-    W, layers, mu, U = _layers(P, report, fock.commuting)
+    W, mu, U = _layers(P, report, fock.commuting)
     keep1 = _kept(mu)
     s1, a1 = np.nonzero(keep1)
     A1 = np.sqrt(mu[s1, a1])[:, None] * U[s1, :, a1].conj()  # kept sqrt(mu) u*
-    diag = np.diagonal(layers, axis1=1, axis2=2).real.max(axis=1)
+    diag = np.einsum("sia,sa->si", np.abs(U) ** 2, mu).max(axis=1)  # max_i (P_s)_ii
     # per layer: every level-k eigenvalue and its keep flag; F holds the kept
     # rows of the layers' factor powers, and `layer` the layer of each row
     eig, keep = np.ones((len(mu), 1)), np.ones((len(mu), 1), dtype=bool)
@@ -352,27 +352,25 @@ def level_kernel(
     For d = 1 the Gram is an exact Kronecker power, so the kernel dimension
     is N^k - r^k and is spanned by word tensors with one factor in ker P;
     both facts are verified, the second by the quotient norm ||F_k t|| / ||t||
-    of such tensors t.  No closed form is attempted for d > 1.
+    of such tensors t, with F_k = V_k* G_k the level factor.  No closed form
+    is attempted for d > 1.
     """
     fock = truncated_fock(P, k, size_cap)
     top = fock.level(k)
     predicted = spanning = None
     if P.d == 1:
-        rank = fock.choi_report.rank
-        predicted = P.N**k - rank**k
-        spanning = 0.0 if predicted == 0 else None
-        if k >= 1 and predicted > 0:
-            rng = rng or np.random.default_rng(0)
-            spanning = 0.0
-            for pos in range(k):
-                for col in fock.choi_report.kernel.T:
-                    factors = [
-                        rng.standard_normal(P.N) + 1j * rng.standard_normal(P.N)
-                        for _ in range(k)
-                    ]
-                    factors[pos] = col
-                    t = functools.reduce(np.kron, factors)
-                    spanning = max(spanning, float(np.linalg.norm(top.factor @ t) / np.linalg.norm(t)))
+        predicted = P.N**k - fock.choi_report.rank**k
+        spanning = 0.0
+        rng = rng or np.random.default_rng(0)
+        for pos in range(k):
+            for col in fock.choi_report.kernel.T:
+                factors = [
+                    rng.standard_normal(P.N) + 1j * rng.standard_normal(P.N)
+                    for _ in range(k)
+                ]
+                factors[pos] = col
+                t = functools.reduce(np.kron, factors)
+                spanning = max(spanning, float(np.linalg.norm(top.factor @ t) / np.linalg.norm(t)))
     return KernelReport(k=k, dim=top.kernel_dim, predicted_dim=predicted, spanning_residual=spanning)
 
 
