@@ -549,14 +549,13 @@ def _benchmark_inputs():
     ]:
         matrix, _ = gen.scalar_choi(kind, N, rank, rng)
         cases.append((f"{kind}-{N}", ChoiMatrix.from_matrix(matrix), 3))
-    for N, d, ranks in [(2, 2, [1, 2]), (3, 3, [3, 1, 2]), (4, 2, [2, 4])]:
+    for N, d, ranks in [(2, 2, [1, 2]), (3, 3, [3, 1, 2]), (3, 4, [1, 3, 2, 1]), (4, 2, [2, 4])]:
         matrix = gen.commuting_choi(N, d, ranks, rng)
         cases.append((f"commuting-{N}x{d}", ChoiMatrix.from_matrix(matrix, d=d), 3))
     for family, grid in [("orthogonal", 8), ("biorthogonal", 8), ("biorthogonal", 12)]:
         bank = FilterBank.from_json(gen.Bank.random(family, 2, rng).json())
         cases.append((f"{family}-grid{grid}", sampled_choi(bank, grid).block_choi(), 2))
-    bank = FilterBank.from_json(gen.Bank.stretched_haar_dual().json())
-    cases.append(("stretched-haar-dual", sampled_choi(bank, 8).block_choi(), 2))
+    # stretched-haar-dual at grid 8 runs through test_cor6_matches_dense_oracle
     return cases
 
 
@@ -607,13 +606,18 @@ def test_noncommuting_level_one_matches_dense_oracle():
 )
 def test_cor6_matches_dense_oracle(name, params, monkeypatch):
     bank = builtin_bank(name, params)
-    got = cor6_check(bank, grid_size=8, K=2).to_json()
+    got = cor6_check(bank, grid_size=8, K=2)
     monkeypatch.setattr(wavelet_fock, "creation_matrices", dense_creation)
-    want = cor6_check(bank, grid_size=8, K=2).to_json()
-    assert got["quotient_dims"] == want["quotient_dims"]
-    for key, value in want.items():
-        if isinstance(value, float):
-            assert abs(got[key] - value) <= 1e-12, key
+    want = cor6_check(bank, grid_size=8, K=2)
+    assert got.ops.fock.to_json()["quotient_dims"] == want.ops.fock.to_json()["quotient_dims"]
+    assert got.ops.fock.to_json()["kernel_dims"] == want.ops.fock.to_json()["kernel_dims"]
+    for norm, ref in zip(got.ops.fock.to_json()["gram_norms"], want.ops.fock.to_json()["gram_norms"]):
+        assert abs(norm - ref) <= 1e-12 * max(1.0, ref)
+    assert got.tstar.commuting is want.tstar.commuting is True
+    for doc, ref in ((got.to_json(), want.to_json()), (got.tstar.to_json(), want.tstar.to_json())):
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert abs(doc[key] - value) <= 1e-12, key
 
 
 # ----------------------------------------------------------------------
@@ -660,9 +664,11 @@ def _scale_cases():
 
 
 SCALE_CASES = _scale_cases()
+UNIT_SUMMARIES = {}
 
 
 def _fock_summary(path, P):
+    """(exit code, quotient dims, kernel dims, commuting) of a `fock` run."""
     path.write_text(json.dumps(P.to_json()))
     out = path.with_suffix(".out")
     code = cli.main(["fock", "--input", str(path), "--levels", "2", "--output", str(out)])
@@ -680,7 +686,7 @@ def _fock_summary(path, P):
 @given(exponent=st.floats(min_value=-6.0, max_value=6.0))
 def test_fock_report_scale_invariant(case, exponent, tmp_path):
     P = SCALE_CASES[case]
+    if case not in UNIT_SUMMARIES:
+        UNIT_SUMMARIES[case] = _fock_summary(tmp_path / "unit.json", P)
     scaled = ChoiMatrix(P.N, P.d, 10.0**exponent * P.matrix)
-    assert _fock_summary(tmp_path / "scaled.json", scaled) == _fock_summary(
-        tmp_path / "unit.json", P
-    )
+    assert _fock_summary(tmp_path / "scaled.json", scaled) == UNIT_SUMMARIES[case]
