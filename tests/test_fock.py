@@ -602,6 +602,8 @@ def test_noncommuting_level_one_matches_dense_oracle():
         ("stretched-haar-dual", {}),
         ("random-orthogonal", {"N": 2, "seed": 1}),
         ("random-biorthogonal", {"N": 2, "seed": 2}),
+        ("identity-loop", {}),
+        ("random-causal-pair", {"N": 2, "seed": 3}),
     ],
 )
 def test_cor6_matches_dense_oracle(name, params, monkeypatch):
