@@ -256,11 +256,12 @@ def cmd_fock(args, config: RunConfig) -> int:
         doc["cor6"] = cor6.to_json()
     _emit(doc, config)
 
-    # T_i* T_j scales with P, so its residuals are judged relative to ||P||
+    # T_i* T_j and the cor6 compressions scale with P, so their residuals are
+    # judged relative to ||P||
     scale = max(1.0, choi_rep.norm)
     failed = max(tstar.vacuum_residual, tstar.general_residual) > config.tolerance * scale
     if cor6 is not None:
-        failed = failed or cor6.residual > config.tolerance
+        failed = failed or cor6.residual > config.tolerance * scale
     return VERDICT_FAILED if failed else 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPsdError, NotUnitaryError, SizeCapError
+from .errors import NotPsdError, SizeCapError
 
 PSD_HARD = 1e-8
 PSD_WARN = 1e-10
@@ -120,20 +120,23 @@ def _kept(eigvals: np.ndarray) -> np.ndarray:
 
 
 def validate_choi(P: ChoiMatrix, hard: float = PSD_HARD, warn: float = PSD_WARN) -> ChoiReport:
-    """Hermiticity and spectrum report; hard failure below -`hard`."""
+    """Hermiticity and spectrum report; hard failure below -`hard` times
+    max(1, ||P||), since eigh roundoff grows with the norm."""
     m = P.matrix
     herm = float(np.linalg.norm(m - m.conj().T, 2))
     eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2)
     lo = float(eigvals[0])
-    if lo < -hard:
-        raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{hard:.0e}")
+    norm = float(max(eigvals[-1], 0.0))
+    scale = max(1.0, norm)
+    if lo < -hard * scale:
+        raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{hard * scale:.3g}")
     return ChoiReport(
         hermiticity_residual=herm,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
         rank=int(np.sum(_kept(eigvals))),
-        norm=float(max(eigvals[-1], 0.0)),
-        warning=lo < -warn or herm > warn,
+        norm=norm,
+        warning=lo < -warn * scale or herm > warn * scale,
     )
 
 
@@ -513,40 +516,3 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
         gram_norm_gap=gap,
         attainment_gap=attain,
     )
-
-
-def basis_change_equivalence(
-    P: ChoiMatrix, U: np.ndarray, K: int = 2, **caps
-) -> float:
-    """Residual of the unitary equivalence under a letter basis change.
-
-    P' = (U (x) I_d) P (U* (x) I_d); level-wise U^{(x)k} (x) I_d compresses
-    to a quotient unitary Q_k = V'_k* G'_k (U^{(x)k} (x) I_d) V_k, and
-    Q_{k+1} T_i = sum_a U_{ai} T'_a Q_k.
-    """
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (P.N, P.N):
-        raise ValueError("U must act on the letter index")
-    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(P.N), 2))
-    if defect > 1e-10:
-        raise NotUnitaryError(f"U*U differs from I by {defect:.3e}")
-    Pp = ChoiMatrix(
-        P.N,
-        P.d,
-        np.kron(U, np.eye(P.d)) @ P.matrix @ np.kron(U.conj().T, np.eye(P.d)),
-    )
-    ops = creation_matrices(P, K, **caps)
-    ops_p = creation_matrices(Pp, K, **caps)
-    residual = 0.0
-    Q, W = [], np.eye(1, dtype=complex)
-    for k in range(K + 1):
-        omega = np.kron(W, np.eye(P.d))
-        Q.append(ops_p.fock.level(k).factor @ omega @ ops.fock.level(k).quotient)
-        eye_defect = np.linalg.norm(Q[k].conj().T @ Q[k] - np.eye(Q[k].shape[1]), 2)
-        residual = max(residual, float(eye_defect))
-        W = np.kron(W, U)
-    for k in range(K):
-        rhs = np.einsum("ai,axy->ixy", U, ops_p.ops[k]) @ Q[k]
-        err = np.linalg.norm(Q[k + 1] @ ops.ops[k] - rhs, 2, axis=(-2, -1))
-        residual = max(residual, float(err.max()))
-    return residual

@@ -154,22 +154,23 @@ class SampledLoop:
 # filters <-> loop
 
 
-def _split(N: int, polys) -> LoopMatrix:
-    """Loop whose row k holds the N phases of polys[k]: the coefficient of
-    z^(N m + l) in polys[k] becomes that of z^m in entry (k, l)."""
+def phase_split(N: int, polys) -> tuple:
+    """(lo, taps) with taps[t, k, l] the coefficient of z^(N (lo + t) + l) in
+    polys[k]: row k of the loop holds the N phases of polys[k]."""
     lo, C = stack_polys(polys)
     start = lo - lo % N
     T = -(-(lo + C.shape[1] - start) // N)
-    phased = np.zeros((N, T * N), dtype=complex)
+    phased = np.zeros((len(C), T * N), dtype=complex)
     phased[:, lo - start : lo - start + C.shape[1]] = C
-    return LoopMatrix.from_array(start // N, phased.reshape(N, T, N).transpose(1, 0, 2))
+    return start // N, phased.reshape(len(C), T, N).transpose(1, 0, 2)
 
 
 def loop_from_filters(bank: FilterBank):
     """Loop matrices (A, Atilde or None) of a bank, by coefficient splitting."""
-    A = _split(bank.N, bank.filters)
-    At = None if bank.dual_filters is None else _split(bank.N, bank.dual_filters)
-    return A, At
+    A = LoopMatrix.from_array(*phase_split(bank.N, bank.filters))
+    if bank.dual_filters is None:
+        return A, None
+    return A, LoopMatrix.from_array(*phase_split(bank.N, bank.dual_filters))
 
 
 def filters_from_loop(A: LoopMatrix) -> FilterBank:

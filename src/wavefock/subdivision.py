@@ -1,10 +1,17 @@
 """Sequence-space picture: slanted Toeplitz subdivision and pyramids.
 
 Signals are finite windows of an l2(Z) sequence.  Subdivision by a filter c
-at scale N is (Sx)_i = sum_j c_{i-Nj} x_j, the down-slanted Toeplitz action:
-upsample by N, then convolve with c's taps; its adjoint correlates and keeps
-every N-th lag.  Both are numpy convolutions on raw samples, never LaurentPoly
-arithmetic, so agreement with the polynomial side is a genuine cross-check.
+at scale N is (Sx)_i = sum_j c_{i-Nj} x_j, the down-slanted Toeplitz action,
+and its adjoint is (S*x)_j = sum_k conj(c_k) x_{k+Nj}.  Both run in polyphase
+form: with the signal cut into blocks X[b] = x[Nb : Nb+N] and a family of
+filters split into its loop taps A_m (row k holds the N phases of filter k),
+one analysis level is D[j] = sum_m X[j+m] A_m^* for every filter at once and
+one synthesis level is Y[b] = sum_m D[b-m] A_m.  Each is one matrix product:
+the taps stack into a (T N) x N matrix and multiply a strided view whose row
+b holds T consecutive blocks.  A single filter is the one-row loop, so
+`subdivide`, `decimate_adjoint` and the pyramid share these two kernels.  They act on raw samples, never on
+LaurentPoly arithmetic, so agreement with the polynomial side is a genuine
+cross-check.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from .filterbank import FilterBank, relation_report
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _trimmed
+from .polyphase import phase_split
 
 FOURIER_DEPTH_CAP = 4000
 
@@ -37,13 +46,7 @@ class SignalWindow:
         self._trim()
 
     def _trim(self):
-        nz = np.flatnonzero(self.samples)
-        if len(nz) == 0:
-            self.offset = 0
-            self.samples = np.zeros(0, dtype=complex)
-        else:
-            self.offset += int(nz[0])
-            self.samples = self.samples[nz[0] : nz[-1] + 1]
+        self.offset, self.samples = _trimmed(self.offset, self.samples)
 
     @classmethod
     def zero(cls) -> "SignalWindow":
@@ -144,27 +147,57 @@ class SignalWindow:
 # subdivision operator and its adjoint
 
 
+def _loop_product(blocks: np.ndarray, K: np.ndarray, T: int) -> np.ndarray:
+    """Row r is blocks[r : r + T] read as one row, times K: every tap of a
+    loop in one matrix product over a strided view, with no copy."""
+    rows, width = blocks.shape
+    windows = as_strided(
+        blocks, (rows - T + 1, T * width), blocks.strides, writeable=False
+    )
+    return windows @ K
+
+
+def _analysis(lo: int, taps: np.ndarray, offset: int, samples: np.ndarray, N: int):
+    """(j0, D) with D[j - j0] = sum_m X[j+m] A_m^*, where X[b] = x[Nb : Nb+N]
+    blocks the window (offset, samples) and taps[t] = A_{lo+t}; column k of
+    D is the adjoint of the subdivision by row k of the loop."""
+    T = len(taps)
+    b0 = offset // N
+    X = np.zeros((-(-(offset + len(samples)) // N) - b0 + 2 * (T - 1), N), dtype=complex)
+    start = N * (T - 1) + offset - N * b0
+    X.reshape(-1)[start : start + len(samples)] = samples
+    K = taps.conj().transpose(0, 2, 1).reshape(T * N, -1)
+    return b0 - lo - T + 1, _loop_product(X, K, T)
+
+
+def _synthesis(lo: int, taps: np.ndarray, bands, N: int):
+    """(i0, y) = sum_k S_k bands[k], with S_k the subdivision by the filter
+    in loop row k and bands[k] an (offset, samples) window: the blocks
+    Y[b] = sum_m D[b-m] A_m, where column k of D holds bands[k]."""
+    T = len(taps)
+    live = [(o, len(s)) for o, s in bands if len(s)] or [(0, 0)]
+    j0 = min(o for o, _ in live)
+    D = np.zeros((max(o + n for o, n in live) - j0 + 2 * (T - 1), len(bands)), dtype=complex)
+    for k, (o, s) in enumerate(bands):
+        D[T - 1 + o - j0 : T - 1 + o - j0 + len(s), k] = s
+    Y = _loop_product(D, taps[::-1].reshape(T * len(bands), N), T)
+    return N * (j0 + lo), Y.reshape(-1)
+
+
 def subdivide(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
-    """(Sx)_i = sum_j c_{i-Nj} x_j on [N lo + min_exp, N hi + max_exp].  Phase r
-    of that window (every N-th sample from sample r) is x convolved with the
-    taps c_{min_exp+r}, c_{min_exp+r+N}, ...; no zero-stuffed sample is formed."""
+    """(Sx)_i = sum_j c_{i-Nj} x_j: the synthesis kernel on one band."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    out = np.zeros(N * (len(x.samples) - 1) + len(c.taps), dtype=complex)
-    for r in range(min(N, len(c.taps))):
-        out[r::N] = np.convolve(x.samples, c.taps[r::N])
-    return SignalWindow(N * x.offset + c.lo, out)
+    lo, taps = phase_split(N, [c])
+    return SignalWindow(*_synthesis(lo, taps, [(x.offset, x.samples)], N))
 
 
 def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
-    """(S*x)_j = sum_k conj(c_k) x_{k+Nj}: lag N j + max_exp - lo of the full
-    correlation of x (window start lo) with c's taps, every N-th lag from
-    j = ceil((lo - max_exp) / N); when no such lag is left the result is zero."""
+    """(S*x)_j = sum_k conj(c_k) x_{k+Nj}: the analysis kernel on one band."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    corr = np.convolve(x.samples, c.taps[::-1].conj())
-    j_lo = -((c.max_exp - x.offset) // N)
-    return SignalWindow(j_lo, corr[N * j_lo + c.max_exp - x.offset :: N])
+    j0, D = _analysis(*phase_split(N, [c]), x.offset, x.samples, N)
+    return SignalWindow(j0, D[:, 0])
 
 
 def dense_slanted_matrix(c: LaurentPoly, N: int, window, col_window=None) -> np.ndarray:
@@ -200,32 +233,37 @@ class PyramidDecomposition:
 def pyramid(
     bank: FilterBank, x: SignalWindow, depth: int, check: bool = True, tol: float = 1e-9
 ) -> PyramidDecomposition:
-    """Analysis tree: split with the dual adjoints, keep band-0 for recursion."""
+    """Analysis tree: split with the dual adjoints, keep band-0 for recursion.
+    Each level is one analysis product with the dual loop (A for a self-dual
+    bank)."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if check:
         rep = relation_report(bank, tol=tol)
         if not (rep.biorthogonal or rep.cuntz):
             raise NotReconstructiveError("bank fails the pairing verdict")
-    duals = bank.duals_or_primaries
+    lo, taps = phase_split(bank.N, bank.duals_or_primaries)
     details = []
-    current = x
+    offset, samples = x.offset, x.samples
     for _ in range(depth):
-        details.append(
-            [decimate_adjoint(duals[i], current, bank.N) for i in range(1, bank.N)]
-        )
-        current = decimate_adjoint(duals[0], current, bank.N)
-    return PyramidDecomposition(N=bank.N, depth=depth, details=details, approx=current)
+        offset, D = _analysis(lo, taps, offset, samples, bank.N)
+        details.append([SignalWindow(offset, D[:, k]) for k in range(1, bank.N)])
+        samples = D[:, 0]
+    return PyramidDecomposition(
+        N=bank.N, depth=depth, details=details, approx=SignalWindow(offset, samples)
+    )
 
 
 def pyramid_reconstruct(bank: FilterBank, pyr: PyramidDecomposition) -> SignalWindow:
-    """Synthesis with the primary filters, inverse of `pyramid`."""
-    y = pyr.approx
+    """Synthesis with the primary filters, inverse of `pyramid`: each level
+    is one synthesis product with the loop A on the approximation and the
+    details together."""
+    lo, taps = phase_split(bank.N, bank.filters)
+    offset, y = pyr.approx.offset, pyr.approx.samples
     for level in reversed(pyr.details):
-        y = subdivide(bank.filters[0], y, bank.N)
-        for i, d in enumerate(level, start=1):
-            y = y + subdivide(bank.filters[i], d, bank.N)
-    return y
+        bands = [(offset, y)] + [(d.offset, d.samples) for d in level]
+        offset, y = _synthesis(lo, taps, bands, bank.N)
+    return SignalWindow(offset, y)
 
 
 # ----------------------------------------------------------------------

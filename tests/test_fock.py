@@ -22,7 +22,6 @@ from wavefock.corpus import (
 from wavefock.errors import NotPsdError, NotUnitaryError, SizeCapError
 from wavefock.fock import (
     ChoiMatrix,
-    basis_change_equivalence,
     creation_matrices,
     level_gram,
     level_kernel,
@@ -473,6 +472,43 @@ def test_tstar_t_report_json():
 # basis change
 
 
+def basis_change_equivalence(
+    P: ChoiMatrix, U: np.ndarray, K: int = 2, **caps
+) -> float:
+    """Residual of the unitary equivalence under a letter basis change.
+
+    P' = (U (x) I_d) P (U* (x) I_d); level-wise U^{(x)k} (x) I_d compresses
+    to a quotient unitary Q_k = V'_k* G'_k (U^{(x)k} (x) I_d) V_k, and
+    Q_{k+1} T_i = sum_a U_{ai} T'_a Q_k.
+    """
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (P.N, P.N):
+        raise ValueError("U must act on the letter index")
+    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(P.N), 2))
+    if defect > 1e-10:
+        raise NotUnitaryError(f"U*U differs from I by {defect:.3e}")
+    Pp = ChoiMatrix(
+        P.N,
+        P.d,
+        np.kron(U, np.eye(P.d)) @ P.matrix @ np.kron(U.conj().T, np.eye(P.d)),
+    )
+    ops = creation_matrices(P, K, **caps)
+    ops_p = creation_matrices(Pp, K, **caps)
+    residual = 0.0
+    Q, W = [], np.eye(1, dtype=complex)
+    for k in range(K + 1):
+        omega = np.kron(W, np.eye(P.d))
+        Q.append(ops_p.fock.level(k).factor @ omega @ ops.fock.level(k).quotient)
+        eye_defect = np.linalg.norm(Q[k].conj().T @ Q[k] - np.eye(Q[k].shape[1]), 2)
+        residual = max(residual, float(eye_defect))
+        W = np.kron(W, U)
+    for k in range(K):
+        rhs = np.einsum("ai,axy->ixy", U, ops_p.ops[k]) @ Q[k]
+        err = np.linalg.norm(Q[k + 1] @ ops.ops[k] - rhs, 2, axis=(-2, -1))
+        residual = max(residual, float(err.max()))
+    return residual
+
+
 def test_basis_change_identity_exact():
     P = scalar_choi(choi_identity(2))
     assert basis_change_equivalence(P, np.eye(2)) < 1e-12
@@ -692,3 +728,31 @@ def test_fock_report_scale_invariant(case, exponent, tmp_path):
         UNIT_SUMMARIES[case] = _fock_summary(tmp_path / "unit.json", P)
     scaled = ChoiMatrix(P.N, P.d, 10.0**exponent * P.matrix)
     assert _fock_summary(tmp_path / "scaled.json", scaled) == UNIT_SUMMARIES[case]
+
+
+def _reweighted_bank(c: float) -> FilterBank:
+    # the same frame pair with primaries times c and duals over c: the
+    # doubled Gram's norm grows like c**2, its eigh roundoff with it
+    bank = builtin_bank("random-biorthogonal", {"N": "2", "seed": "2"})
+    return FilterBank(2, [f * c for f in bank.filters], [f * (1 / c) for f in bank.dual_filters])
+
+
+@pytest.mark.parametrize("c", [1e3, 1e4])
+def test_fock_verdict_on_reweighted_bank(c, tmp_path):
+    # at 1e4 an absolute PSD floor rejected the doubled Gram (eigenvalue
+    # -5.8e-8 against -1e-8); at 1e3 the cor6 residual 2.8e-9 failed an
+    # absolute 1e-9 tolerance
+    cor6 = cor6_check(_reweighted_bank(c))
+    norm = cor6.ops.fock.choi_report.norm
+    assert norm > 1e6
+    assert cor6.residual <= 1e-9 * norm
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(_reweighted_bank(c).to_json()))
+    assert cli.main(["fock", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+
+
+def test_psd_floor_is_relative_to_the_norm():
+    P = np.diag([1e8, -5e-8])
+    assert validate_choi(scalar_choi(P)).min_eigenvalue == pytest.approx(-5e-8)
+    with pytest.raises(NotPsdError):
+        validate_choi(scalar_choi(np.diag([1e8, -2.0])))

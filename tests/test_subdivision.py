@@ -7,6 +7,7 @@ import pytest
 from wavefock.corpus import (
     haar_bank,
     random_biorthogonal_bank,
+    random_causal_pair,
     random_orthogonal_bank,
     stretched_haar_bank,
 )
@@ -91,6 +92,46 @@ def decimate_adjoint_oracle(c, x, N):
             acc += ck.conjugate() * x.value(k + N * j)
         out[j - j_lo] = acc
     return SignalWindow(j_lo, out)
+
+
+def convolve_subdivide(c, x, N):
+    # the per-phase convolution subdivide: phase r of the output is x
+    # convolved with every N-th tap of c from tap r
+    if c.is_zero or x.is_zero:
+        return SignalWindow.zero()
+    out = np.zeros(N * (len(x.samples) - 1) + len(c.taps), dtype=complex)
+    for r in range(min(N, len(c.taps))):
+        out[r::N] = np.convolve(x.samples, c.taps[r::N])
+    return SignalWindow(N * x.offset + c.lo, out)
+
+
+def convolve_decimate_adjoint(c, x, N):
+    # the full correlation of x with c, every N-th lag kept
+    if c.is_zero or x.is_zero:
+        return SignalWindow.zero()
+    corr = np.convolve(x.samples, c.taps[::-1].conj())
+    j_lo = -((c.max_exp - x.offset) // N)
+    return SignalWindow(j_lo, corr[N * j_lo + c.max_exp - x.offset :: N])
+
+
+def convolution_pyramid(bank, x, depth):
+    """(details, approx) of the per-band convolution pyramid: one
+    decimation per band and level, each a window of its own."""
+    duals, N = bank.duals_or_primaries, bank.N
+    details = []
+    for _ in range(depth):
+        details.append([convolve_decimate_adjoint(duals[i], x, N) for i in range(1, N)])
+        x = convolve_decimate_adjoint(duals[0], x, N)
+    return details, x
+
+
+def convolution_reconstruct(bank, details, approx):
+    y = approx
+    for level in reversed(details):
+        y = convolve_subdivide(bank.filters[0], y, bank.N)
+        for i, d in enumerate(level, start=1):
+            y = y + convolve_subdivide(bank.filters[i], d, bank.N)
+    return y
 
 
 def oracle_cases(rng, N, count=60):
@@ -319,6 +360,51 @@ class TestPyramid:
         assert all(len(level) == 3 for level in pyr.details)
         y = pyramid_reconstruct(stretched_dual, pyr)
         assert y.isclose(x, 1e-11)
+
+
+PYRAMID_FAMILIES = {
+    "orthogonal": random_orthogonal_bank,
+    "biorthogonal": random_biorthogonal_bank,
+    "causal-pair": random_causal_pair,
+}
+
+
+def pyramid_signals(rng, count=12):
+    """Lengths 1..300 (the first few shorter than any filter), offsets of
+    both signs, and runs of zeros inside the window."""
+    for t in range(count):
+        length = t + 1 if t < 4 else int(rng.integers(5, 301))
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        if length > 8:
+            start = int(rng.integers(1, length - 6))
+            x[start : start + int(rng.integers(1, 6))] = 0
+        yield SignalWindow(int(rng.integers(-400, 400)), x), int(rng.integers(1, 5))
+
+
+def assert_relatively_close(got, want, rel=1e-12):
+    assert np.abs((got - want).samples).max(initial=0.0) <= rel * max(
+        1.0, np.abs(want.samples).max(initial=0.0)
+    )
+
+
+class TestPyramidOracle:
+    @pytest.mark.parametrize("family", sorted(PYRAMID_FAMILIES))
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_matches_convolution_pyramid(self, rng, family, N):
+        bank = PYRAMID_FAMILIES[family](N, rng)
+        for x, depth in pyramid_signals(rng):
+            pyr = pyramid(bank, x, depth, check=False)
+            details, approx = convolution_pyramid(bank, x, depth)
+            for got, want in zip(
+                [pyr.approx] + sum(pyr.details, []), [approx] + sum(details, [])
+            ):
+                assert (got.offset, len(got.samples)) == (want.offset, len(want.samples))
+                assert_relatively_close(got, want)
+            # the reconstructions sum in another order, so their roundoff
+            # tails may end at other indices
+            y = pyramid_reconstruct(bank, pyr)
+            assert_relatively_close(y, convolution_reconstruct(bank, details, approx))
+            assert_relatively_close(y, x, 1e-9)
 
 
 class TestFourierProduct:
