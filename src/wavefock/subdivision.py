@@ -31,6 +31,7 @@ from .laurent import LaurentPoly, _trimmed
 from .polyphase import phase_split
 
 FOURIER_DEPTH_CAP = 4000
+PRODUCT_ROWS = 4096
 
 
 @dataclass
@@ -149,12 +150,18 @@ class SignalWindow:
 
 def _loop_product(blocks: np.ndarray, K: np.ndarray, T: int) -> np.ndarray:
     """Row r is blocks[r : r + T] read as one row, times K: every tap of a
-    loop in one matrix product over a strided view, with no copy."""
+    loop in one matrix product over a strided view.  numpy copies a strided
+    operand before its BLAS call, so the rows go through in chunks of
+    PRODUCT_ROWS, which bounds that copy instead of making it T times the
+    signal."""
     rows, width = blocks.shape
     windows = as_strided(
         blocks, (rows - T + 1, T * width), blocks.strides, writeable=False
     )
-    return windows @ K
+    out = np.empty((len(windows), K.shape[1]), dtype=complex)
+    for r in range(0, len(windows), PRODUCT_ROWS):
+        np.matmul(windows[r : r + PRODUCT_ROWS], K, out=out[r : r + PRODUCT_ROWS])
+    return out
 
 
 def _analysis(lo: int, taps: np.ndarray, offset: int, samples: np.ndarray, N: int):
@@ -188,8 +195,7 @@ def subdivide(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
     """(Sx)_i = sum_j c_{i-Nj} x_j: the synthesis kernel on one band."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    lo, taps = phase_split(N, [c])
-    return SignalWindow(*_synthesis(lo, taps, [(x.offset, x.samples)], N))
+    return SignalWindow(*_synthesis(*phase_split(N, [c]), [(x.offset, x.samples)], N))
 
 
 def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:

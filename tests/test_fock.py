@@ -739,9 +739,9 @@ def _reweighted_bank(c: float) -> FilterBank:
 
 @pytest.mark.parametrize("c", [1e3, 1e4])
 def test_fock_verdict_on_reweighted_bank(c, tmp_path):
-    # at 1e4 an absolute PSD floor rejected the doubled Gram (eigenvalue
-    # -5.8e-8 against -1e-8); at 1e3 the cor6 residual 2.8e-9 failed an
-    # absolute 1e-9 tolerance
+    # eigh roundoff grows with the norm (3.7e6 at 1e3, 3.7e8 at 1e4): the
+    # doubled Gram's smallest eigenvalue reaches -5.8e-8 at 1e4 and the
+    # cor6 residual 2.8e-9 at 1e3, both roundoff against that norm
     cor6 = cor6_check(_reweighted_bank(c))
     norm = cor6.ops.fock.choi_report.norm
     assert norm > 1e6

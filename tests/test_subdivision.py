@@ -15,6 +15,7 @@ from wavefock.errors import BadNormalizationError, DepthExceededError, NotRecons
 from wavefock.filterbank import apply_S
 from wavefock.laurent import LaurentPoly
 from wavefock.subdivision import (
+    PRODUCT_ROWS,
     SignalWindow,
     decimate_adjoint,
     dense_slanted_matrix,
@@ -369,11 +370,14 @@ PYRAMID_FAMILIES = {
 }
 
 
-def pyramid_signals(rng, count=12):
-    """Lengths 1..300 (the first few shorter than any filter), offsets of
+def pyramid_signals(rng, N, count=12):
+    """Lengths 1..300 (the first few shorter than any filter) and one whose
+    first level spans more than one chunk of the loop product, offsets of
     both signs, and runs of zeros inside the window."""
     for t in range(count):
         length = t + 1 if t < 4 else int(rng.integers(5, 301))
+        if t == count - 1:
+            length = N * PRODUCT_ROWS + int(rng.integers(1, 2 * N))
         x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         if length > 8:
             start = int(rng.integers(1, length - 6))
@@ -392,7 +396,7 @@ class TestPyramidOracle:
     @pytest.mark.parametrize("N", range(2, 8))
     def test_matches_convolution_pyramid(self, rng, family, N):
         bank = PYRAMID_FAMILIES[family](N, rng)
-        for x, depth in pyramid_signals(rng):
+        for x, depth in pyramid_signals(rng, N):
             pyr = pyramid(bank, x, depth, check=False)
             details, approx = convolution_pyramid(bank, x, depth)
             for got, want in zip(
