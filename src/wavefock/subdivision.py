@@ -31,7 +31,7 @@ from .laurent import LaurentPoly, _trimmed
 from .polyphase import phase_split
 
 FOURIER_DEPTH_CAP = 4000
-PRODUCT_ROWS = 4096
+PRODUCT_ROWS = 1024
 
 
 @dataclass
