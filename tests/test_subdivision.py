@@ -371,9 +371,9 @@ PYRAMID_FAMILIES = {
 
 
 def pyramid_signals(rng, N, count=12):
-    """Lengths 1..300 (the first few shorter than any filter) and one whose
-    first level spans more than one chunk of the loop product, offsets of
-    both signs, and runs of zeros inside the window."""
+    """Lengths 1..4 (shorter than most filters), then 5..300, and last one
+    whose first level spans more than one chunk of the loop product;
+    offsets of both signs and a run of zeros inside the window."""
     for t in range(count):
         length = t + 1 if t < 4 else int(rng.integers(5, 301))
         if t == count - 1:
