@@ -3,6 +3,8 @@
 For each instance the subband-operator verdict, the modulation-matrix residual
 and the loop-matrix residual are computed independently; the CSV has one row
 per instance so disagreements (there should be none) are easy to locate.
+Each formulation's verdict reads its bound over the whole circle (the
+`*_bound` columns); the sampled sups on the default grid sit beside them.
 
     python3 scripts/equivalence_sweep.py --count 50 --out sweep.csv
 """
@@ -18,8 +20,11 @@ from wavefock.filterbank import FilterBank, relation_report
 from wavefock.polyphase import (
     dual_loop,
     filters_from_loop,
+    loop_pair_bound,
     loop_pair_residual,
+    loop_unitarity_bound,
     loop_unitarity_residual,
+    modulation_bound,
     modulation_matrix_check,
 )
 
@@ -28,35 +33,42 @@ def unitary_row(seed, N, rng, tol):
     A = random_unitary_loop(N, rng)
     bank = filters_from_loop(A)
     rep = relation_report(bank, tol=tol)
-    _, unit = modulation_matrix_check(bank)
-    loop_res = loop_unitarity_residual(A)
+    _, unit = modulation_bound(bank)
+    loop = loop_unitarity_bound(A)
     return {
         "kind": "unitary",
         "seed": seed,
         "N": N,
         "operator_verdict": rep.cuntz,
-        "modulation_residual": unit,
-        "loop_residual": loop_res,
-        "agree": rep.cuntz == (unit < tol) == (loop_res < tol),
+        "operator_residual": max(map(max, rep.self_residuals)),
+        "operator_bound": max(map(max, rep.self_bounds)),
+        "modulation_residual": modulation_matrix_check(bank)[1],
+        "modulation_bound": unit,
+        "loop_residual": loop_unitarity_residual(A),
+        "loop_bound": loop,
+        "agree": rep.cuntz == (unit < tol) == (loop < tol),
     }
 
 
 def invertible_row(seed, N, rng, tol):
     A = random_invertible_loop(N, rng)
-    bank = FilterBank(
-        N, filters_from_loop(A).filters, filters_from_loop(dual_loop(A)).filters
-    )
+    At = dual_loop(A)
+    bank = FilterBank(N, filters_from_loop(A).filters, filters_from_loop(At).filters)
     rep = relation_report(bank, tol=tol)
-    pair, _ = modulation_matrix_check(bank)
-    loop_res = loop_pair_residual(A, dual_loop(A))
+    pair, _ = modulation_bound(bank)
+    loop = loop_pair_bound(A, At)
     return {
         "kind": "invertible",
         "seed": seed,
         "N": N,
         "operator_verdict": rep.biorthogonal,
-        "modulation_residual": pair,
-        "loop_residual": loop_res,
-        "agree": rep.biorthogonal == (pair < tol) == (loop_res < tol),
+        "operator_residual": max(map(max, rep.pair_residuals)),
+        "operator_bound": max(map(max, rep.pair_bounds)),
+        "modulation_residual": modulation_matrix_check(bank)[0],
+        "modulation_bound": pair,
+        "loop_residual": loop_pair_residual(A, At),
+        "loop_bound": loop,
+        "agree": rep.biorthogonal == (pair < tol) == (loop < tol),
     }
 
 

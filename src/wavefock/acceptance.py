@@ -34,12 +34,13 @@ from .filterbank import FilterBank, adjoint_poly, decimate, relation_report
 from .fock import ChoiMatrix, creation_matrices, level_kernel, tstar_t_check
 from .laurent import LaurentPoly
 from .polyphase import (
+    LoopMatrix,
     dual_loop,
     filters_from_loop,
     loop_from_filters,
-    loop_pair_residual,
-    loop_unitarity_residual,
-    modulation_matrix_check,
+    loop_pair_bound,
+    loop_unitarity_bound,
+    modulation_bound,
 )
 from .subdivision import (
     SignalWindow,
@@ -134,9 +135,8 @@ def check_stretched_haar() -> CriterionResult:
             (A.entries[0][j] - LaurentPoly({0: row[j]})).coeff_norm() for j in range(4)
         )
 
-        vals = A.sample_grid(64)
-        frame = vals @ vals.conj().transpose(0, 2, 1) - 2.0 * np.eye(4)
-        frame_err = float(np.linalg.norm(frame, 2, axis=(-2, -1)).max())
+        # AA* - 2I = 2 (BB* - I) with B = A / sqrt 2
+        frame_err = 2.0 * loop_unitarity_bound(LoopMatrix.from_array(A.lo, A.taps / np.sqrt(2.0)))
 
         At = dual_loop(A)
         dual_err = max(
@@ -161,7 +161,8 @@ def check_stretched_haar() -> CriterionResult:
 
 
 def check_equivalence_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Operator, modulation and loop formulations give one verdict per instance."""
+    """Operator, modulation and loop formulations give one verdict per
+    instance, each judged on its own bound over the whole circle."""
 
     def body():
         rng = np.random.default_rng(seed)
@@ -173,8 +174,8 @@ def check_equivalence_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
             A = random_unitary_loop(N, rng)
             bank = filters_from_loop(A)
             op_ok = relation_report(bank, tol=1e-9).cuntz
-            _, unit = modulation_matrix_check(bank)
-            loop_res = loop_unitarity_residual(A)
+            _, unit = modulation_bound(bank)
+            loop_res = loop_unitarity_bound(A)
             verdicts = (op_ok, unit < 1e-9, loop_res < 1e-9)
             agree += len(set(verdicts)) == 1
             total += 1
@@ -187,8 +188,8 @@ def check_equivalence_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
             dual = filters_from_loop(At)
             bank = FilterBank(N, primary.filters, dual.filters)
             op_ok = relation_report(bank, tol=1e-9).biorthogonal
-            pair, _ = modulation_matrix_check(bank)
-            loop_res = loop_pair_residual(A, At)
+            pair, _ = modulation_bound(bank)
+            loop_res = loop_pair_bound(A, At)
             verdicts = (op_ok, pair < 1e-9, loop_res < 1e-9)
             agree += len(set(verdicts)) == 1
             total += 1

@@ -180,10 +180,8 @@ def compute_anchor(
     Iteratively removes the directions whose images leak outside the current
     candidate; dimensions strictly decrease until the fixed point.
     """
-    if check:
-        rep = relation_report(bank)
-        if not (rep.biorthogonal or rep.cuntz):
-            raise NotReconstructiveError("anchor needs a dual pair or orthogonal bank")
+    if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
+        raise NotReconstructiveError("anchor needs a dual pair or orthogonal bank")
     W = bank.N * bank.genus
     # the B_i of both families on modes -(W-1)..W-1, row W - 1 + n for e_n
     adjs = [dense_slanted_matrix(m, bank.N, (1 - W, W - 1)) for f, _ in _families(bank) for m in f]

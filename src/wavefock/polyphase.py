@@ -12,11 +12,14 @@ operator family is carried by AA*(z) and its pointwise inverse.
 
 A loop is one (taps, N, N) coefficient array: products are tap convolutions
 of matrix products, the adjoint is the reversed conjugate transpose, and the
-values on a grid are one contraction with the grid phases; every sup over
-the grid is one batched norm.  The determinant and the exact dual loop are
-recovered the other way: sample on enough points to cover the known exponent
-window, invert or take determinants pointwise, and read the coefficients back
-with one DFT.
+values on a grid are one contraction with the grid phases.  The determinant
+and the exact dual loop are recovered the other way: sample on enough points
+to cover the known exponent window, invert or take determinants pointwise,
+and read the coefficients back with one DFT.
+
+Verdicts read the `*_bound`s, which hold on the whole circle: from a
+residual's taps, or from a grid sized by its exponent span.  The sampled
+values (`*_residual`, `modulation_matrix_check`) are only reported.
 """
 
 from __future__ import annotations
@@ -246,6 +249,24 @@ def dual_loop(A: LoopMatrix, grid: int = DEFAULT_GRID):
     return SampledLoop(N=A.N, grid=grid, values=np.linalg.inv(vals))
 
 
+def _identity_gap(L: LoopMatrix) -> float:
+    """sum_k ||C_k||_F over the taps C_k of L - I, a bound on sup_z ||L(z) - I||."""
+    norms = np.linalg.norm(L.taps, axis=(1, 2))  # Frobenius
+    if not L.lo <= 0 <= L.hi:  # I sits on a tap of its own
+        return float(norms.sum() + np.sqrt(L.N))
+    return float(norms.sum() - norms[-L.lo] + np.linalg.norm(L.taps[-L.lo] - np.eye(L.N)))
+
+
+def loop_pair_bound(A: LoopMatrix, At: LoopMatrix) -> float:
+    """Bound on sup_z ||A(z)^* Atilde(z) - I|| for an exact dual loop."""
+    return _identity_gap(A.adjoint() @ At)
+
+
+def loop_unitarity_bound(A: LoopMatrix) -> float:
+    """Bound on sup_z ||A(z) A(z)^* - I||."""
+    return _identity_gap(A @ A.adjoint())
+
+
 def _sup_norm(stack: np.ndarray) -> float:
     """Largest spectral norm in a stack of matrices."""
     return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
@@ -299,6 +320,38 @@ def modulation_matrix_check(bank: FilterBank, grid: int = DEFAULT_GRID):
     if bank.is_self_dual:
         return unit, unit
     return _sup_norm(M_star @ modulation_matrix(bank, grid, dual=True) - eye), unit
+
+
+def modulation_bound(bank: FilterBank):
+    """(pair bound, unitarity bound) on the sups over the circle of
+    ||M(z)^* Mtilde(z) - I|| and ||M(z)^* M(z) - I||.
+
+    Write z = e^{iN phi}: the fibre points are w_l = e^{i(phi + 2 pi l/N)},
+    so the fractional frequencies j/N of m(w_l) in the angle of z are the
+    integer exponents j in phi.  An entry of the residual R(phi) is then a
+    trigonometric polynomial in phi, whose exponents j' - j (j of a primary,
+    j' of a dual) and 0 (from I) span s.  Moving phi by 2 pi/N permutes the
+    columns of M, leaving the norms unchanged, so phi runs over [0, 2 pi).
+    For such a q and M > s equispaced samples (Ehlich & Zeller, Math. Z. 86,
+    1964), sup |q| <= max_k |q(2 pi k/M)| / cos(pi s/(2M)); q = tr(X^* R)
+    over all ||X||_F = 1 carries it to sup ||R||_F >= the spectral sup.  M
+    is a multiple of N above 2s: fibre points are samples, one phase matmul.
+    """
+    N, duals = bank.N, bank.dual_filters or []
+    (lo_f, F), (lo_d, D) = stack_polys(bank.filters), stack_polys(duals or bank.filters)
+    hi_f, hi_d = lo_f + F.shape[1] - 1, lo_d + D.shape[1] - 1
+    spans = [2 * (hi_f - lo_f)] + [max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)] * bool(duals)
+    M = 2 * N * (max(spans) // N + 1)
+    lo, C = stack_polys(bank.filters + duals)
+    exps = np.multiply.outer(np.arange(lo, lo + C.shape[1]), np.arange(M)) % M
+    values = C @ np.exp(2j * np.pi * np.arange(M) / M)[exps]
+    fibres = (np.arange(M)[:, None] + M // N * np.arange(N)) % M
+    mod = values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)  # (M, filters, fibre points)
+    m_star, bounds = _hermitian(mod[:, :N]), []
+    for k, s in enumerate(spans):  # unitarity, then pair
+        frob = np.linalg.norm(m_star @ mod[:, k * N : k * N + N] - np.eye(N), axis=(1, 2))
+        bounds.append(float(frob.max() / np.cos(np.pi * s / (2 * M))))
+    return bounds[-1], bounds[0]
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
-from .filterbank import FilterBank, relation_report
+from .filterbank import FilterBank
 from .laurent import LaurentPoly, _trimmed
-from .polyphase import phase_split
+from .polyphase import LoopMatrix, loop_pair_bound, phase_split
 
 FOURIER_DEPTH_CAP = 4000
 PRODUCT_ROWS = 1024
@@ -241,14 +241,15 @@ def pyramid(
 ) -> PyramidDecomposition:
     """Analysis tree: split with the dual adjoints, keep band-0 for recursion.
     Each level is one analysis product with the dual loop (A for a self-dual
-    bank)."""
+    bank).  The check is the identity A* Atilde = I on these loops, which
+    `pyramid_reconstruct` needs to invert the analysis."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if check:
-        rep = relation_report(bank, tol=tol)
-        if not (rep.biorthogonal or rep.cuntz):
-            raise NotReconstructiveError("bank fails the pairing verdict")
     lo, taps = phase_split(bank.N, bank.duals_or_primaries)
+    if check:
+        A = LoopMatrix.from_array(*phase_split(bank.N, bank.filters))
+        if not loop_pair_bound(A, LoopMatrix.from_array(lo, taps)) < tol:
+            raise NotReconstructiveError("bank fails the pairing identity A* Atilde = I")
     details = []
     offset, samples = x.offset, x.samples
     for _ in range(depth):

@@ -68,12 +68,8 @@ def sampled_choi(
     Rank must be exactly N at every point: the doubled matrix factors
     through a square root of AA*.
     """
-    if check:
-        rep = relation_report(bank)
-        if not (rep.biorthogonal or rep.cuntz):
-            raise NotReconstructiveError(
-                "doubled Gram needs a dual pair or orthogonal bank"
-            )
+    if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
+        raise NotReconstructiveError("doubled Gram needs a dual pair or orthogonal bank")
     g = gram_function(bank, grid_size)
     lo = float(np.min(g.min_eigs))
     if lo < -1e-10:
