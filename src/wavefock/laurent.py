@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-# Default number of circle samples used by residual checks.
+# Circle samples for the reported residual sups; relation, loop and modulation verdicts read bounds.
 DEFAULT_GRID = 256
 
 # A DFT-recovered coefficient counts as roundoff when its modulus is at most
