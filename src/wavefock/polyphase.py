@@ -323,35 +323,35 @@ def modulation_matrix_check(bank: FilterBank, grid: int = DEFAULT_GRID):
 
 
 def modulation_bound(bank: FilterBank):
-    """(pair bound, unitarity bound) on the sups over the circle of
-    ||M(z)^* Mtilde(z) - I|| and ||M(z)^* M(z) - I||.
+    """(pair bound, unitarity bound) on sup_z ||M^* Mtilde - I|| and sup_z ||M^* M - I||.
 
-    Write z = e^{iN phi}: the fibre points are w_l = e^{i(phi + 2 pi l/N)},
-    so the fractional frequencies j/N of m(w_l) in the angle of z are the
-    integer exponents j in phi.  An entry of the residual R(phi) is then a
-    trigonometric polynomial in phi, whose exponents j' - j (j of a primary,
-    j' of a dual) and 0 (from I) span s.  Moving phi by 2 pi/N permutes the
-    columns of M, leaving the norms unchanged, so phi runs over [0, 2 pi).
-    For such a q and M > s equispaced samples (Ehlich & Zeller, Math. Z. 86,
-    1964), sup |q| <= max_k |q(2 pi k/M)| / cos(pi s/(2M)); q = tr(X^* R)
-    over all ||X||_F = 1 carries it to sup ||R||_F >= the spectral sup.  M
-    is a multiple of N above 2s: fibre points are samples, one phase matmul.
+    With z = e^{iN phi} the fibre points are w_l = e^{i(phi + 2 pi l/N)}, so
+    the fractional frequencies j/N of m(w_l) in the angle of z are integers
+    in phi: an entry of the residual R(phi) is a trigonometric polynomial
+    whose exponents j' - j (j of a primary, j' of a dual) and 0 (from I)
+    span s.  Moving phi by 2 pi/N permutes the columns of M(z), leaving the
+    norms unchanged, so phi runs over [0, 2 pi).  For such a q and M > s
+    equispaced samples (Ehlich & Zeller, Math. Z. 86, 1964), sup |q| <=
+    max_k |q(2 pi k/M)| / cos(pi s/(2M)); q = tr(X^* R) over all ||X||_F = 1
+    carries it to sup ||R||_F >= the spectral sup.  M is a multiple of N
+    above 2s, so the fibre points are samples of one FFT of the stacked
+    filters, whose common factor z^lo leaves the norms alone.
     """
     N, duals = bank.N, bank.dual_filters or []
     (lo_f, F), (lo_d, D) = stack_polys(bank.filters), stack_polys(duals or bank.filters)
     hi_f, hi_d = lo_f + F.shape[1] - 1, lo_d + D.shape[1] - 1
     spans = [2 * (hi_f - lo_f)] + [max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)] * bool(duals)
     M = 2 * N * (max(spans) // N + 1)
-    lo, C = stack_polys(bank.filters + duals)
-    exps = np.multiply.outer(np.arange(lo, lo + C.shape[1]), np.arange(M)) % M
-    values = C @ np.exp(2j * np.pi * np.arange(M) / M)[exps]
+    _, C = stack_polys(bank.filters + duals)
+    folded = np.zeros((len(C), -(-C.shape[1] // M) * M), dtype=complex)  # exponents mod M
+    folded[:, : C.shape[1]] = C
+    values = np.fft.ifft(folded.reshape(len(C), -1, M).sum(axis=1)) * M
     fibres = (np.arange(M)[:, None] + M // N * np.arange(N)) % M
     mod = values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)  # (M, filters, fibre points)
-    m_star, bounds = _hermitian(mod[:, :N]), []
-    for k, s in enumerate(spans):  # unitarity, then pair
-        frob = np.linalg.norm(m_star @ mod[:, k * N : k * N + N] - np.eye(N), axis=(1, 2))
-        bounds.append(float(frob.max() / np.cos(np.pi * s / (2 * M))))
-    return bounds[-1], bounds[0]
+    gaps = _hermitian(mod[:, None, :N]) @ mod.reshape(M, -1, N, N) - np.eye(N)  # unitarity, pair
+    cosines = np.cos(np.pi * np.array(spans) / (2 * M))
+    bounds = np.linalg.norm(gaps, axis=(2, 3)).max(axis=0) / cosines
+    return float(bounds[-1]), float(bounds[0])
 
 
 # ----------------------------------------------------------------------
