@@ -134,11 +134,12 @@ class RelationReport:
 
     @property
     def isometry(self) -> bool:
-        return bool(np.diag(self.self_bounds).max() < self.tolerance)
+        return max(row[i] for i, row in enumerate(self.self_bounds)) < self.tolerance
 
     @property
     def orthogonal_ranges(self) -> bool:
-        return bool((np.array(self.self_bounds) * (1 - np.eye(self.N))).max() < self.tolerance)
+        off = [v for i, row in enumerate(self.self_bounds) for j, v in enumerate(row) if i != j]
+        return max(off) < self.tolerance
 
     @property
     def cuntz(self) -> bool:
@@ -148,7 +149,7 @@ class RelationReport:
     @property
     def biorthogonal(self) -> bool:
         complete = self.completeness_residual < self.tolerance
-        return bool(np.max(self.pair_bounds) < self.tolerance) and complete
+        return max(map(max, self.pair_bounds)) < self.tolerance and complete
 
     def to_json(self) -> dict:
         return {

@@ -349,8 +349,7 @@ def modulation_bound(bank: FilterBank):
     fibres = (np.arange(M)[:, None] + M // N * np.arange(N)) % M
     mod = values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)  # (M, filters, fibre points)
     gaps = _hermitian(mod[:, None, :N]) @ mod.reshape(M, -1, N, N) - np.eye(N)  # unitarity, pair
-    cosines = np.cos(np.pi * np.array(spans) / (2 * M))
-    bounds = np.linalg.norm(gaps, axis=(2, 3)).max(axis=0) / cosines
+    bounds = np.linalg.norm(gaps, axis=(2, 3)).max(0) / np.cos(np.pi * np.array(spans) / 2 / M)
     return float(bounds[-1]), float(bounds[0])
 
 
