@@ -18,8 +18,9 @@ to cover the known exponent window, invert or take determinants pointwise,
 and read the coefficients back with one DFT.
 
 Verdicts read the `*_bound`s, which hold on the whole circle: from a
-residual's taps, or from a grid sized by its exponent span.  The sampled
-values (`*_residual`, `modulation_matrix_check`) are only reported.
+residual's taps, or from a grid sized by its exponent span.  The sampled sups
+(`*_residual`, `modulation_matrix_check`) decide no verdict; they are kept for
+the tests, the equivalence sweep script and the benchmark's timing spans.
 """
 
 from __future__ import annotations
@@ -300,11 +301,16 @@ def loop_unitarity_residual(A: LoopMatrix, grid: int = DEFAULT_GRID) -> float:
 
 def modulation_matrix(bank: FilterBank, grid: int = DEFAULT_GRID, dual: bool = False) -> np.ndarray:
     """M(z)[k, l] = (1/sqrt N) m_k(w_l) over the principal root fiber w_l of
-    each grid point z; shape (grid, N, N)."""
-    N = bank.N
-    filters = bank.duals_or_primaries if dual else bank.filters
-    fibers = (grid_angles(grid)[:, None] + 2.0 * np.pi * np.arange(N)) / N
-    return np.stack([m.eval_at(fibers) for m in filters], axis=1) / np.sqrt(N)
+    each grid point z; shape (grid, N, N).  w_l of grid point g is e^{2 pi i j/M}
+    with M = grid N and j = g + l grid, so one inverse FFT of the coefficients
+    folded mod M gives every value."""
+    N, M = bank.N, grid * bank.N
+    lo, C = stack_polys(bank.duals_or_primaries if dual else bank.filters)
+    folded = np.zeros((len(C), M), dtype=complex)
+    np.add.at(folded, (slice(None), (lo + np.arange(C.shape[1])) % M), C)
+    values = np.fft.ifft(folded) * M  # values[k, j] = m_k(e^{2 pi i j/M})
+    fibres = np.arange(grid)[:, None] + grid * np.arange(N)
+    return values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)
 
 
 def modulation_matrix_check(bank: FilterBank, grid: int = DEFAULT_GRID):
@@ -329,27 +335,22 @@ def modulation_bound(bank: FilterBank):
     the fractional frequencies j/N of m(w_l) in the angle of z are integers
     in phi: an entry of the residual R(phi) is a trigonometric polynomial
     whose exponents j' - j (j of a primary, j' of a dual) and 0 (from I)
-    span s.  Moving phi by 2 pi/N permutes the columns of M(z), leaving the
-    norms unchanged, so phi runs over [0, 2 pi).  For such a q and M > s
-    equispaced samples (Ehlich & Zeller, Math. Z. 86, 1964), sup |q| <=
-    max_k |q(2 pi k/M)| / cos(pi s/(2M)); q = tr(X^* R) over all ||X||_F = 1
-    carries it to sup ||R||_F >= the spectral sup.  M is a multiple of N
-    above 2s, so the fibre points are samples of one FFT of the stacked
-    filters, whose common factor z^lo leaves the norms alone.
+    span s.  For such a q and M > s equispaced samples (Ehlich & Zeller,
+    Math. Z. 86, 1964), sup |q| <= max_k |q(2 pi k/M)| / cos(pi s/(2M));
+    q = tr(X^* R) over all ||X||_F = 1 carries it to sup ||R||_F >= the
+    spectral sup.  M is a multiple of N above 2s.  Moving phi by 2 pi/N only
+    permutes the columns of M(z), which leaves the norms unchanged, so the
+    M samples of phi are the fibres of `modulation_matrix` on M/N points.
     """
-    N, duals = bank.N, bank.dual_filters or []
-    (lo_f, F), (lo_d, D) = stack_polys(bank.filters), stack_polys(duals or bank.filters)
+    N, eye = bank.N, np.eye(bank.N)
+    (lo_f, F), (lo_d, D) = stack_polys(bank.filters), stack_polys(bank.duals_or_primaries)
     hi_f, hi_d = lo_f + F.shape[1] - 1, lo_d + D.shape[1] - 1
-    spans = [2 * (hi_f - lo_f)] + [max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)] * bool(duals)
-    M = 2 * N * (max(spans) // N + 1)
-    _, C = stack_polys(bank.filters + duals)
-    folded = np.zeros((len(C), -(-C.shape[1] // M) * M), dtype=complex)  # exponents mod M
-    folded[:, : C.shape[1]] = C
-    values = np.fft.ifft(folded.reshape(len(C), -1, M).sum(axis=1)) * M
-    fibres = (np.arange(M)[:, None] + M // N * np.arange(N)) % M
-    mod = values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)  # (M, filters, fibre points)
-    gaps = _hermitian(mod[:, None, :N]) @ mod.reshape(M, -1, N, N) - np.eye(N)  # unitarity, pair
-    bounds = np.linalg.norm(gaps, axis=(2, 3)).max(0) / np.cos(np.pi * np.array(spans) / 2 / M)
+    spans = [2 * (hi_f - lo_f), max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)]
+    grid = 2 * (max(spans) // N + 1)
+    duals = (False,) if bank.is_self_dual else (False, True)
+    mods = [modulation_matrix(bank, grid, dual) for dual in duals]
+    gaps = [np.linalg.norm(_hermitian(mods[0]) @ m - eye, axis=(1, 2)).max() for m in mods]
+    bounds = np.array(gaps) / np.cos(np.pi * np.array(spans[: len(gaps)]) / (2 * grid * N))
     return float(bounds[-1]), float(bounds[0])
 
 
