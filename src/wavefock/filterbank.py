@@ -195,8 +195,7 @@ def _residuals(F, lo_f: int, D, lo_d: int, N: int, grid: int):
     residual = np.zeros((N, N, d_hi - d_lo + 1), dtype=complex)
     residual[:, :, d0 - d_lo : d0 - d_lo + len(lags)] = pair
     residual[:, :, -d_lo] -= np.eye(N)
-    exps = np.multiply.outer(np.arange(d_lo, d_hi + 1), np.arange(grid)) % grid
-    phases = np.exp(1j * grid_angles(grid))[exps]  # gathered from the roots of unity
+    phases = np.exp(1j * np.multiply.outer(np.arange(d_lo, d_hi + 1), grid_angles(grid)))
     pair_res = np.abs(residual @ phases).max(axis=-1)
 
     rows = -(-Ld // N) * N

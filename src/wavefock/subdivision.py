@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from .filterbank import FilterBank
 from .laurent import LaurentPoly, _trimmed
-from .polyphase import LoopMatrix, loop_pair_bound, phase_split
+from .polyphase import loop_from_filters, loop_pair_bound, phase_split
 
 FOURIER_DEPTH_CAP = 4000
 PRODUCT_ROWS = 1024
@@ -245,15 +245,14 @@ def pyramid(
     `pyramid_reconstruct` needs to invert the analysis."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    lo, taps = phase_split(bank.N, bank.duals_or_primaries)
-    if check:
-        A = LoopMatrix.from_array(*phase_split(bank.N, bank.filters))
-        if not loop_pair_bound(A, LoopMatrix.from_array(lo, taps)) < tol:
-            raise NotReconstructiveError("bank fails the pairing identity A* Atilde = I")
+    A, At = loop_from_filters(bank)
+    At = A if At is None else At
+    if check and not loop_pair_bound(A, At) < tol:
+        raise NotReconstructiveError("bank fails the pairing identity A* Atilde = I")
     details = []
     offset, samples = x.offset, x.samples
     for _ in range(depth):
-        offset, D = _analysis(lo, taps, offset, samples, bank.N)
+        offset, D = _analysis(At.lo, At.taps, offset, samples, bank.N)
         details.append([SignalWindow(offset, D[:, k]) for k in range(1, bank.N)])
         samples = D[:, 0]
     return PyramidDecomposition(

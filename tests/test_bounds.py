@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefock import cli
+from wavefock.anchor import compute_anchor
 from wavefock.corpus import builtin_bank, haar_bank, random_biorthogonal_bank, random_orthogonal_bank
 from wavefock.errors import NotReconstructiveError
 from wavefock.filterbank import FilterBank, module_expand, relation_report
@@ -30,6 +31,7 @@ from wavefock.polyphase import (
     modulation_matrix_check,
 )
 from wavefock.subdivision import SignalWindow, pyramid
+from wavefock.wavelet_fock import sampled_choi
 
 DENSE = 4096
 
@@ -191,3 +193,10 @@ def test_module_expand_rejects_mismatched_duals():
     assert relation_report(FilterBank(2, haar_bank().filters)).cuntz
     with pytest.raises(NotReconstructiveError):
         module_expand(mismatched_duals(), LaurentPoly({0: 1.0, 3: 2.0}), 2)
+
+
+def test_anchor_and_doubled_gram_reject_mismatched_duals():
+    with pytest.raises(NotReconstructiveError):
+        compute_anchor(mismatched_duals())
+    with pytest.raises(NotReconstructiveError):
+        sampled_choi(mismatched_duals())
