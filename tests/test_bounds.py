@@ -183,20 +183,16 @@ def test_reconstructive_builtins_have_small_bounds(name, params):
 # the reconstruction entry points judge the filters they use
 
 
-def test_pyramid_rejects_mismatched_duals():
-    x = SignalWindow(-4, np.arange(9.0))
-    with pytest.raises(NotReconstructiveError):
-        pyramid(mismatched_duals(), x, depth=2)
+ENTRY_POINTS = {
+    "pyramid": lambda bank: pyramid(bank, SignalWindow(-4, np.arange(9.0)), depth=2),
+    "module_expand": lambda bank: module_expand(bank, LaurentPoly({0: 1.0, 3: 2.0}), 2),
+    "compute_anchor": compute_anchor,
+    "sampled_choi": sampled_choi,
+}
 
 
-def test_module_expand_rejects_mismatched_duals():
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_reject_mismatched_duals(name):
     assert relation_report(FilterBank(2, haar_bank().filters)).cuntz
     with pytest.raises(NotReconstructiveError):
-        module_expand(mismatched_duals(), LaurentPoly({0: 1.0, 3: 2.0}), 2)
-
-
-def test_anchor_and_doubled_gram_reject_mismatched_duals():
-    with pytest.raises(NotReconstructiveError):
-        compute_anchor(mismatched_duals())
-    with pytest.raises(NotReconstructiveError):
-        sampled_choi(mismatched_duals())
+        ENTRY_POINTS[name](mismatched_duals())
