@@ -29,7 +29,8 @@ def parse_instance(text):
 def table(name, params, K):
     P = ChoiMatrix.from_matrix(builtin_choi(name, params))
     ops = creation_matrices(P, K)
-    print(f"instance: {name} {params or ''}  (letters={P.N}, d={P.d}, norm={P.norm:.4g})")
+    pnorm = ops.fock.choi_report.norm
+    print(f"instance: {name} {params or ''}  (letters={P.N}, d={P.d}, norm={pnorm:.4g})")
     print(f"{'level':>5} {'dim':>5} {'ker':>5} {'ker_pred':>8} {'gram_norm':>11} {'norm_bound':>11} {'max_op_norm':>12}")
     for k in range(K + 1):
         lvl = ops.fock.level(k)
@@ -42,7 +43,7 @@ def table(name, params, K):
         )
         print(
             f"{k:>5} {lvl.q:>5} {ker.dim:>5} {pred:>8}"
-            f" {lvl.norm:>11.4e} {P.norm ** k:>11.4e}"
+            f" {lvl.norm:>11.4e} {pnorm ** k:>11.4e}"
             f" {op_norm:>12.4e}"
         )
     print()

@@ -9,10 +9,12 @@ creation operators act; their compressions recover p_ij through T_i* T_j.
 
 Blocks that commute are diagonal in one unitary basis W of the base space,
 so P splits into d scalar N x N layers P_s and the level-k Gram is unitarily
-the direct sum of their Kronecker powers P_s^(x)k.  Every level is built from
-the eigenpairs of the layers: no level Gram is formed or diagonalized, and
-the level-k rank is sum_s rank(P_s)^k by construction.  `level_gram` keeps
-the dense word-product recursion as the oracle.
+the direct sum of their Kronecker powers P_s^(x)k.  `validate_choi` runs the
+one eigh, over the stack of layers, and reads the PSD floor, rank, norm and
+kernel of P from it; blocks that do not commute make P itself the one layer.
+Every level is built from those eigenpairs: no level Gram is formed or
+diagonalized, and the level-k rank is sum_s rank(P_s)^k by construction.
+`level_gram` keeps the dense word-product recursion as the oracle.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class ChoiMatrix:
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
 
+    @functools.cached_property
+    def report(self) -> "ChoiReport":
+        """`validate_choi` of this matrix, run once and kept."""
+        return validate_choi(self)
+
     def to_json(self) -> dict:
         return {
             "N": self.N,
@@ -91,57 +98,42 @@ class ChoiMatrix:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed block matrix document: {exc}") from exc
+        if not np.isfinite(matrix).all():
+            raise ValueError("block matrix entries must be finite numbers")
         return cls(N, d, matrix)
 
 
 @dataclass
 class ChoiReport:
-    hermiticity_residual: float
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray
-    rank: int
+    """The spectrum of P by layers: row s of `eigenvalues` (ascending) and
+    `eigenvectors` is the eigh of P_s, and u (x) W[:, s] is the eigenvector
+    of P for an eigenvector u of P_s.  One layer with W = [[1]] is P itself.
+    """
+
+    hermiticity_residual: float  # ||P - P*||_F
+    commutator: float  # ||G_2 - G_2*||_F
+    commuting: bool
+    W: np.ndarray
+    eigenvalues: np.ndarray  # (layers, n)
+    eigenvectors: np.ndarray  # (layers, n, n)
+    kept: np.ndarray  # (layers, n), above the rank cutoff
     norm: float
     warning: bool
 
     @property
+    def rank(self) -> int:
+        return int(self.kept.sum())
+
+    @property
     def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
+        return float(self.eigenvalues.min())
 
     @property
     def kernel(self) -> np.ndarray:
-        """Eigenvectors of the eigenvalues at or below the rank cutoff."""
-        return self.eigenvectors[:, : self.eigenvalues.size - self.rank]
-
-
-def _kept(eigvals: np.ndarray) -> np.ndarray:
-    """Eigenvalues above RANK_CUTOFF times the largest one, so the rank
-    decision is invariant under scaling and a zero matrix has rank 0."""
-    return eigvals > RANK_CUTOFF * eigvals.max()
-
-
-def validate_choi(P: ChoiMatrix, hard: float = PSD_HARD, warn: float = PSD_WARN) -> ChoiReport:
-    """Hermiticity and spectrum report; hard failure below -`hard` times
-    max(1, ||P||), since eigh roundoff grows with the norm."""
-    m = P.matrix
-    herm = float(np.linalg.norm(m - m.conj().T, 2))
-    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2)
-    lo = float(eigvals[0])
-    norm = float(max(eigvals[-1], 0.0))
-    scale = max(1.0, norm)
-    if lo < -hard * scale:
-        raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{hard * scale:.3g}")
-    return ChoiReport(
-        hermiticity_residual=herm,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-        rank=int(np.sum(_kept(eigvals))),
-        norm=norm,
-        warning=lo < -warn * scale or herm > warn * scale,
-    )
-
-
-# ----------------------------------------------------------------------
-# scalar layers and levels
+        """Eigenvectors of P at or below the rank cutoff, as columns."""
+        s, a = np.nonzero(~self.kept)
+        u = self.eigenvectors[s, :, a]
+        return np.einsum("mi,bm->ibm", u, self.W[:, s]).reshape(u.shape[1] * len(self.W), -1)
 
 
 def _drift_bound(pnorm: float, k: int) -> float:
@@ -162,31 +154,69 @@ def _commutator_norm(blocks: np.ndarray) -> float:
     return float(np.sqrt(sum(np.linalg.norm(b @ flat - flat @ b) ** 2 for b in flat)))
 
 
-def _layers(P: ChoiMatrix, report: ChoiReport, commuting: bool):
-    """(W, eigenvalues, eigenvectors) of the layers P_s, (P_s)_ij = (W* p_ij W)_ss.
+def _layers(P: ChoiMatrix):
+    """(W, layers, off): the layers (P_s)_ij = (W* p_ij W)_ss, and the
+    off-diagonal mass W leaves in the blocks.
 
     Commuting blocks are normal (p_ji = p_ij*), so one unitary W makes them
-    all diagonal: the identity for diagonal blocks, else the eigenbasis of a
-    fixed Hermitian combination (weights are golden-ratio Weyl phases, so no
-    random numbers are drawn).  Off-diagonal mass left above the level-2
-    drift bound raises.  For d = 1, and for blocks that do not commute, P is
-    one layer with the eigenpairs `validate_choi` computed.
+    all diagonal: the identity for diagonal blocks (and for d = 1), else the
+    eigenbasis of a fixed Hermitian combination (weights are golden-ratio
+    Weyl phases, so no random numbers are drawn).
     """
     N, d = P.N, P.d
-    if d == 1 or not commuting:
-        return np.ones((1, 1)), report.eigenvalues[None], report.eigenvectors[None]
     rotated, W = P.blocks(), np.eye(d)
     if _off_diagonal(rotated).any():
         weights = np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) * np.arange(1, N * N + 1))
         M = np.einsum("ij,ijab->ab", weights.reshape(N, N), rotated)
         W = np.linalg.eigh(M + M.conj().T)[1]
         rotated = W.conj().T @ rotated @ W
-        off = float(np.linalg.norm(_off_diagonal(rotated)))
-        if off > _drift_bound(report.norm, 2):
-            raise NotPsdError(f"commuting blocks keep off-diagonal mass {off:.3e} in one eigenbasis")
     layers = np.diagonal(rotated, axis1=2, axis2=3).transpose(2, 0, 1)
-    layers = (layers + layers.conj().transpose(0, 2, 1)) / 2
-    return (W, *np.linalg.eigh(layers))
+    return W, layers, float(np.linalg.norm(_off_diagonal(rotated)))
+
+
+def validate_choi(P: ChoiMatrix) -> ChoiReport:
+    """Spectrum of P from one eigh over its layers, with ||P - P*||_F and
+    the commutator norm of the blocks.
+
+    The blocks commute when that norm is within the level-2 drift bound of
+    the layers' top eigenvalue, at most ||P|| as the layers pinch W* P W;
+    then off-diagonal mass above the bound raises, else P is the one layer.
+    An eigenvalue below -PSD_HARD max(1, ||P||) raises (eigh roundoff grows
+    with the norm); the rank counts those above RANK_CUTOFF times the top
+    one, so it is scale invariant and a zero matrix has rank 0.
+    """
+    m = P.matrix
+    commutator = _commutator_norm(P.blocks())
+    W, layers, off = _layers(P)
+    eigvals, eigvecs = np.linalg.eigh((layers + layers.conj().transpose(0, 2, 1)) / 2)
+    bound = _drift_bound(max(eigvals.max(), 0.0), 2)
+    commuting = commutator <= bound
+    if not commuting:
+        W = np.ones((1, 1))
+        eigvals, eigvecs = np.linalg.eigh((m + m.conj().T)[None] / 2)
+    elif off > bound:
+        raise NotPsdError(f"commuting blocks keep off-diagonal mass {off:.3e} in one eigenbasis")
+    lo = float(eigvals.min())
+    norm = float(max(eigvals.max(), 0.0))
+    scale = max(1.0, norm)
+    if lo < -PSD_HARD * scale:
+        raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{PSD_HARD * scale:.3g}")
+    herm = float(np.linalg.norm(m - m.conj().T))
+    return ChoiReport(
+        hermiticity_residual=herm,
+        commutator=commutator,
+        commuting=bool(commuting),
+        W=W,
+        eigenvalues=eigvals,
+        eigenvectors=eigvecs,
+        kept=eigvals > RANK_CUTOFF * eigvals.max(),
+        norm=norm,
+        warning=lo < -PSD_WARN * scale or herm > PSD_WARN * scale,
+    )
+
+
+# ----------------------------------------------------------------------
+# levels
 
 
 @dataclass
@@ -256,12 +286,7 @@ class TruncatedFock:
     choi: ChoiMatrix
     K: int
     choi_report: ChoiReport
-    commutator: float  # ||G_2 - G_2*||_F
     levels: list = field(default_factory=list)
-
-    @property
-    def commuting(self) -> bool:
-        return self.commutator <= _drift_bound(self.choi_report.norm, 2)
 
     def level(self, k: int) -> FockLevel:
         return self.levels[k]
@@ -292,17 +317,16 @@ def truncated_fock(
     Letter i prepended to a level-k eigenvector of layer s, eigenvalue mu,
     has the form mu (P_s)_ii, which gives `prepend_residual`.
     """
-    report = validate_choi(P)
+    report = P.report
     if K < 0:
         raise ValueError("level must be nonnegative")
     if K > max_level:
         raise SizeCapError(f"truncation level {K} above cap {max_level}")
-    fock = TruncatedFock(P, K, report, _commutator_norm(P.blocks()))
+    fock = TruncatedFock(P, K, report)
     _level_size(P, 0, size_cap)
     eye = np.eye(P.d, dtype=complex)
     fock.levels.append(FockLevel(0, np.ones(P.d), eye, eye, 0.0))
-    W, mu, U = _layers(P, report, fock.commuting)
-    keep1 = _kept(mu)
+    W, mu, U, keep1 = report.W, report.eigenvalues, report.eigenvectors, report.kept
     s1, a1 = np.nonzero(keep1)
     A1 = np.sqrt(mu[s1, a1])[:, None] * U[s1, :, a1].conj()  # kept sqrt(mu) u*
     diag = np.einsum("sia,sa->si", np.abs(U) ** 2, mu).max(axis=1)  # max_i (P_s)_ii
@@ -312,9 +336,9 @@ def truncated_fock(
     F, layer = np.ones((len(mu), 1), dtype=complex), np.arange(len(mu))
     for k in range(1, K + 1):
         _level_size(P, k, size_cap)
-        if k == 2 and not fock.commuting:
+        if k == 2 and not report.commuting:
             raise NotPsdError(
-                f"level 2 Gram is not Hermitian (drift {fock.commutator:.3e}); "
+                f"level 2 Gram is not Hermitian (drift {report.commutator:.3e}); "
                 "noncommuting blocks break the word-product form"
             )
         eig = (eig[:, :, None] * mu[:, None, :]).reshape(len(mu), -1)
@@ -480,7 +504,7 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
 
     norm_law = None
     argmax = None
-    if fock.commuting:
+    if fock.choi_report.commuting:
         norm_law = 0.0
         targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
         for i in range(N):
@@ -493,7 +517,7 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
             norm_law = max(norm_law, abs(max(norms) - float(targets[i])))
         argmax = argmax or 0
 
-    pnorm = P.norm
+    pnorm = fock.choi_report.norm
     gap = 0.0
     attain = None
     for k in range(ops.K + 1):
@@ -501,7 +525,7 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
         gap = max(gap, (gk - pnorm**k) / max(1.0, pnorm**k))
     if d == 1:
         attain = 0.0
-        top = fock.choi_report.eigenvectors[:, -1]
+        top = fock.choi_report.eigenvectors[0, :, -1]
         t = top
         for k in range(1, ops.K + 1):
             rayleigh = float(np.linalg.norm(fock.level(k).factor @ t) ** 2)
@@ -510,7 +534,7 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
     return TstarTReport(
         vacuum_residual=vacuum,
         general_residual=general,
-        commuting=fock.commuting,
+        commuting=fock.choi_report.commuting,
         norm_law_residual=norm_law,
         norm_law_argmax=argmax,
         gram_norm_gap=gap,

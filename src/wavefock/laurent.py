@@ -13,6 +13,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -298,6 +299,8 @@ def poly_from_json(obj) -> LaurentPoly:
             raise ValueError("exponents must be strictly increasing")
         last = k
         coeffs[k] = complex(re, im)
+        if not cmath.isfinite(coeffs[k]):
+            raise ValueError(f"coefficient at exponent {k} is not finite")
     if coeffs and last - min(coeffs) >= MAX_JSON_SPAN:
         raise ValueError(f"polynomial spans more than {MAX_JSON_SPAN} exponents")
     return LaurentPoly(coeffs)

@@ -360,61 +360,19 @@ def modulation_bound(bank: FilterBank):
 
 @dataclass
 class GramMatrixFunction:
-    """AA*(z) with its pointwise inverse and the assembled doubled matrix.
-
-    choi_points[t] is the 2N x 2N block matrix [[AA*, I], [I, (AA*)^-1]] at
-    grid point t.  It is Hermitian PSD of rank N at every point: it factors
-    as [Y; Y^-*][Y; Y^-*]^* for any square root Y of AA*.
-    """
+    """AA*(z) with its samples and pointwise inverses on a grid."""
 
     N: int
     grid: int
     gram: LoopMatrix  # AA*
     samples: np.ndarray  # (grid, N, N) values of AA*
     inverses: np.ndarray  # (grid, N, N) pointwise inverses
-    choi_points: np.ndarray  # (grid, 2N, 2N)
-    min_eigs: np.ndarray  # (grid,)
-    ranks: np.ndarray  # (grid,) at tolerance
-
-    def report(self) -> dict:
-        return {
-            "N": self.N,
-            "grid": self.grid,
-            "min_eigenvalue": float(np.min(self.min_eigs)),
-            "rank_min": int(np.min(self.ranks)),
-            "rank_max": int(np.max(self.ranks)),
-        }
 
 
-def gram_function(
-    bank: FilterBank, grid: int = DEFAULT_GRID, rank_tol: float = 1e-8
-) -> GramMatrixFunction:
-    """Assemble AA*(z) exactly and the doubled positive matrix on the grid."""
+def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunction:
+    """Assemble AA*(z) exactly, then sample and invert it on the grid."""
     A, _ = loop_from_filters(bank)
     _check_invertible(np.linalg.det(A.sample_grid(grid)))
-    N = bank.N
     gram = A @ A.adjoint()
     samples = gram.sample_grid(grid)
-    inverses = np.linalg.inv(samples)
-
-    eye = np.eye(N)
-    choi_points = np.zeros((grid, 2 * N, 2 * N), dtype=complex)
-    choi_points[:, :N, :N] = samples
-    choi_points[:, :N, N:] = eye
-    choi_points[:, N:, :N] = eye
-    choi_points[:, N:, N:] = inverses
-
-    eigs = np.linalg.eigvalsh(0.5 * (choi_points + choi_points.conj().transpose(0, 2, 1)))
-    min_eigs = eigs[:, 0]
-    ranks = (eigs > rank_tol * np.maximum(eigs[:, -1:], 1e-300)).sum(axis=1)
-
-    return GramMatrixFunction(
-        N=N,
-        grid=grid,
-        gram=gram,
-        samples=samples,
-        inverses=inverses,
-        choi_points=choi_points,
-        min_eigs=min_eigs,
-        ranks=ranks,
-    )
+    return GramMatrixFunction(bank.N, grid, gram, samples, np.linalg.inv(samples))

@@ -3,9 +3,11 @@
 The 2N operators (S_1..S_N, dual family) of a reconstructive bank have the
 doubled Gram [[AA*, I], [I, (AA*)^-1]], a positive matrix-valued function on
 the circle with commuting entries.  Sampling it on a grid makes every entry
-a diagonal multiplication operator, so the block matrix feeds straight into
-the Fock construction; the vacuum compressions T_i* T_j then recover the
-sampled functions exactly.
+a diagonal multiplication operator: the block matrix has d = grid size and
+diagonal blocks, so its layers are the grid points' 2N x 2N matrices and
+`validate_choi` judges all of them in one batched eigh.  The block matrix
+feeds straight into the Fock construction; the vacuum compressions T_i* T_j
+then recover the sampled functions exactly.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ FOCK_GRID = 8
 
 @dataclass
 class SampledWaveletChoi:
-    """Doubled Gram of a bank, sampled: one 2N x 2N PSD matrix per point."""
+    """Doubled Gram of a bank on a grid, as one block matrix with d = grid
+    size and diagonal blocks: its layer t is the 2N x 2N matrix at point t."""
 
     bank: FilterBank
     gram: GramMatrixFunction
+    choi: ChoiMatrix
 
     @property
     def grid_size(self) -> int:
@@ -37,21 +41,8 @@ class SampledWaveletChoi:
     def letters(self) -> int:
         return 2 * self.bank.N
 
-    def point(self, t: int) -> ChoiMatrix:
-        return ChoiMatrix.from_matrix(self.gram.choi_points[t])
-
-    def block_choi(self) -> ChoiMatrix:
-        """One block matrix with d = grid size and diagonal blocks."""
-        n, g = self.letters, self.grid_size
-        pts = self.gram.choi_points
-        m = np.zeros((n * g, n * g), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                np.fill_diagonal(m[a * g : (a + 1) * g, b * g : (b + 1) * g], pts[:, a, b])
-        return ChoiMatrix(n, g, m)
-
     def to_json(self) -> dict:
-        doc = self.block_choi().to_json()
+        doc = self.choi.to_json()
         doc["provenance"] = {
             "source": "filter-bank doubled Gram",
             "bank": self.bank.to_json(),
@@ -60,26 +51,35 @@ class SampledWaveletChoi:
         return doc
 
 
+def _points(gram: GramMatrixFunction) -> np.ndarray:
+    """[[AA*, I], [I, (AA*)^-1]] at every grid point, shape (grid, 2N, 2N)."""
+    eye = np.broadcast_to(np.eye(gram.N), gram.samples.shape)
+    return np.block([[gram.samples, eye], [eye, gram.inverses]])
+
+
 def sampled_choi(
     bank: FilterBank, grid_size: int = FOCK_GRID, check: bool = True
 ) -> SampledWaveletChoi:
     """Sample [[AA*, I], [I, (AA*)^-1]] on the grid and verify positivity.
 
-    Rank must be exactly N at every point: the doubled matrix factors
-    through a square root of AA*.
+    `validate_choi` judges the grid points as the layers of the block
+    matrix.  Rank must be exactly N on every layer: the doubled matrix
+    factors through a square root of AA*.
     """
     if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
         raise NotReconstructiveError("doubled Gram needs a dual pair or orthogonal bank")
     g = gram_function(bank, grid_size)
-    lo = float(np.min(g.min_eigs))
-    if lo < -1e-10:
-        raise NotPsdError(f"doubled Gram eigenvalue {lo:.3e} on the grid")
-    if int(np.min(g.ranks)) != bank.N or int(np.max(g.ranks)) != bank.N:
+    n, t = 2 * bank.N, np.arange(grid_size)
+    m = np.zeros((n, grid_size, n, grid_size), dtype=complex)
+    m[:, t, :, t] = _points(g)
+    P = ChoiMatrix(n, grid_size, m.reshape(n * grid_size, -1))
+    ranks = P.report.kept.sum(axis=1)
+    if (ranks != bank.N).any():
         raise NotPsdError(
-            f"doubled Gram rank range [{np.min(g.ranks)}, {np.max(g.ranks)}], "
+            f"doubled Gram rank range [{ranks.min()}, {ranks.max()}], "
             f"expected {bank.N} at every point"
         )
-    return SampledWaveletChoi(bank=bank, gram=g)
+    return SampledWaveletChoi(bank=bank, gram=g, choi=P)
 
 
 @dataclass
@@ -131,12 +131,11 @@ def cor6_check(
     """
     sw = sampled_choi(bank, grid_size)
     N, g = bank.N, grid_size
-    P = sw.block_choi()
-    ops = creation_matrices(P, K)
+    ops = creation_matrices(sw.choi, K)
 
     # vacuum product (a, b) is diagonal: entry (a, b) of the doubled Gram
     # at each grid point
-    values = sw.gram.choi_points
+    values = _points(sw.gram)
     target = np.eye(g) * values.transpose(1, 2, 0)[:, :, None, :]
     res = np.linalg.norm(ops.products(0) - target, 2, axis=(-2, -1))
 

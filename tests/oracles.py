@@ -6,8 +6,8 @@ coefficient arrays: a dict from exponent to coefficient, with products by a
 double loop over both supports.  It keeps every nonzero coefficient, so it
 agrees with `LaurentPoly` on supports at any scale.
 
-`dense_creation` is the Fock build the package used before its scalar
-layers: a dense eigh of every level Gram.
+`dense_validate_choi` and `dense_creation` are the Fock build the package
+used before its scalar layers: a dense eigh of P and of every level Gram.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from wavefock.errors import NotPsdError, SizeCapError
 from wavefock.fock import (
     MAX_LEVEL,
     PSD_HARD,
+    PSD_WARN,
     RANK_CUTOFF,
     SIZE_CAP,
     ChoiMatrix,
+    ChoiReport,
     CreationOps,
     FockLevel,
     TruncatedFock,
     level_gram,
-    validate_choi,
 )
 from wavefock.laurent import LaurentPoly
 
@@ -126,6 +127,40 @@ class DictPoly:
 # the dense Fock build
 
 
+def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
+    """`validate_choi` from one dense eigh of P, as a single layer.
+
+    The Hermiticity residual is the spectral norm of P - P*, the norm is the
+    top eigenvalue, eigenvalues below -PSD_HARD times max(1, ||P||) raise and
+    the rank keeps those above RANK_CUTOFF times the top one.  The commutator
+    sums the pairwise ||[p_a, p_b]||_F^2 by a loop; the blocks commute when it
+    is within PSD_HARD times max(1, ||P||^2).
+    """
+    m = P.matrix
+    herm = float(np.linalg.norm(m - m.conj().T, 2))
+    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2)
+    lo = float(eigvals[0])
+    norm = float(max(eigvals[-1], 0.0))
+    scale = max(1.0, norm)
+    if lo < -PSD_HARD * scale:
+        raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{PSD_HARD * scale:.3g}")
+    flat = [P.block(i, j) for i in range(P.N) for j in range(P.N)]
+    commutator = math.sqrt(
+        sum(np.linalg.norm(a @ b - b @ a) ** 2 for a in flat for b in flat)
+    )
+    return ChoiReport(
+        hermiticity_residual=herm,
+        commutator=commutator,
+        commuting=commutator <= PSD_HARD * max(1.0, norm**2),
+        W=np.ones((1, 1)),
+        eigenvalues=eigvals[None],
+        eigenvectors=eigvecs[None],
+        kept=(eigvals > RANK_CUTOFF * eigvals[-1])[None],
+        norm=norm,
+        warning=lo < -PSD_WARN * scale or herm > PSD_WARN * scale,
+    )
+
+
 def dense_creation(
     P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
 ) -> CreationOps:
@@ -135,18 +170,13 @@ def dense_creation(
     times its top eigenvalue; V_k = X Lambda^(-1/2), the factor is V_k* G_k,
     and T_i = (V_{k+1}* G_{k+1})[:, block i] V_k.  The well-definedness
     residual is the worst form ker* G_{k+1}[block i, block i] ker over the
-    eigenvectors below the cutoff, and the commutator sums the pairwise
-    ||[p_a, p_b]||_F^2 by a loop.  Every consumer of `CreationOps` runs on
-    the result unchanged.
+    eigenvectors below the cutoff, and P is judged by `dense_validate_choi`.
+    Every consumer of `CreationOps` runs on the result unchanged.
     """
-    report = validate_choi(P)
+    report = dense_validate_choi(P)
     if K > max_level:
         raise SizeCapError(f"truncation level {K} above cap {max_level}")
-    N, d = P.N, P.d
-    flat = [P.block(i, j) for i in range(N) for j in range(N)]
-    commutator = math.sqrt(
-        sum(np.linalg.norm(a @ b - b @ a) ** 2 for a in flat for b in flat)
-    )
+    N = P.N
     grams = [level_gram(P, k, size_cap) for k in range(K + 1)]
     levels = []
     for k, G in enumerate(grams):
@@ -172,6 +202,6 @@ def dense_creation(
                 [nxt.factor[:, i * size : (i + 1) * size] @ lvl.quotient for i in range(N)]
             )
         )
-    fock = TruncatedFock(P, K, report, commutator, levels)
+    fock = TruncatedFock(P, K, report, levels)
     worst = max((lvl.prepend_residual for lvl in levels[:K]), default=0.0)
     return CreationOps(fock=fock, ops=ops, well_definedness_residual=worst)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavefock import cli
+from wavefock.corpus import haar_bank
 from wavefock.filterbank import FilterBank
 from wavefock.fock import ChoiMatrix
 from wavefock.laurent import LaurentPoly
@@ -243,6 +244,37 @@ def test_fock_cap_is_config_error(capsys):
         capsys, "fock", "--builtin", "haar", "--grid", "32", "--levels", "5"
     )
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# non-finite numbers in JSON input
+
+
+def _nonfinite_doc(kind: str, value: float) -> dict:
+    """A Haar bank or a 2 x 2 block matrix with one number set to `value`."""
+    if kind == "bank":
+        doc = haar_bank().to_json()
+        doc["filters"][0][0][1] = value
+    else:
+        doc = ChoiMatrix.from_matrix(np.eye(2)).to_json()
+        doc["blocks"][0][0][0] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command,kind,value",
+    [(c, "bank", v) for c in ("verify", "loop", "anchor", "fock") for v in ("nan", "inf")]
+    + [("fock", "choi", "nan")],
+)
+def test_nonfinite_input_is_parse_error(tmp_path, capsys, command, kind, value):
+    # Python's json reads NaN and Infinity; the readers must refuse them
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_nonfinite_doc(kind, float(value))))
+    assert ("NaN" if value == "nan" else "Infinity") in path.read_text()
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from wavefock.fock import (
 from wavefock.filterbank import FilterBank
 from wavefock.wavelet_fock import cor6_check, sampled_choi
 
-from oracles import dense_creation
+from oracles import dense_creation, dense_validate_choi
 
 
 def scalar_choi(matrix) -> ChoiMatrix:
@@ -276,7 +276,7 @@ def _oracle_cases():
     return {
         "scalar": scalar_choi(random_psd_choi(3, 2, rng)),
         "commuting": ChoiMatrix.from_matrix(random_commuting_choi(2, 3, rng), d=3),
-        "sampled-bank": bank.block_choi(),
+        "sampled-bank": bank.choi,
     }
 
 
@@ -590,7 +590,7 @@ def _benchmark_inputs():
         cases.append((f"commuting-{N}x{d}", ChoiMatrix.from_matrix(matrix, d=d), 3))
     for family, grid in [("orthogonal", 8), ("biorthogonal", 8), ("biorthogonal", 12)]:
         bank = FilterBank.from_json(gen.Bank.random(family, 2, rng).json())
-        cases.append((f"{family}-grid{grid}", sampled_choi(bank, grid).block_choi(), 2))
+        cases.append((f"{family}-grid{grid}", sampled_choi(bank, grid).choi, 2))
     # stretched-haar-dual at grid 8 runs through test_cor6_matches_dense_oracle
     return cases
 
@@ -621,7 +621,8 @@ def test_noncommuting_level_one_matches_dense_oracle():
     P = ChoiMatrix.from_matrix(b @ b.conj().T, d=2)
     ops, dense = creation_matrices(P, 1), dense_creation(P, 1)
     assert ops.fock.quotient_dims == dense.fock.quotient_dims == [2, 4]
-    assert ops.fock.commutator == pytest.approx(dense.fock.commutator, rel=1e-12)
+    commutator = dense.fock.choi_report.commutator
+    assert ops.fock.choi_report.commutator == pytest.approx(commutator, rel=1e-12)
     rep, rep_ref = tstar_t_check(ops), tstar_t_check(dense)
     assert rep.commuting is rep_ref.commuting is False
     assert abs(rep.vacuum_residual - rep_ref.vacuum_residual) <= 1e-12
@@ -629,6 +630,41 @@ def test_noncommuting_level_one_matches_dense_oracle():
         creation_matrices(P, 2)
     with pytest.raises(NotPsdError, match="level 2 Gram is not Hermitian"):
         dense_creation(P, 2)
+
+
+def _validation_inputs():
+    """(name, P) for every `fock` input class: the benchmark inputs, a
+    noncommuting d = 2 matrix, and sampled banks at grid 16."""
+    gen = _load_gen()
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    cases = [(name, P) for name, P, _ in BENCHMARK_INPUTS]
+    cases.append(("noncommuting-2x2", ChoiMatrix.from_matrix(b @ b.conj().T, d=2)))
+    bank = FilterBank.from_json(gen.Bank.random("biorthogonal", 2, rng).json())
+    cases.append(("biorthogonal-grid16", sampled_choi(bank, 16).choi))
+    for grid in (8, 16):
+        bank = builtin_bank("stretched-haar-dual", {})
+        cases.append((f"stretched-haar-dual-grid{grid}", sampled_choi(bank, grid).choi))
+    return cases
+
+
+VALIDATION_INPUTS = _validation_inputs()
+
+
+@pytest.mark.parametrize("name,P", VALIDATION_INPUTS, ids=[c[0] for c in VALIDATION_INPUTS])
+def test_validate_choi_matches_dense_oracle(name, P):
+    rep, ref = validate_choi(P), dense_validate_choi(P)
+    scale = max(1.0, ref.norm)
+    assert np.abs(np.sort(rep.eigenvalues.ravel()) - ref.eigenvalues[0]).max() <= 1e-12 * scale
+    assert abs(rep.norm - ref.norm) <= 1e-12 * scale
+    assert rep.rank == ref.rank
+    assert rep.commuting is ref.commuting is (not name.startswith("noncommuting"))
+    assert rep.commutator == pytest.approx(ref.commutator, rel=1e-12, abs=1e-300)
+    # the kernels span one subspace: the layers' eigenvectors lifted by W
+    ker, ker_ref = rep.kernel, ref.kernel
+    assert ker.shape == ker_ref.shape
+    assert np.abs(ker @ ker.conj().T - ker_ref @ ker_ref.conj().T).max() <= 1e-10
+    assert rep.rank == truncated_fock(P, 1).quotient_dims[1]
 
 
 @pytest.mark.parametrize(
@@ -696,7 +732,7 @@ def _scale_cases():
     blocks = np.einsum("as,sij,bs->iajb", q, layers, q.conj())
     return {
         "scalar": scalar_choi(random_psd_choi(3, 2, rng, scale=4.0)),
-        "sampled-diagonal": bank.block_choi(),
+        "sampled-diagonal": bank.choi,
         "commuting": ChoiMatrix.from_matrix(blocks.reshape(9, 9), d=3),
     }
 
@@ -737,11 +773,12 @@ def _reweighted_bank(c: float) -> FilterBank:
     return FilterBank(2, [f * c for f in bank.filters], [f * (1 / c) for f in bank.dual_filters])
 
 
-@pytest.mark.parametrize("c", [1e3, 1e4])
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 1e3, 1e4])
 def test_fock_verdict_on_reweighted_bank(c, tmp_path):
-    # eigh roundoff grows with the norm (3.7e6 at 1e3, 3.7e8 at 1e4): the
-    # doubled Gram's smallest eigenvalue reaches -5.8e-8 at 1e4 and the
-    # cor6 residual 2.8e-9 at 1e3, both roundoff against that norm
+    # eigh roundoff grows with the norm (6.9e8 at 1e-4, 6.9e6 at 1e-3, 3.7e6
+    # at 1e3, 3.7e8 at 1e4): the doubled Gram's smallest eigenvalue reaches
+    # -1.3e-7 at 1e-4 and the cor6 residual 2.8e-9 at 1e3, both roundoff
+    # against that norm; an absolute floor of -1e-10 refused c = 1e-3
     cor6 = cor6_check(_reweighted_bank(c))
     norm = cor6.ops.fock.choi_report.norm
     assert norm > 1e6

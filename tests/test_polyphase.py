@@ -34,6 +34,7 @@ from wavefock.polyphase import (
     modulation_matrix,
     modulation_matrix_check,
 )
+from wavefock.wavelet_fock import sampled_choi
 
 
 def assert_loop_equal(A, B, tol=1e-12):
@@ -409,10 +410,11 @@ class TestGram:
         assert gf.gram.entries[0][0].isclose(LaurentPoly.one(), 1e-14)
         assert gf.gram.entries[0][1].isclose(LaurentPoly.zero(), 1e-15)
         # doubled matrix [[I, I], [I, I]] has rank 2 and eigenvalues {2, 0}
-        assert np.all(gf.ranks == 2)
-        assert np.min(gf.min_eigs) > -1e-10
-        eigs = np.linalg.eigvalsh(gf.choi_points[0])
-        assert np.allclose(sorted(eigs), [0, 0, 2, 2], atol=1e-12)
+        # on each grid point, a layer of the sampled block matrix
+        rep = sampled_choi(haar, 32).choi.report
+        assert np.all(rep.kept.sum(axis=1) == 2)
+        assert rep.min_eigenvalue > -1e-10
+        assert np.allclose(rep.eigenvalues[0], [0, 0, 2, 2], atol=1e-12)
 
     def test_stretched_gram(self, stretched):
         gf = gram_function(stretched, grid=32)
@@ -420,10 +422,10 @@ class TestGram:
             for j in range(4):
                 expect = LaurentPoly({0: 2.0}) if i == j else LaurentPoly.zero()
                 assert gf.gram.entries[i][j].isclose(expect, 1e-13)
-        assert np.all(gf.ranks == 4)
-        assert np.min(gf.min_eigs) > -1e-10
-        eigs = np.linalg.eigvalsh(gf.choi_points[0])
-        assert np.allclose(sorted(eigs)[4:], [2.5] * 4, atol=1e-12)
+        rep = sampled_choi(stretched, 32, check=False).choi.report
+        assert np.all(rep.kept.sum(axis=1) == 4)
+        assert rep.min_eigenvalue > -1e-10
+        assert np.allclose(rep.eigenvalues[0][4:], [2.5] * 4, atol=1e-12)
 
     def test_multiplier_cross_check(self, rng):
         # (AA*)_{j,i} is the multiplier of S_i^* S_j, exactly in coefficients
@@ -453,11 +455,11 @@ class TestGram:
 
     def test_rank_structure_random_pair(self, rng):
         bank = random_biorthogonal_bank(2, rng)
-        gf = gram_function(bank, grid=16)
-        assert np.all(gf.ranks == 2)
+        sw = sampled_choi(bank, 16)
+        rep = sw.choi.report
+        assert np.all(rep.kept.sum(axis=1) == 2)
         # eigenvalues come in pairs lam + 1/lam alongside N zeros
         for t in range(16):
-            lam = np.linalg.eigvalsh(gf.samples[t])
+            lam = np.linalg.eigvalsh(sw.gram.samples[t])
             expected = np.sort(np.concatenate([lam + 1.0 / lam, np.zeros(2)]))
-            got = np.sort(np.linalg.eigvalsh(gf.choi_points[t]))
-            assert np.allclose(got, expected, atol=1e-9)
+            assert np.allclose(rep.eigenvalues[t], expected, atol=1e-9)

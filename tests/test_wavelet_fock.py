@@ -25,9 +25,17 @@ def eigenvalue_structure_residual(sw) -> float:
     s = sw.gram.samples
     lam = np.linalg.eigvalsh((s + s.conj().transpose(0, 2, 1)) / 2)
     predicted = np.sort(np.concatenate([lam + 1.0 / lam, np.zeros_like(lam)], axis=1), axis=1)
-    p = sw.gram.choi_points
-    actual = np.linalg.eigvalsh((p + p.conj().transpose(0, 2, 1)) / 2)
-    return float(np.abs(actual - predicted).max())
+    # the block matrix's layers are its grid points, in grid order
+    return float(np.abs(sw.choi.report.eigenvalues - predicted).max())
+
+
+def layer(sw, t: int) -> np.ndarray:
+    """The 2N x 2N matrix at grid point t, read off the diagonal blocks."""
+    return sw.choi.blocks()[:, :, t, t]
+
+
+def layer_ranks(sw) -> list:
+    return sw.choi.report.kept.sum(axis=1).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -39,8 +47,8 @@ def test_haar_sampled_points(haar):
     eye2 = np.eye(2)
     expected = np.block([[eye2, eye2], [eye2, eye2]])
     for t in range(8):
-        assert np.allclose(sw.gram.choi_points[t], expected, atol=1e-12)
-    assert list(sw.gram.ranks) == [2] * 8
+        assert np.allclose(layer(sw, t), expected, atol=1e-12)
+    assert layer_ranks(sw) == [2] * 8
     assert sw.letters == 4
 
 
@@ -50,15 +58,15 @@ def test_stretched_sampled_points():
     eye4 = np.eye(4)
     expected = np.block([[2 * eye4, eye4], [eye4, 0.5 * eye4]])
     for t in range(8):
-        assert np.allclose(sw.gram.choi_points[t], expected, atol=1e-12)
-    assert list(sw.gram.ranks) == [4] * 8
+        assert np.allclose(layer(sw, t), expected, atol=1e-12)
+    assert layer_ranks(sw) == [4] * 8
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_pair_sampled(seed):
     sw = sampled_choi(pair_bank(seed), grid_size=8)
-    assert float(np.min(sw.gram.min_eigs)) >= -1e-10
-    assert list(sw.gram.ranks) == [2] * 8
+    assert sw.choi.report.min_eigenvalue >= -1e-10
+    assert layer_ranks(sw) == [2] * 8
 
 
 @pytest.mark.parametrize(
@@ -75,22 +83,27 @@ def test_eigenvalue_structure(bank_fn):
 
 
 def test_point_extraction(haar):
+    # each grid point is one layer: [[AA*, I], [I, (AA*)^-1]] sampled there,
+    # with the spectrum the report holds for that layer
     sw = sampled_choi(haar, grid_size=4)
-    P = sw.point(0)
-    assert P.N == 4 and P.d == 1
-    assert np.allclose(P.matrix, sw.gram.choi_points[0])
+    eye = np.eye(2)
+    for t in range(4):
+        point = np.block([[sw.gram.samples[t], eye], [eye, sw.gram.inverses[t]]])
+        assert np.allclose(layer(sw, t), point)
+        assert np.allclose(sw.choi.report.eigenvalues[t], np.linalg.eigvalsh(point))
 
 
 def test_block_choi_layout(haar):
     sw = sampled_choi(haar, grid_size=4)
-    P = sw.block_choi()
+    P = sw.choi
     assert P.N == 4 and P.d == 4
+    assert np.array_equal(sw.choi.report.W, np.eye(4))
     # diagonal blocks carry the per-point samples
     for a in range(4):
         for b in range(4):
             block = P.block(a, b)
             assert np.allclose(np.diag(np.diagonal(block)), block, atol=0)
-            assert np.allclose(np.diagonal(block), sw.gram.choi_points[:, a, b])
+            assert np.allclose(np.diagonal(block), [layer(sw, t)[a, b] for t in range(4)])
 
 
 def test_singular_loop_propagates():
@@ -129,7 +142,7 @@ def test_cor6_haar(haar):
 def test_cor6_haar_isometries(haar):
     # orthogonal bank: AA* = I, so every letter acts isometrically
     sw = sampled_choi(haar, grid_size=8)
-    ops = creation_matrices(sw.block_choi(), 2)
+    ops = creation_matrices(sw.choi, 2)
     for k in range(2):
         for a in range(4):
             prod = ops.op(a, k).conj().T @ ops.op(a, k)
@@ -143,7 +156,7 @@ def test_cor6_stretched():
     assert rep.residual < 1e-9
 
     sw = sampled_choi(bank, grid_size=8)
-    ops = creation_matrices(sw.block_choi(), 2)
+    ops = creation_matrices(sw.choi, 2)
     eye = np.eye(8)
     for i in range(4):
         prim = ops.op(i, 0).conj().T @ ops.op(i, 0)
@@ -160,6 +173,24 @@ def test_cor6_random_pairs(seed):
     assert rep.residual < 1e-9
     assert rep.ops.well_definedness_residual < 1e-10
     assert rep.ops.fock.quotient_dims[0] == 8
+
+
+def test_cor6_runs_one_eigh_on_the_layers(monkeypatch):
+    # the doubled Gram is judged once, on its (grid, 2N, 2N) layer stack;
+    # no eigensolver sees the (2N grid)^2 block matrix
+    shapes = []
+
+    def spy(solver):
+        def run(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    cor6_check(pair_bank(1), grid_size=8, K=2)
+    assert shapes == [(8, 4, 4)]
 
 
 def _cor6_oracle(bank, grid_size, K):
