@@ -12,9 +12,15 @@ so P splits into d scalar N x N layers P_s and the level-k Gram is unitarily
 the direct sum of their Kronecker powers P_s^(x)k.  `validate_choi` runs the
 one eigh, over the stack of layers, and reads the PSD floor, rank, norm and
 kernel of P from it; blocks that do not commute make P itself the one layer.
-Every level is built from those eigenpairs: no level Gram is formed or
-diagonalized, and the level-k rank is sum_s rank(P_s)^k by construction.
-`level_gram` keeps the dense word-product recursion as the oracle.
+
+Every level is read from those eigenpairs in closed form.  On layer s,
+P_s = A_s* A_s on its kept part with A_s = Lambda_s^(1/2) U_s* (r_s x N), and
+column i of A_s is the letter vector a_i^s.  Level k has dimension
+sum_s r_s^k and Gram norm max_s |mu_s|^k, the creation operator from it is
+T_i = (+)_s a_i^s (x) I_{r_s^k}, and T_i* T_j = (+)_s (A_s* A_s)_ij I.  No
+level Gram, factor or operator stack is formed; `CreationOps.op` builds one
+operator on demand, and `level_gram` keeps the dense word-product recursion
+as the oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPsdError, SizeCapError
+from .laurent import json_complex
 
 PSD_HARD = 1e-8
 PSD_WARN = 1e-10
 RANK_CUTOFF = 1e-10
 SIZE_CAP = 4096
-MAX_LEVEL = 4
+MAX_LEVEL = 12
 
 
 # ----------------------------------------------------------------------
@@ -94,12 +101,10 @@ class ChoiMatrix:
             N, d = int(obj["N"]), int(obj["d"])
             rows = obj["blocks"]
             matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+                [[json_complex(re, im) for re, im in row] for row in rows], dtype=complex
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed block matrix document: {exc}") from exc
-        if not np.isfinite(matrix).all():
-            raise ValueError("block matrix entries must be finite numbers")
         return cls(N, d, matrix)
 
 
@@ -221,37 +226,13 @@ def validate_choi(P: ChoiMatrix) -> ChoiReport:
 
 @dataclass
 class FockLevel:
-    """Level k of the quotient, from the kept eigenpairs (lambda, x) of G_k.
-
-    `factor` is V_k* G_k = Lambda^(1/2) X* and `quotient` is
-    V_k = X Lambda^(-1/2): factor @ quotient = I, and factor* factor is G_k
-    without its numerical kernel.
-    """
+    """Level k of the quotient, read in closed form from the layers."""
 
     k: int
-    eigenvalues: np.ndarray  # all of G_k's, layer by layer
-    factor: np.ndarray
-    quotient: np.ndarray
+    q: int
+    kernel_dim: int
+    norm: float  # spectral norm of the level Gram
     prepend_residual: float  # worst x* G_{k+1}[block i, block i] x, x dropped
-
-    @property
-    def q(self) -> int:
-        return int(self.quotient.shape[1])
-
-    @property
-    def kernel_dim(self) -> int:
-        return int(self.eigenvalues.size) - self.q
-
-    @property
-    def norm(self) -> float:
-        """Spectral norm of the Gram, read off its spectrum."""
-        return float(np.abs(self.eigenvalues).max())
-
-
-def _level_size(P: ChoiMatrix, k: int, size_cap: int) -> None:
-    size = P.N**k * P.d
-    if size > size_cap:
-        raise SizeCapError(f"level {k} needs {size} spanning vectors (cap {size_cap})")
 
 
 def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
@@ -263,7 +244,8 @@ def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
-    _level_size(P, k, size_cap)
+    if P.N**k * P.d > size_cap:
+        raise SizeCapError(f"level {k} needs {P.N**k * P.d} spanning vectors (cap {size_cap})")
     d, pnorm = P.d, P.norm
     G = np.eye(d, dtype=complex)
     for j in range(1, k + 1):
@@ -283,9 +265,14 @@ def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
 
 @dataclass
 class TruncatedFock:
+    """Levels 0..K and their letters: row (s, a) of `letters` is sqrt(mu) u*
+    for the kept eigenpair (mu, u) of layer s, so the rows of layer s form A_s."""
+
     choi: ChoiMatrix
     K: int
     choi_report: ChoiReport
+    letters: np.ndarray  # (q_1, N e): e = d for one noncommuting layer, else 1
+    layer: np.ndarray  # (q_1,), ascending: the layer of each row
     levels: list = field(default_factory=list)
 
     def level(self, k: int) -> FockLevel:
@@ -304,53 +291,38 @@ class TruncatedFock:
         }
 
 
-def truncated_fock(
-    P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
-) -> TruncatedFock:
+def truncated_fock(P: ChoiMatrix, K: int) -> TruncatedFock:
     """Levels 0..K in word-major order, i_1 most significant.
 
-    Level 0 is the base space.  Above it G_k is unitarily the direct sum over
-    layers s of P_s^(x)k: its eigenpairs are Kronecker products of the
-    layers' eigenpairs times column s of W, and the kept ones are products
-    of kept level-1 pairs, so the rank is sum_s rank(P_s)^k by construction.
-    Noncommuting blocks make no Hermitian level-2 Gram; that aborts the run.
+    Level 0 is the base space.  Above it G_k is unitarily the direct sum of
+    the P_s^(x)k, so q_k = sum_s rank(P_s)^k and ||G_k|| = max_s |mu_s|^k.
     Letter i prepended to a level-k eigenvector of layer s, eigenvalue mu,
-    has the form mu (P_s)_ii, which gives `prepend_residual`.
+    has the form mu (P_s)_ii, which gives `prepend_residual`.  Noncommuting
+    blocks make no Hermitian level-2 Gram; that aborts the run.
     """
     report = P.report
     if K < 0:
         raise ValueError("level must be nonnegative")
-    if K > max_level:
-        raise SizeCapError(f"truncation level {K} above cap {max_level}")
-    fock = TruncatedFock(P, K, report)
-    _level_size(P, 0, size_cap)
-    eye = np.eye(P.d, dtype=complex)
-    fock.levels.append(FockLevel(0, np.ones(P.d), eye, eye, 0.0))
-    W, mu, U, keep1 = report.W, report.eigenvalues, report.eigenvectors, report.kept
-    s1, a1 = np.nonzero(keep1)
-    A1 = np.sqrt(mu[s1, a1])[:, None] * U[s1, :, a1].conj()  # kept sqrt(mu) u*
-    diag = np.einsum("sia,sa->si", np.abs(U) ** 2, mu).max(axis=1)  # max_i (P_s)_ii
-    # per layer: every level-k eigenvalue and its keep flag; F holds the kept
-    # rows of the layers' factor powers, and `layer` the layer of each row
-    eig, keep = np.ones((len(mu), 1)), np.ones((len(mu), 1), dtype=bool)
-    F, layer = np.ones((len(mu), 1), dtype=complex), np.arange(len(mu))
-    for k in range(1, K + 1):
-        _level_size(P, k, size_cap)
-        if k == 2 and not report.commuting:
-            raise NotPsdError(
-                f"level 2 Gram is not Hermitian (drift {report.commutator:.3e}); "
-                "noncommuting blocks break the word-product form"
-            )
-        eig = (eig[:, :, None] * mu[:, None, :]).reshape(len(mu), -1)
-        keep = (keep[:, :, None] & keep1[:, None, :]).reshape(len(mu), -1)
-        rows, cols = np.nonzero(layer[:, None] == s1)
-        F = (F[rows][:, :, None] * A1[cols][:, None, :]).reshape(rows.size, -1)
-        layer = s1[cols]
-        factor = (F[:, :, None] * W.conj().T[layer][:, None, :]).reshape(rows.size, -1)
-        dropped = np.abs(eig[~keep]) * diag[np.nonzero(~keep)[0]]
-        fock.levels.append(
-            FockLevel(k, eig.ravel(), factor, factor.conj().T / eig[keep], dropped.max(initial=0.0))
+    if K > MAX_LEVEL:
+        raise SizeCapError(f"truncation level {K} above cap {MAX_LEVEL}")
+    if K >= 2 and not report.commuting:
+        raise NotPsdError(
+            f"level 2 Gram is not Hermitian (drift {report.commutator:.3e}); "
+            "noncommuting blocks break the word-product form"
         )
+    mu, U, kept = report.eigenvalues, report.eigenvectors, report.kept
+    s1, a1 = np.nonzero(kept)
+    letters = np.sqrt(mu[s1, a1])[:, None] * U[s1, :, a1].conj()
+    fock = TruncatedFock(P, K, report, letters, s1)
+    fock.levels.append(FockLevel(0, P.d, 0, 1.0, 0.0))
+    ranks = [int(r) for r in kept.sum(axis=1)]
+    top = np.abs(mu).max(axis=1)
+    dropped = np.where(kept, 0.0, np.abs(mu)).max(axis=1)
+    diag = np.einsum("sia,sa->si", np.abs(U) ** 2, mu).max(axis=1)  # max_i (P_s)_ii
+    for k in range(1, K + 1):
+        q = sum(r**k for r in ranks)
+        prepend = float((dropped * top ** (k - 1) * diag).max())
+        fock.levels.append(FockLevel(k, q, P.N**k * P.d - q, float(top.max()) ** k, prepend))
     return fock
 
 
@@ -369,20 +341,17 @@ class KernelReport:
 
 
 def level_kernel(
-    P: ChoiMatrix,
-    k: int,
-    size_cap: int = SIZE_CAP,
-    rng: np.random.Generator | None = None,
+    P: ChoiMatrix, k: int, rng: np.random.Generator | None = None
 ) -> KernelReport:
     """Kernel of the level-k Gram with the scalar-case cross-checks.
 
     For d = 1 the Gram is an exact Kronecker power, so the kernel dimension
     is N^k - r^k and is spanned by word tensors with one factor in ker P;
     both facts are verified, the second by the quotient norm ||F_k t|| / ||t||
-    of such tensors t, with F_k = V_k* G_k the level factor.  No closed form
-    is attempted for d > 1.
+    of such tensors t = (x)_j f_j: with F_k = A^(x)k, A the letters, it is
+    prod_j ||A f_j|| / ||f_j||.  No closed form is attempted for d > 1.
     """
-    fock = truncated_fock(P, k, size_cap)
+    fock = truncated_fock(P, k)
     top = fock.level(k)
     predicted = spanning = None
     if P.d == 1:
@@ -396,8 +365,8 @@ def level_kernel(
                     for _ in range(k)
                 ]
                 factors[pos] = col
-                t = functools.reduce(np.kron, factors)
-                spanning = max(spanning, float(np.linalg.norm(top.factor @ t) / np.linalg.norm(t)))
+                ratio = np.prod([np.linalg.norm(fock.letters @ f) / np.linalg.norm(f) for f in factors])
+                spanning = max(spanning, float(ratio))
     return KernelReport(k=k, dim=top.kernel_dim, predicted_dim=predicted, spanning_residual=spanning)
 
 
@@ -407,10 +376,11 @@ def level_kernel(
 
 @dataclass
 class CreationOps:
-    """Quotient matrices of T_i between consecutive truncation levels."""
+    """Creation operators between consecutive levels, kept as the letters of
+    `fock`: T_i = (+)_s a_i^s (x) I_{r_s^k} from level k >= 1, and
+    (+)_s a_i^s w_s* from the base space, w_s = W[:, s]."""
 
     fock: TruncatedFock
-    ops: list  # ops[k]: (N, q_{k+1}, q_k), letter i -> T_i from level k
     well_definedness_residual: float
 
     @property
@@ -418,34 +388,46 @@ class CreationOps:
         return self.fock.K
 
     def op(self, i: int, k: int) -> np.ndarray:
-        return self.ops[k][i]
+        """T_i from level k as a q_{k+1} x q_k matrix, formed on demand."""
+        fock = self.fock
+        q = fock.level(k + 1).q
+        if q > SIZE_CAP:
+            raise SizeCapError(f"level {k + 1} has quotient dimension {q} (cap {SIZE_CAP})")
+        e = fock.letters.shape[1] // fock.choi.N
+        a = fock.letters[:, i * e : (i + 1) * e]
+        if k == 0:
+            return a * fock.choi_report.W.conj().T[fock.layer]
+        T = np.zeros((q, fock.level(k).q), dtype=complex)
+        row = col = 0
+        for s in np.unique(fock.layer):
+            a_s = a[fock.layer == s]
+            n = len(a_s) ** k
+            T[row : row + len(a_s) * n, col : col + n] = np.kron(a_s, np.eye(n))
+            row, col = row + len(a_s) * n, col + n
+        return T
 
-    def products(self, k: int) -> np.ndarray:
-        """T_i* T_j on level k for every letter pair, shape (N, N, q_k, q_k)."""
-        T = self.ops[k]
-        return T.conj().transpose(0, 2, 1)[:, None] @ T[None]
+    def layer_products(self) -> np.ndarray:
+        """A_s* A_s for every layer s: T_i* T_j = (+)_s (A_s* A_s)_ij I on
+        every level k >= 1, and W diag_s (A_s* A_s)_ij W* on the vacuum."""
+        rep = self.fock.choi_report
+        U = rep.eigenvectors
+        return (U * np.where(rep.kept, rep.eigenvalues, 0.0)[:, None, :]) @ U.conj().transpose(0, 2, 1)
 
 
-def creation_matrices(
-    P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
-) -> CreationOps:
+def creation_matrices(P: ChoiMatrix, K: int) -> CreationOps:
     """T_i^(k) = (V_{k+1}* G_{k+1})[:, block i] V_k for all letters and levels k < K.
 
-    Block i holds the level-(k+1) words that start with letter i, so the
-    column slice is the Gram composed with the embedding w -> iw.  For d = 1
-    and P = V*V with columns v_i, T_i = v_i (x) I; commuting blocks give this
-    layer by layer.  Letter-prepending maps Gram-null vectors to Gram-null
-    vectors; the returned residual is the worst squared Phi-norm of such an
-    image, from the dropped eigenvalues (the quadratic form itself; its
-    square root sits at sqrt(eps) even for exact kernels, so the form is the
-    meaningful zero test).
+    Block i holds the level-(k+1) words that start with letter i; on the
+    quotient bases of `truncated_fock` the slice is (+)_s a_i^s (x) I.
+    Letter-prepending maps Gram-null vectors to Gram-null vectors; the
+    returned residual is the worst squared Phi-norm of such an image, from
+    the dropped eigenvalues (the quadratic form itself; its square root sits
+    at sqrt(eps) even for exact kernels, so the form is the meaningful zero
+    test).
     """
-    fock = truncated_fock(P, K, size_cap, max_level)
-    ops = []
-    for lvl, nxt in zip(fock.levels, fock.levels[1:]):
-        ops.append(nxt.factor.reshape(nxt.q, P.N, -1).transpose(1, 0, 2) @ lvl.quotient)
+    fock = truncated_fock(P, K)
     worst = max((lvl.prepend_residual for lvl in fock.levels[:K]), default=0.0)
-    return CreationOps(fock=fock, ops=ops, well_definedness_residual=float(worst))
+    return CreationOps(fock=fock, well_definedness_residual=float(worst))
 
 
 # ----------------------------------------------------------------------
@@ -475,66 +457,69 @@ class TstarTReport:
 
 
 def tstar_t_check(ops: CreationOps) -> TstarTReport:
-    """T_i* T_j against the block data of the block matrix behind `ops`.
+    """T_i* T_j against targets read from the blocks of P, per layer.
 
     (a) on the vacuum level the product matrix is p_ij exactly;
-    (b) at level k it is the quotient compression of w (x) h -> w (x) p_ij h;
-    (c) for pairwise commuting blocks the largest ||T_i* T_i|| over levels
-        equals ||p_ii|| and is attained on the vacuum;
+    (b) at level k the target V_k* G_k (I (x) p_ij) V_k has block (s, t)
+        (W* p_ij W)_st (A_s A_t^+)^(x)k.  The diagonal blocks are read exactly
+        against (A_s* A_s)_ij; the off-diagonal ones, 0 for d = 1 and sampled
+        Grams, add their Frobenius norm, a safe-side bound.  Noncommuting
+        blocks have only the vacuum, where T_i* T_j = a_i* a_j;
+    (c) for pairwise commuting blocks ||T_i* T_i|| = max_s (A_s* A_s)_ii on
+        every level, so it is attained on the vacuum, and equals ||p_ii||;
     (d) ||G_k|| <= ||P||^k, attained for d = 1 by top-eigenvector powers.
     """
     fock = ops.fock
-    P = fock.choi
+    report, P = fock.choi_report, fock.choi
     N, d = P.N, P.d
     blocks = P.blocks()
+    got = ops.layer_products()
     letters = np.arange(N)
-
-    vacuum = float(np.linalg.norm(ops.products(0) - blocks, 2, axis=(-2, -1)).max())
-    general = 0.0
-    diag_norms = []  # ||T_i* T_i|| per level
-    # level k target for pair (i, j): V_k* G_k (I_{N^k} (x) p_ij) V_k, with
-    # the Kronecker factor applied blockwise to the columns of the factor
-    for k in range(ops.K):
-        lvl = fock.level(k)
-        prods = ops.products(k)
-        F = lvl.factor.reshape(lvl.q, N**k, d)
-        target = (F @ blocks[:, :, None]).reshape(N, N, lvl.q, -1) @ lvl.quotient
-        general = max(general, float(np.linalg.norm(prods - target, 2, axis=(-2, -1)).max()))
-        diag_norms.append(np.linalg.norm(prods[letters, letters], 2, axis=(-2, -1)))
 
     norm_law = None
     argmax = None
-    if fock.choi_report.commuting:
-        norm_law = 0.0
-        targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
-        for i in range(N):
-            norms = [float(level[i]) for level in diag_norms]
-            best = int(np.argmax(norms))
-            # strictness guard is relative: quotient conditioning can push a
-            # higher level above the vacuum norm by ~1e-12 of pure roundoff
-            if best != 0 and norms[best] > norms[0] + 1e-9 * max(1.0, norms[0]):
-                argmax = best
-            norm_law = max(norm_law, abs(max(norms) - float(targets[i])))
-        argmax = argmax or 0
+    if not report.commuting:
+        diff = got[0].reshape(N, d, N, d).transpose(0, 2, 1, 3) - blocks
+        vacuum = float(np.linalg.norm(diff, 2, axis=(-2, -1)).max())
+        general = vacuum if ops.K else 0.0
+    else:
+        rotated = blocks
+        if _off_diagonal(blocks).any():
+            rotated = report.W.conj().T @ blocks @ report.W
+        diag = np.abs(got.transpose(1, 2, 0) - np.diagonal(rotated, axis1=2, axis2=3))
+        off = np.abs(_off_diagonal(rotated)) ** 2
+        frob = np.zeros(off.shape[-1])  # ||A_s A_t^+||_F^2 for s != t
+        if off.any():
+            layers = len(got)
+            onehot = (fock.layer == np.arange(layers)[:, None]).astype(float)
+            A = fock.letters
+            ratio = np.abs(A @ A.conj().T / report.eigenvalues[report.kept]) ** 2
+            frob = (onehot @ ratio @ onehot.T)[~np.eye(layers, dtype=bool)]
+        present = report.kept.any(axis=1)
 
-    pnorm = fock.choi_report.norm
-    gap = 0.0
+        def residual(k: int) -> float:
+            on_layers = diag if k == 0 else np.where(present, diag, 0.0)
+            return float((on_layers.max(axis=-1) + np.sqrt(off @ frob**k)).max())
+
+        vacuum = residual(0)
+        general = max((residual(k) for k in range(ops.K)), default=0.0)
+        targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
+        norm_law = float(np.abs(got[:, letters, letters].real.max(axis=0) - targets).max())
+        argmax = 0
+
+    pnorm = report.norm
+    gap = max((lvl.norm - pnorm**k) / max(1.0, pnorm**k) for k, lvl in enumerate(fock.levels))
     attain = None
-    for k in range(ops.K + 1):
-        gk = fock.level(k).norm
-        gap = max(gap, (gk - pnorm**k) / max(1.0, pnorm**k))
     if d == 1:
-        attain = 0.0
-        top = fock.choi_report.eigenvectors[0, :, -1]
-        t = top
-        for k in range(1, ops.K + 1):
-            rayleigh = float(np.linalg.norm(fock.level(k).factor @ t) ** 2)
-            attain = max(attain, abs(pnorm**k - rayleigh) / max(1.0, pnorm**k))
-            t = np.kron(t, top)
+        rayleigh = float(np.linalg.norm(fock.letters @ report.eigenvectors[0, :, -1]) ** 2)
+        attain = max(
+            (abs(pnorm**k - rayleigh**k) / max(1.0, pnorm**k) for k in range(1, ops.K + 1)),
+            default=0.0,
+        )
     return TstarTReport(
         vacuum_residual=vacuum,
         general_residual=general,
-        commuting=fock.choi_report.commuting,
+        commuting=report.commuting,
         norm_law_residual=norm_law,
         norm_law_argmax=argmax,
         gram_norm_gap=gap,

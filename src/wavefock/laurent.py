@@ -284,6 +284,16 @@ def poly_to_json(p: LaurentPoly) -> list:
     return [[k, v.real, v.imag] for k, v in p.coeffs().items()]
 
 
+def json_complex(re, im) -> complex:
+    """re + i im from JSON: finite ints or floats, booleans refused."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+        raise ValueError(f"coefficients must be finite numbers, got {re!r}, {im!r}")
+    z = complex(re, im)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coefficient {re!r}, {im!r} is not finite")
+    return z
+
+
 def poly_from_json(obj) -> LaurentPoly:
     if not isinstance(obj, list):
         raise ValueError("polynomial JSON must be an array of [exponent, re, im]")
@@ -298,9 +308,7 @@ def poly_from_json(obj) -> LaurentPoly:
         if last is not None and k <= last:
             raise ValueError("exponents must be strictly increasing")
         last = k
-        coeffs[k] = complex(re, im)
-        if not cmath.isfinite(coeffs[k]):
-            raise ValueError(f"coefficient at exponent {k} is not finite")
+        coeffs[k] = json_complex(re, im)
     if coeffs and last - min(coeffs) >= MAX_JSON_SPAN:
         raise ValueError(f"polynomial spans more than {MAX_JSON_SPAN} exponents")
     return LaurentPoly(coeffs)

@@ -6,32 +6,36 @@ coefficient arrays: a dict from exponent to coefficient, with products by a
 double loop over both supports.  It keeps every nonzero coefficient, so it
 agrees with `LaurentPoly` on supports at any scale.
 
-`dense_validate_choi` and `dense_creation` are the Fock build the package
-used before its scalar layers: a dense eigh of P and of every level Gram.
+`dense_validate_choi`, `dense_creation`, `dense_tstar_t_check` and
+`dense_cor6_check` are the Fock build and checks the package used before its
+scalar layers: a dense eigh of P and of every level Gram, creation operators
+stacked level by level, and spectral-norm SVDs of every T_i* T_j residual.
+`word_factor` lifts the layered letters back to word space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from wavefock.errors import NotPsdError, SizeCapError
+from wavefock.filterbank import FilterBank
 from wavefock.fock import (
     MAX_LEVEL,
     PSD_HARD,
     PSD_WARN,
     RANK_CUTOFF,
-    SIZE_CAP,
     ChoiMatrix,
     ChoiReport,
-    CreationOps,
-    FockLevel,
     TruncatedFock,
+    TstarTReport,
     level_gram,
 )
 from wavefock.laurent import LaurentPoly
+from wavefock.wavelet_fock import Cor6Report, _points, sampled_choi
 
 
 @dataclass(frozen=True)
@@ -161,9 +165,75 @@ def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
     )
 
 
-def dense_creation(
-    P: ChoiMatrix, K: int, size_cap: int = SIZE_CAP, max_level: int = MAX_LEVEL
-) -> CreationOps:
+@dataclass
+class DenseLevel:
+    """Level k from the kept eigenpairs (lambda, x) of G_k: `factor` is
+    V_k* G_k = Lambda^(1/2) X* and `quotient` is V_k = X Lambda^(-1/2)."""
+
+    k: int
+    eigenvalues: np.ndarray  # all of G_k's
+    factor: np.ndarray
+    quotient: np.ndarray
+    prepend_residual: float
+
+    @property
+    def q(self) -> int:
+        return int(self.quotient.shape[1])
+
+    @property
+    def kernel_dim(self) -> int:
+        return int(self.eigenvalues.size) - self.q
+
+    @property
+    def norm(self) -> float:
+        return float(np.abs(self.eigenvalues).max())
+
+
+@dataclass
+class DenseFock:
+    choi: ChoiMatrix
+    K: int
+    choi_report: ChoiReport
+    levels: list = field(default_factory=list)
+
+    def level(self, k: int) -> DenseLevel:
+        return self.levels[k]
+
+    @property
+    def quotient_dims(self) -> list:
+        return [lvl.q for lvl in self.levels]
+
+    def to_json(self) -> dict:
+        return {
+            "K": self.K,
+            "quotient_dims": self.quotient_dims,
+            "kernel_dims": [lvl.kernel_dim for lvl in self.levels],
+            "gram_norms": [lvl.norm for lvl in self.levels],
+        }
+
+
+@dataclass
+class DenseCreation:
+    """Quotient matrices of T_i between consecutive levels, stacked."""
+
+    fock: DenseFock
+    ops: list  # ops[k]: (N, q_{k+1}, q_k)
+    well_definedness_residual: float
+
+    @property
+    def K(self) -> int:
+        return self.fock.K
+
+    def op(self, i: int, k: int) -> np.ndarray:
+        return self.ops[k][i]
+
+    def products(self, k: int) -> np.ndarray:
+        """T_i* T_j on level k for every letter pair, shape (N, N, q_k, q_k)."""
+        T = self.ops[k]
+        return T.conj().transpose(0, 2, 1)[:, None] @ T[None]
+
+
+def dense_creation(P: ChoiMatrix, K: int) -> DenseCreation:
     """`creation_matrices` from a dense eigh of each level Gram.
 
     Level k keeps the eigenpairs of `level_gram(P, k)` above RANK_CUTOFF
@@ -171,13 +241,12 @@ def dense_creation(
     and T_i = (V_{k+1}* G_{k+1})[:, block i] V_k.  The well-definedness
     residual is the worst form ker* G_{k+1}[block i, block i] ker over the
     eigenvectors below the cutoff, and P is judged by `dense_validate_choi`.
-    Every consumer of `CreationOps` runs on the result unchanged.
     """
     report = dense_validate_choi(P)
-    if K > max_level:
-        raise SizeCapError(f"truncation level {K} above cap {max_level}")
+    if K > MAX_LEVEL:
+        raise SizeCapError(f"truncation level {K} above cap {MAX_LEVEL}")
     N = P.N
-    grams = [level_gram(P, k, size_cap) for k in range(K + 1)]
+    grams = [level_gram(P, k) for k in range(K + 1)]
     levels = []
     for k, G in enumerate(grams):
         eigvals, eigvecs = np.linalg.eigh(G)
@@ -192,7 +261,7 @@ def dense_creation(
                 block = grams[k + 1][i * size : (i + 1) * size, i * size : (i + 1) * size]
                 sq = np.einsum("ij,ij->j", ker.conj(), block @ ker).real
                 prepend = max(prepend, float(np.abs(sq).max()))
-        levels.append(FockLevel(k, eigvals, V.conj().T @ G, V, prepend))
+        levels.append(DenseLevel(k, eigvals, V.conj().T @ G, V, prepend))
     ops = []
     for k in range(K):
         lvl, nxt = levels[k], levels[k + 1]
@@ -202,6 +271,112 @@ def dense_creation(
                 [nxt.factor[:, i * size : (i + 1) * size] @ lvl.quotient for i in range(N)]
             )
         )
-    fock = TruncatedFock(P, K, report, levels)
+    fock = DenseFock(P, K, report, levels)
     worst = max((lvl.prepend_residual for lvl in levels[:K]), default=0.0)
-    return CreationOps(fock=fock, ops=ops, well_definedness_residual=worst)
+    return DenseCreation(fock=fock, ops=ops, well_definedness_residual=worst)
+
+
+def dense_tstar_t_check(ops: DenseCreation) -> TstarTReport:
+    """`tstar_t_check` on the dense levels: every T_i* T_j residual is the
+    spectral norm of the product stack minus the dense compression
+    V_k* G_k (I_{N^k} (x) p_ij) V_k, and the norm law reads the SVD norm of
+    each T_i* T_i on each level."""
+    fock = ops.fock
+    P = fock.choi
+    N, d = P.N, P.d
+    blocks = P.blocks()
+    letters = np.arange(N)
+
+    vacuum = float(np.linalg.norm(ops.products(0) - blocks, 2, axis=(-2, -1)).max())
+    general = 0.0
+    diag_norms = []  # ||T_i* T_i|| per level
+    for k in range(ops.K):
+        lvl = fock.level(k)
+        prods = ops.products(k)
+        F = lvl.factor.reshape(lvl.q, N**k, d)
+        target = (F @ blocks[:, :, None]).reshape(N, N, lvl.q, -1) @ lvl.quotient
+        general = max(general, float(np.linalg.norm(prods - target, 2, axis=(-2, -1)).max()))
+        diag_norms.append(np.linalg.norm(prods[letters, letters], 2, axis=(-2, -1)))
+
+    norm_law = None
+    argmax = None
+    if fock.choi_report.commuting:
+        norm_law = 0.0
+        targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
+        for i in range(N):
+            norms = [float(level[i]) for level in diag_norms]
+            best = int(np.argmax(norms))
+            # quotient conditioning can push a higher level above the vacuum
+            # norm by ~1e-12 of pure roundoff
+            if best != 0 and norms[best] > norms[0] + 1e-9 * max(1.0, norms[0]):
+                argmax = best
+            norm_law = max(norm_law, abs(max(norms) - float(targets[i])))
+        argmax = argmax or 0
+
+    pnorm = fock.choi_report.norm
+    gap = 0.0
+    attain = None
+    for k in range(ops.K + 1):
+        gk = fock.level(k).norm
+        gap = max(gap, (gk - pnorm**k) / max(1.0, pnorm**k))
+    if d == 1:
+        attain = 0.0
+        top = fock.choi_report.eigenvectors[0, :, -1]
+        t = top
+        for k in range(1, ops.K + 1):
+            rayleigh = float(np.linalg.norm(fock.level(k).factor @ t) ** 2)
+            attain = max(attain, abs(pnorm**k - rayleigh) / max(1.0, pnorm**k))
+            t = np.kron(t, top)
+    return TstarTReport(
+        vacuum_residual=vacuum,
+        general_residual=general,
+        commuting=fock.choi_report.commuting,
+        norm_law_residual=norm_law,
+        norm_law_argmax=argmax,
+        gram_norm_gap=gap,
+        attainment_gap=attain,
+    )
+
+
+def dense_cor6_check(bank: FilterBank, grid_size: int, K: int) -> Cor6Report:
+    """`cor6_check` on the dense levels: spectral norms of the vacuum
+    products against the sampled doubled Gram, and ||T_a|| as the largest
+    SVD norm of the stacked operators over the levels."""
+    sw = sampled_choi(bank, grid_size)
+    N, g = bank.N, grid_size
+    ops = dense_creation(sw.choi, K)
+    values = _points(sw.gram)
+    target = np.eye(g) * values.transpose(1, 2, 0)[:, :, None, :]
+    res = np.linalg.norm(ops.products(0) - target, 2, axis=(-2, -1))
+    got = np.max([np.linalg.norm(ops.ops[k], 2, axis=(-2, -1)) for k in range(K)], axis=0)
+    letters = np.arange(2 * N)
+    sup = np.sqrt(values[:, letters, letters].real.max(axis=0))
+    return Cor6Report(
+        grid_size=g,
+        primary_residual=float(res[:N, :N].max()),
+        dual_residual=float(res[N:, N:].max()),
+        cross_residual=float(max(res[N:, :N].max(), res[:N, N:].max())),
+        norm_law_residual=float(np.abs(got - sup).max()),
+        ops=ops,
+        tstar=dense_tstar_t_check(ops),
+    )
+
+
+def word_factor(fock: TruncatedFock, k: int) -> np.ndarray:
+    """The level-k factor V_k* G_k in word space, q_k x N^k d, from the
+    layered letters: row (s, a_1 .. a_k) is A_s^(x)k (x) w_s*, and level 0 is
+    the base space.  Its quotient is V_k = F_k* (F_k F_k*)^-1."""
+    if k == 0:
+        return np.eye(fock.choi.d, dtype=complex)
+    W = fock.choi_report.W
+    rows = []
+    for s in np.unique(fock.layer):
+        A = fock.letters[fock.layer == s]
+        power = functools.reduce(np.kron, [A] * k)
+        rows.append(np.kron(power, W[:, s].conj()[None]))
+    return np.vstack(rows)
+
+
+def word_quotient(fock: TruncatedFock, k: int) -> np.ndarray:
+    F = word_factor(fock, k)
+    return F.conj().T / np.einsum("ij,ij->i", F, F.conj()).real

@@ -231,6 +231,23 @@ def test_fock_bank_cor6(capsys):
     assert doc["cor6"]["quotient_dims"] == [8, 16, 32]
 
 
+@pytest.mark.parametrize(
+    "argv,dims",
+    [
+        (("--builtin", "cuntz", "N=2", "K=12"), [2**k for k in range(13)]),
+        (("--builtin", "haar", "--grid", "256", "--levels", "4"), [256 * 2**k for k in range(5)]),
+    ],
+    ids=["cuntz-K12", "haar-grid256-levels4"],
+)
+def test_fock_deep_levels(capsys, argv, dims):
+    # levels whose word spaces (2^12 words; 4^4 words over a 256-point grid)
+    # no dense build could hold
+    code, doc, _ = run_json(capsys, "fock", *argv)
+    assert code == 0
+    assert doc["fock"]["quotient_dims"] == dims
+    assert doc["tstar"]["general_residual"] < 1e-12
+
+
 def test_fock_not_psd_exits_one(tmp_path, capsys):
     path = tmp_path / "choi.json"
     path.write_text(json.dumps(ChoiMatrix.from_matrix(-np.eye(2)).to_json()))
@@ -241,7 +258,7 @@ def test_fock_not_psd_exits_one(tmp_path, capsys):
 
 def test_fock_cap_is_config_error(capsys):
     code, _, err = run(
-        capsys, "fock", "--builtin", "haar", "--grid", "32", "--levels", "5"
+        capsys, "fock", "--builtin", "haar", "--grid", "32", "--levels", "13"
     )
     assert code == 2
 
@@ -250,7 +267,7 @@ def test_fock_cap_is_config_error(capsys):
 # non-finite numbers in JSON input
 
 
-def _nonfinite_doc(kind: str, value: float) -> dict:
+def _nonfinite_doc(kind: str, value) -> dict:
     """A Haar bank or a 2 x 2 block matrix with one number set to `value`."""
     if kind == "bank":
         doc = haar_bank().to_json()
@@ -261,16 +278,22 @@ def _nonfinite_doc(kind: str, value: float) -> dict:
     return doc
 
 
+NOT_FINITE = [float("nan"), float("inf"), "x", None, [1], {}, True]
+
+
 @pytest.mark.parametrize(
     "command,kind,value",
-    [(c, "bank", v) for c in ("verify", "loop", "anchor", "fock") for v in ("nan", "inf")]
-    + [("fock", "choi", "nan")],
+    [(c, "bank", v) for c in ("verify", "loop", "anchor", "fock") for v in NOT_FINITE]
+    + [("fock", "choi", v) for v in NOT_FINITE],
+    ids=lambda v: json.dumps(v) if isinstance(v, (list, dict)) else None,
 )
 def test_nonfinite_input_is_parse_error(tmp_path, capsys, command, kind, value):
-    # Python's json reads NaN and Infinity; the readers must refuse them
+    # Python's json reads NaN and Infinity, and any JSON value can stand
+    # where a number belongs; the readers must refuse all but finite numbers
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(_nonfinite_doc(kind, float(value))))
-    assert ("NaN" if value == "nan" else "Infinity") in path.read_text()
+    path.write_text(json.dumps(_nonfinite_doc(kind, value)))
+    if isinstance(value, float):
+        assert ("NaN" if value != value else "Infinity") in path.read_text()
     code, out, err = run(capsys, command, "--input", str(path))
     assert code == 2
     assert out == ""
