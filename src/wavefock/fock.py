@@ -365,8 +365,8 @@ def level_kernel(
                     for _ in range(k)
                 ]
                 factors[pos] = col
-                ratio = np.prod([np.linalg.norm(fock.letters @ f) / np.linalg.norm(f) for f in factors])
-                spanning = max(spanning, float(ratio))
+                ratios = [np.linalg.norm(fock.letters @ f) / np.linalg.norm(f) for f in factors]
+                spanning = max(spanning, float(np.prod(ratios)))
     return KernelReport(k=k, dim=top.kernel_dim, predicted_dim=predicted, spanning_residual=spanning)
 
 
@@ -410,8 +410,8 @@ class CreationOps:
         """A_s* A_s for every layer s: T_i* T_j = (+)_s (A_s* A_s)_ij I on
         every level k >= 1, and W diag_s (A_s* A_s)_ij W* on the vacuum."""
         rep = self.fock.choi_report
-        U = rep.eigenvectors
-        return (U * np.where(rep.kept, rep.eigenvalues, 0.0)[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        U, mu = rep.eigenvectors, np.where(rep.kept, rep.eigenvalues, 0.0)
+        return (U * mu[:, None, :]) @ U.conj().transpose(0, 2, 1)
 
 
 def creation_matrices(P: ChoiMatrix, K: int) -> CreationOps:

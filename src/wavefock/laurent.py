@@ -286,7 +286,8 @@ def poly_to_json(p: LaurentPoly) -> list:
 
 def json_complex(re, im) -> complex:
     """re + i im from JSON: finite ints or floats, booleans refused."""
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+    numbers = isinstance(re, (int, float)) and isinstance(im, (int, float))
+    if not numbers or isinstance(re, bool) or isinstance(im, bool):
         raise ValueError(f"coefficients must be finite numbers, got {re!r}, {im!r}")
     z = complex(re, im)
     if not cmath.isfinite(z):
