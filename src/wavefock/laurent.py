@@ -285,13 +285,14 @@ def poly_to_json(p: LaurentPoly) -> list:
 
 
 def json_complex(re, im) -> complex:
-    """re + i im from JSON: finite ints or floats, booleans refused."""
-    numbers = isinstance(re, (int, float)) and isinstance(im, (int, float))
-    if not numbers or isinstance(re, bool) or isinstance(im, bool):
+    """re + i im from JSON, refusing all but finite numbers: complex() takes
+    no string, null, array or object as a part, and booleans are singled out."""
+    try:
+        z = complex(re, im)
+    except (TypeError, ValueError):
+        z = None
+    if z is None or re is True or re is False or im is True or im is False or not cmath.isfinite(z):
         raise ValueError(f"coefficients must be finite numbers, got {re!r}, {im!r}")
-    z = complex(re, im)
-    if not cmath.isfinite(z):
-        raise ValueError(f"coefficient {re!r}, {im!r} is not finite")
     return z
 
 
