@@ -6,8 +6,9 @@ the circle with commuting entries.  Sampling it on a grid makes every entry
 a diagonal multiplication operator: the block matrix has d = grid size and
 diagonal blocks, so its layers are the grid points' 2N x 2N matrices and
 `validate_choi` judges all of them in one batched eigh.  The block matrix
-feeds straight into the Fock construction; the vacuum compressions T_i* T_j
-then recover the sampled functions exactly.
+feeds straight into the Fock construction, whose letter vectors are the
+points' kept eigenpairs: the vacuum compressions T_i* T_j recover the
+sampled functions exactly, point by point, and no level is formed.
 """
 
 from __future__ import annotations
