@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wavefock import acceptance, cli, wavelet_fock
+from wavefock import acceptance, cli
 from wavefock.corpus import (
     builtin_bank,
     choi_collapse,
