@@ -29,7 +29,7 @@ from .corpus import (
     random_unitary_loop,
     stretched_haar_bank,
 )
-from .anchor import compute_anchor, cyclicity_check, pullback_depths
+from .anchor import compute_anchor, depths_and_cyclicity
 from .filterbank import FilterBank, adjoint_poly, decimate, relation_report
 from .fock import ChoiMatrix, creation_matrices, level_kernel, tstar_t_check
 from .laurent import LaurentPoly
@@ -263,9 +263,8 @@ def check_anchor() -> CriterionResult:
         span_ok = anchor.contains(LaurentPoly.monomial(0)) and anchor.contains(
             LaurentPoly.monomial(-1)
         )
-        cyc = cyclicity_check(bank, anchor, n_range=8)  # depths for |n| <= 8
-        depths = pullback_depths(bank, [n for n in range(-32, 33) if abs(n) > 8], anchor)
-        return anchor, dim_ok, span_ok, cyc, max({**cyc.depths, **depths}.values())
+        depths, cyc = depths_and_cyclicity(bank, anchor, span=32, n_range=8)
+        return anchor, dim_ok, span_ok, cyc, max(depths.values())
 
     (anchor, dim_ok, span_ok, cyc, max_depth), dt = _timed(body)
     cyc_res = max(cyc.reconstruction_residual, cyc.membership_residual)

@@ -27,7 +27,8 @@ of all length-k word images of e_n in at most 2 Mf + 1 rows.
 
 The double-cyclicity check expands all modes |n| <= n_range at once, as
 level-by-level stacks of word images on their frames, and folds them back
-with the forward slanted matrices.
+with the forward slanted matrices.  `depths_and_cyclicity` shares its frame
+build and its one depth run with the depths of the modes beyond n_range.
 """
 
 from __future__ import annotations
@@ -335,18 +336,35 @@ def cyclicity_check(
     N c' + [-wide, wide] and keeps the frame at c: for a dual pair only
     roundoff leaves it, and any mass that does is added to the residual.
     """
+    return depths_and_cyclicity(bank, anchor, n_range, n_range, cap)[1]
+
+
+def depths_and_cyclicity(
+    bank: FilterBank,
+    anchor: AnchorSubspace | None = None,
+    span: int = 8,
+    n_range: int = 8,
+    cap: int = DEPTH_CAP,
+) -> tuple:
+    """(pull-back depths of the modes |n| <= max(span, n_range), the
+    `cyclicity_check` report on |n| <= n_range), from one frame build per
+    filter set and one depth run.  The depths list |n| <= n_range first;
+    a mode beyond n_range that is not absorbed is reported before any
+    other, as `pullback_depths` on those modes alone would."""
     if anchor is None:
         anchor = compute_anchor(bank)
     modes = np.arange(-n_range, n_range + 1)
+    outer = [n for n in range(-span, span + 1) if abs(n) > n_range]
     mats = {id(f): f for f in _families(bank)[0]}  # both filter sets, once each
     mats = {key: _frame_matrices(bank, f) for key, f in mats.items()}
     frames = [mats[id(expand)][1] for expand, _ in _families(bank)]
-    depths = _depths(modes.tolist(), frames, anchor.basis, cap, MEMBER_TOL)
-    ks = np.maximum(list(depths.values()), 1)
+    depths = _depths(outer + modes.tolist(), frames, anchor.basis, cap, MEMBER_TOL)
+    inner = {n: depths[n] for n in modes.tolist()}
+    ks = np.maximum(list(inner.values()), 1)
     worst = []
     for expand, fold in _families(bank):
         frames, fwd = mats[id(expand)][1], mats[id(fold)][0]
         for k in np.unique(ks).tolist():
             worst.append(_expand_and_fold(modes[ks == k], k, frames, fwd, anchor.basis))
     member, recon = np.max(worst, axis=0).tolist()
-    return CyclicityReport(n_range, recon, member, depths)
+    return {**inner, **depths}, CyclicityReport(n_range, recon, member, inner)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from . import corpus
 from .acceptance import DEFAULT_SEED, run_all
-from .anchor import compute_anchor, cyclicity_check, pullback_depths
+from .anchor import compute_anchor, depths_and_cyclicity
 from .errors import SizeCapError, WavefockError
 from .filterbank import FilterBank, relation_report
 from .fock import ChoiMatrix, creation_matrices, tstar_t_check
@@ -211,12 +211,10 @@ def cmd_anchor(args, config: RunConfig) -> int:
     n_range = min(span, 8)
     try:
         anchor = compute_anchor(bank, tol=config.tolerance)
-        outer = [n for n in range(-span, span + 1) if abs(n) > n_range]
-        depths = pullback_depths(bank, outer, anchor)
-        cyc = cyclicity_check(bank, anchor, n_range=n_range)  # depths for |n| <= n_range
+        depths, cyc = depths_and_cyclicity(bank, anchor, span, n_range)
     except WavefockError as exc:
         return _diagnostic(exc)
-    depths = {str(n): d for n, d in {**cyc.depths, **depths}.items()}
+    depths = {str(n): d for n, d in depths.items()}
     doc = {"anchor": anchor.to_json(), "depths": depths, "cyclicity": cyc.to_json()}
     _emit(doc, config)
     return 0

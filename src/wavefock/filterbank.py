@@ -8,14 +8,17 @@ dual family.  The associated operators act on Laurent polynomials by
 
 and `relation_report` measures how far the family is from satisfying the
 isometry, range-orthogonality, completeness and dual-pairing identities.
+Each of its parts is computed when first read, so a verdict pays only for
+the bounds it reads, and only the reported grid sups sample the circle.
 Both operators are shift covariant, S_i(z f) = z^N S_i f, so completeness is
 checked on one mode per phase, and adjoint words are expanded level by level.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,16 +124,115 @@ def apply_S_adjoint(m: LaurentPoly, f: LaurentPoly, N: int) -> LaurentPoly:
 
 
 @dataclass
+class _Part:
+    """Primaries paired with one dual family (with themselves for the self part)."""
+
+    residual: np.ndarray  # (N, N, taps): decimate(adj(m_i) mdual_j) - delta_ij from exponent lo
+    lo: int
+    bounds: list  # sum_k |c_k| of each residual: its sup over the circle
+    completeness: float  # sum_i S_i Sdual_i^* = I on every mode
+
+
+def _part(lo_f: int, F, lo_d: int, D, N: int) -> _Part:
+    """Pair residuals, their bounds and the completeness residual of
+    primaries F and duals D, coefficient stacks of shapes (N, L) and (N, Ld)
+    from exponents lo_f and lo_d.
+
+    adj(m_i) mdual_j holds conj(F[i, s]) D[j, t] at lag t - s; lag k - (L-1)
+    is read from D padded by L - 1 zeros, and only the lags on exponents in
+    N Z are gathered, so the N^2 decimated products are one matmul.  The
+    image of e_n under sum_i S_i Sdual_i^* holds (D^* F)[s, t] at
+    n + lo_f - lo_d + t - s for the rows s = n - lo_d (mod N): the diagonal
+    sums of D^* F over each residue class of rows.  A pair residual
+    sum_k c_k z^k is at most sum_k |c_k| in modulus on the whole circle.
+    """
+    L, Ld = F.shape[1], D.shape[1]
+    base = lo_d - lo_f - (L - 1)  # exponent of lag index 0
+    lags = np.arange(-base % N, L + Ld - 1, N)
+    padded = np.zeros((N, Ld + 2 * (L - 1)), dtype=complex)
+    padded[:, L - 1 : L - 1 + Ld] = D
+    pair = np.matmul(padded[:, lags[:, None] + np.arange(L)], F.conj().T).transpose(2, 0, 1)
+    d0 = (base + lags[0]) // N if len(lags) else 0  # exponent of pair[..., 0]
+    d_lo, d_hi = min(d0, 0), max(d0 + len(lags) - 1, 0)
+    residual = np.zeros((N, N, d_hi - d_lo + 1), dtype=complex)
+    residual[:, :, d0 - d_lo : d0 - d_lo + len(lags)] = pair
+    residual[:, :, -d_lo] -= np.eye(N)
+
+    rows = -(-Ld // N) * N
+    diags = np.zeros((rows, L + Ld - 1), dtype=complex)
+    s = np.arange(Ld)[:, None]
+    diags[s, np.arange(L) - s + Ld - 1] = D.conj().T @ F
+    images = diags.reshape(-1, N, L + Ld - 1).sum(axis=0)
+    unit = lo_d - lo_f + Ld - 1  # column of e_n
+    if 0 <= unit < images.shape[1]:
+        images[:, unit] -= 1.0
+    else:  # e_n lies outside every image
+        images = np.hstack([images, -np.ones((N, 1))])
+    bounds = np.abs(residual).sum(axis=-1).tolist()
+    return _Part(residual, d_lo, bounds, float(np.linalg.norm(images, axis=1).max()))
+
+
+def _grid_sups(part: _Part, grid: int) -> list:
+    """sup of |residual| over the grid points, per pair."""
+    exps = np.arange(part.lo, part.lo + part.residual.shape[-1])
+    phases = np.exp(1j * np.multiply.outer(exps, grid_angles(grid)))
+    return np.abs(part.residual @ phases).max(axis=-1).tolist()
+
+
 class RelationReport:
-    N: int
-    tolerance: float
-    grid: int
-    pair_residuals: list = field(repr=False)  # sup |R(adj(m_i) mdual_j) - delta_ij| on the grid
-    self_residuals: list = field(repr=False)  # same with duals = primaries
-    pair_bounds: list = field(repr=False)  # sum_k |c_k| of each pair residual: sup over the circle
-    self_bounds: list = field(repr=False)
-    completeness_residual: float = 0.0  # sum_i S_i Sdual_i^* = I on every mode
-    self_completeness_residual: float = 0.0
+    """Residuals for the subband relations, plus verdicts at `tolerance`.
+
+    Each part is computed when it is first read, then kept: `biorthogonal`
+    reads the pair part (primaries against duals), the other verdicts the
+    self part, and only the grid sups `pair_residuals`/`self_residuals`,
+    i.e. `to_json`, sample the circle.  A self-dual bank has one part and
+    one set of sups.
+    """
+
+    def __init__(self, N: int, tolerance: float, grid: int, primaries: tuple, duals=None):
+        self.N, self.tolerance, self.grid = N, tolerance, grid
+        self._primaries, self._duals = primaries, duals  # (lo, stack); duals None if self-dual
+
+    def __repr__(self):
+        return f"RelationReport(N={self.N}, tolerance={self.tolerance}, grid={self.grid})"
+
+    @functools.cached_property
+    def _self(self) -> _Part:
+        return _part(*self._primaries, *self._primaries, self.N)
+
+    @functools.cached_property
+    def _pair(self) -> _Part:
+        if self._duals is None:
+            return self._self
+        return _part(*self._primaries, *self._duals, self.N)
+
+    @functools.cached_property
+    def self_residuals(self) -> list:
+        """sup |decimate(adj(m_i) m_j) - delta_ij| on the grid."""
+        return _grid_sups(self._self, self.grid)
+
+    @functools.cached_property
+    def pair_residuals(self) -> list:
+        """The same with the duals on the right."""
+        if self._duals is None:
+            return self.self_residuals
+        return _grid_sups(self._pair, self.grid)
+
+    @property
+    def pair_bounds(self) -> list:
+        return self._pair.bounds
+
+    @property
+    def self_bounds(self) -> list:
+        return self._self.bounds
+
+    @property
+    def completeness_residual(self) -> float:
+        return self._pair.completeness
+
+    @property
+    def self_completeness_residual(self) -> float:
+        return self._self.completeness
 
     @property
     def isometry(self) -> bool:
@@ -171,47 +273,6 @@ class RelationReport:
         }
 
 
-def _residuals(F, lo_f: int, D, lo_d: int, N: int, grid: int):
-    """(pair residuals on the grid, pair bounds, completeness residual) of
-    primaries F and duals D, coefficient stacks of shapes (N, L) and (N, Ld)
-    from exponents lo_f and lo_d.
-
-    adj(m_i) mdual_j holds conj(F[i, s]) D[j, t] at lag t - s; lag k - (L-1)
-    is read from D padded by L - 1 zeros, and only the lags on exponents in
-    N Z are gathered, so the N^2 decimated products are one matmul.  The
-    image of e_n under sum_i S_i Sdual_i^* holds (D^* F)[s, t] at
-    n + lo_f - lo_d + t - s for the rows s = n - lo_d (mod N): the diagonal
-    sums of D^* F over each residue class of rows.  A pair residual
-    sum_k c_k z^k is at most sum_k |c_k| in modulus on the whole circle.
-    """
-    L, Ld = F.shape[1], D.shape[1]
-    base = lo_d - lo_f - (L - 1)  # exponent of lag index 0
-    lags = np.arange(-base % N, L + Ld - 1, N)
-    padded = np.zeros((N, Ld + 2 * (L - 1)), dtype=complex)
-    padded[:, L - 1 : L - 1 + Ld] = D
-    pair = np.matmul(padded[:, lags[:, None] + np.arange(L)], F.conj().T).transpose(2, 0, 1)
-    d0 = (base + lags[0]) // N if len(lags) else 0  # exponent of pair[..., 0]
-    d_lo, d_hi = min(d0, 0), max(d0 + len(lags) - 1, 0)
-    residual = np.zeros((N, N, d_hi - d_lo + 1), dtype=complex)
-    residual[:, :, d0 - d_lo : d0 - d_lo + len(lags)] = pair
-    residual[:, :, -d_lo] -= np.eye(N)
-    phases = np.exp(1j * np.multiply.outer(np.arange(d_lo, d_hi + 1), grid_angles(grid)))
-    pair_res = np.abs(residual @ phases).max(axis=-1)
-
-    rows = -(-Ld // N) * N
-    diags = np.zeros((rows, L + Ld - 1), dtype=complex)
-    s = np.arange(Ld)[:, None]
-    diags[s, np.arange(L) - s + Ld - 1] = D.conj().T @ F
-    images = diags.reshape(-1, N, L + Ld - 1).sum(axis=0)
-    unit = lo_d - lo_f + Ld - 1  # column of e_n
-    if 0 <= unit < images.shape[1]:
-        images[:, unit] -= 1.0
-    else:  # e_n lies outside every image
-        images = np.hstack([images, -np.ones((N, 1))])
-    bounds = np.abs(residual).sum(axis=-1)
-    return pair_res.tolist(), bounds.tolist(), float(np.linalg.norm(images, axis=1).max())
-
-
 def relation_report(
     bank: FilterBank, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID
 ) -> RelationReport:
@@ -221,27 +282,10 @@ def relation_report(
     pairing residuals, sups over `grid` points, are only reported.
     Completeness is exact: each image of a Fourier mode is finitely supported,
     and by shift covariance the modes e_0..e_{N-1} give the residual over all.
+    The coefficients are stacked here; each part is computed on first read.
     """
-    N = bank.N
-    lo_f, F = stack_polys(bank.filters)
-    self_res, self_bnd, self_comp = _residuals(F, lo_f, F, lo_f, N, grid)
-    if bank.is_self_dual:
-        pair_res, pair_bnd, comp = self_res, self_bnd, self_comp
-    else:
-        lo_d, D = stack_polys(bank.dual_filters)
-        pair_res, pair_bnd, comp = _residuals(F, lo_f, D, lo_d, N, grid)
-
-    return RelationReport(
-        N=N,
-        tolerance=tol,
-        grid=grid,
-        pair_residuals=pair_res,
-        self_residuals=self_res,
-        pair_bounds=pair_bnd,
-        self_bounds=self_bnd,
-        completeness_residual=comp,
-        self_completeness_residual=self_comp,
-    )
+    duals = None if bank.is_self_dual else stack_polys(bank.dual_filters)
+    return RelationReport(bank.N, tol, grid, stack_polys(bank.filters), duals)
 
 
 # ----------------------------------------------------------------------

@@ -349,24 +349,22 @@ def level_kernel(
     is N^k - r^k and is spanned by word tensors with one factor in ker P;
     both facts are verified, the second by the quotient norm ||F_k t|| / ||t||
     of such tensors t = (x)_j f_j: with F_k = A^(x)k, A the letters, it is
-    prod_j ||A f_j|| / ||f_j||.  No closed form is attempted for d > 1.
+    prod_j ||A f_j|| / ||f_j||.  One tensor per (position, kernel column),
+    its other factors standard complex normal, all drawn in one call.  No
+    closed form is attempted for d > 1.
     """
     fock = truncated_fock(P, k)
     top = fock.level(k)
     predicted = spanning = None
     if P.d == 1:
         predicted = P.N**k - fock.choi_report.rank**k
-        spanning = 0.0
+        kernel = fock.choi_report.kernel.T
         rng = rng or np.random.default_rng(0)
-        for pos in range(k):
-            for col in fock.choi_report.kernel.T:
-                factors = [
-                    rng.standard_normal(P.N) + 1j * rng.standard_normal(P.N)
-                    for _ in range(k)
-                ]
-                factors[pos] = col
-                ratios = [np.linalg.norm(fock.letters @ f) / np.linalg.norm(f) for f in factors]
-                spanning = max(spanning, float(np.prod(ratios)))
+        draws = rng.standard_normal((k, len(kernel), k, 2, P.N))
+        factors = draws[..., 0, :] + 1j * draws[..., 1, :]  # [pos, column, factor]
+        factors[np.arange(k), :, np.arange(k)] = kernel
+        ratios = np.linalg.norm(factors @ fock.letters.T, axis=-1) / np.linalg.norm(factors, axis=-1)
+        spanning = float(np.prod(ratios, axis=-1).max(initial=0.0))
     return KernelReport(k=k, dim=top.kernel_dim, predicted_dim=predicted, spanning_residual=spanning)
 
 
@@ -466,7 +464,9 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
         Grams, add their Frobenius norm, a safe-side bound.  Noncommuting
         blocks have only the vacuum, where T_i* T_j = a_i* a_j;
     (c) for pairwise commuting blocks ||T_i* T_i|| = max_s (A_s* A_s)_ii on
-        every level, so it is attained on the vacuum, and equals ||p_ii||;
+        every level, so it is attained on the vacuum, and equals ||p_ii||
+        (the largest |diagonal entry| when the blocks are diagonal, as for
+        d = 1 and sampled Grams; an SVD otherwise);
     (d) ||G_k|| <= ||P||^k, attained for d = 1 by top-eigenvector powers.
     """
     fock = ops.fock
@@ -483,9 +483,8 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
         vacuum = float(np.linalg.norm(diff, 2, axis=(-2, -1)).max())
         general = vacuum if ops.K else 0.0
     else:
-        rotated = blocks
-        if _off_diagonal(blocks).any():
-            rotated = report.W.conj().T @ blocks @ report.W
+        diagonal = not _off_diagonal(blocks).any()
+        rotated = blocks if diagonal else report.W.conj().T @ blocks @ report.W
         diag = np.abs(got.transpose(1, 2, 0) - np.diagonal(rotated, axis1=2, axis2=3))
         off = np.abs(_off_diagonal(rotated)) ** 2
         frob = np.zeros(off.shape[-1])  # ||A_s A_t^+||_F^2 for s != t
@@ -503,7 +502,11 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
 
         vacuum = residual(0)
         general = max((residual(k) for k in range(ops.K)), default=0.0)
-        targets = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
+        p_ii = blocks[letters, letters]
+        if diagonal:  # ||p_ii|| is its largest |diagonal entry|
+            targets = np.abs(np.diagonal(p_ii, axis1=-2, axis2=-1)).max(axis=-1)
+        else:
+            targets = np.linalg.norm(p_ii, 2, axis=(-2, -1))
         norm_law = float(np.abs(got[:, letters, letters].real.max(axis=0) - targets).max())
         argmax = 0
 

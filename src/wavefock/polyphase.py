@@ -11,8 +11,9 @@ Atilde = A^{*-1} characterises the dual-pair case.  The Gram data of the
 operator family is carried by AA*(z) and its pointwise inverse.
 
 A loop is one (taps, N, N) coefficient array: products are tap convolutions
-of matrix products, the adjoint is the reversed conjugate transpose, and the
-values on a grid are one contraction with the grid phases.  The determinant
+of matrix products (one broadcast matrix product when a factor has one tap),
+the adjoint is the reversed conjugate transpose, and the values on a grid
+are one contraction with the grid phases.  The determinant
 and the exact dual loop are recovered the other way: sample on enough points
 to cover the known exponent window, invert or take determinants pointwise,
 and read the coefficients back with one DFT.
@@ -50,7 +51,8 @@ class LoopMatrix:
 
     Stored as the lowest exponent `lo` and the (T, N, N) array `taps`, with
     taps[t] the coefficient matrix of z^(lo + t); the end taps are nonzero
-    and the zero matrix keeps a single zero tap.
+    and the zero matrix keeps a single zero tap.  Only exact zeros are
+    trimmed, and the taps are scanned only when an end tap is zero.
     """
 
     def __init__(self, entries):
@@ -62,11 +64,12 @@ class LoopMatrix:
         self._set(lo, C.T.reshape(-1, N, N))
 
     def _set(self, lo: int, taps: np.ndarray):
-        live = np.flatnonzero(taps.reshape(len(taps), -1).any(axis=1))
-        if len(live):
-            lo, taps = lo + int(live[0]), taps[live[0] : live[-1] + 1]
-        else:
-            lo, taps = 0, np.zeros((1,) + taps.shape[1:], dtype=complex)
+        if not (len(taps) and np.count_nonzero(taps[0]) and np.count_nonzero(taps[-1])):
+            live = np.flatnonzero(taps.reshape(len(taps), -1).any(axis=1))
+            if len(live):
+                lo, taps = lo + int(live[0]), taps[live[0] : live[-1] + 1]
+            else:
+                lo, taps = 0, np.zeros((1,) + taps.shape[1:], dtype=complex)
         self.lo, self.taps, self.N = lo, taps, taps.shape[1]
 
     @classmethod
@@ -101,9 +104,13 @@ class LoopMatrix:
         if self.N != other.N:
             raise ValueError("size mismatch")
         a, b = self.taps, other.taps
-        out = np.zeros((len(a) + len(b) - 1, self.N, self.N), dtype=complex)
-        for s, tap in enumerate(a):
-            out[s : s + len(b)] += tap @ b
+        if len(a) == 1 or len(b) == 1:
+            out = a @ b
+            out += 0.0  # -0.0 to 0.0, as the accumulation below leaves it
+        else:
+            out = np.zeros((len(a) + len(b) - 1, self.N, self.N), dtype=complex)
+            for s, tap in enumerate(a):
+                out[s : s + len(b)] += tap @ b
         return LoopMatrix.from_array(self.lo + other.lo, out)
 
     def adjoint(self) -> "LoopMatrix":
@@ -227,6 +234,9 @@ def _check_invertible(det_vals: np.ndarray) -> None:
 def dual_loop(A: LoopMatrix, grid: int = DEFAULT_GRID):
     """The dual loop Atilde = A^{*-1}.
 
+    A is invertible on the circle when |det A| stays above SINGULAR_TOL: read
+    as |c| when det A is the single tap c z^e, which is |det A| everywhere on
+    the circle, and on `grid` points otherwise.
     When det A* = conj(det A) is a monomial unit c z^e, the inverse is
     adj(A*) / (c z^e), a Laurent matrix with exponents in
     [(N-1) lo - e, (N-1) hi - e], where [lo, hi] bounds the exponents of
@@ -236,7 +246,7 @@ def dual_loop(A: LoopMatrix, grid: int = DEFAULT_GRID):
     of A(z)^* on the grid.
     """
     det = loop_det(A)
-    _check_invertible(det.eval_grid(grid))
+    _check_invertible(det.taps if len(det.taps) == 1 else det.eval_grid(grid))
     A_star = A.adjoint()
     unit = as_monomial_unit(adjoint_poly(det))
     if unit is not None:

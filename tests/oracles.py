@@ -11,6 +11,11 @@ agrees with `LaurentPoly` on supports at any scale.
 scalar layers: a dense eigh of P and of every level Gram, creation operators
 stacked level by level, and spectral-norm SVDs of every T_i* T_j residual.
 `word_factor` lifts the layered letters back to word space.
+
+`eager_relation_json` is the relation report computed all at once, grid
+sups included, as `relation_report` did before it computed each part on
+first read; `per_vector_spanning_residual` is the scalar kernel law with
+one random draw and one norm per factor vector.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from wavefock.fock import (
     TruncatedFock,
     TstarTReport,
     level_gram,
+    truncated_fock,
 )
-from wavefock.laurent import LaurentPoly
+from wavefock.laurent import LaurentPoly, grid_angles, stack_polys
 from wavefock.wavelet_fock import Cor6Report, _points, sampled_choi
 
 
@@ -380,3 +386,83 @@ def word_factor(fock: TruncatedFock, k: int) -> np.ndarray:
 def word_quotient(fock: TruncatedFock, k: int) -> np.ndarray:
     F = word_factor(fock, k)
     return F.conj().T / np.einsum("ij,ij->i", F, F.conj()).real
+
+
+def _residuals(F, lo_f: int, D, lo_d: int, N: int, grid: int):
+    """(pair residuals on the grid, pair bounds, completeness residual) of
+    primaries F and duals D, coefficient stacks of shapes (N, L) and (N, Ld)
+    from exponents lo_f and lo_d, in one pass."""
+    L, Ld = F.shape[1], D.shape[1]
+    base = lo_d - lo_f - (L - 1)  # exponent of lag index 0
+    lags = np.arange(-base % N, L + Ld - 1, N)
+    padded = np.zeros((N, Ld + 2 * (L - 1)), dtype=complex)
+    padded[:, L - 1 : L - 1 + Ld] = D
+    pair = np.matmul(padded[:, lags[:, None] + np.arange(L)], F.conj().T).transpose(2, 0, 1)
+    d0 = (base + lags[0]) // N if len(lags) else 0  # exponent of pair[..., 0]
+    d_lo, d_hi = min(d0, 0), max(d0 + len(lags) - 1, 0)
+    residual = np.zeros((N, N, d_hi - d_lo + 1), dtype=complex)
+    residual[:, :, d0 - d_lo : d0 - d_lo + len(lags)] = pair
+    residual[:, :, -d_lo] -= np.eye(N)
+    phases = np.exp(1j * np.multiply.outer(np.arange(d_lo, d_hi + 1), grid_angles(grid)))
+    pair_res = np.abs(residual @ phases).max(axis=-1)
+
+    rows = -(-Ld // N) * N
+    diags = np.zeros((rows, L + Ld - 1), dtype=complex)
+    s = np.arange(Ld)[:, None]
+    diags[s, np.arange(L) - s + Ld - 1] = D.conj().T @ F
+    images = diags.reshape(-1, N, L + Ld - 1).sum(axis=0)
+    unit = lo_d - lo_f + Ld - 1  # column of e_n
+    if 0 <= unit < images.shape[1]:
+        images[:, unit] -= 1.0
+    else:  # e_n lies outside every image
+        images = np.hstack([images, -np.ones((N, 1))])
+    bounds = np.abs(residual).sum(axis=-1)
+    return pair_res.tolist(), bounds.tolist(), float(np.linalg.norm(images, axis=1).max())
+
+
+def eager_relation_json(bank: FilterBank, tol: float, grid: int) -> dict:
+    """`relation_report(bank, tol, grid).to_json()` with both parts and both
+    sets of sups computed up front (the self part once for a self-dual bank)."""
+    N = bank.N
+    lo_f, F = stack_polys(bank.filters)
+    self_res, self_bnd, self_comp = _residuals(F, lo_f, F, lo_f, N, grid)
+    if bank.is_self_dual:
+        pair_res, pair_bnd, comp = self_res, self_bnd, self_comp
+    else:
+        lo_d, D = stack_polys(bank.dual_filters)
+        pair_res, pair_bnd, comp = _residuals(F, lo_f, D, lo_d, N, grid)
+    isometry = max(row[i] for i, row in enumerate(self_bnd)) < tol
+    off = max(v for i, row in enumerate(self_bnd) for j, v in enumerate(row) if i != j)
+    return {
+        "N": N,
+        "tolerance": tol,
+        "grid": grid,
+        "pair_residuals": pair_res,
+        "self_residuals": self_res,
+        "pair_bounds": pair_bnd,
+        "self_bounds": self_bnd,
+        "completeness_residual": comp,
+        "self_completeness_residual": self_comp,
+        "verdicts": {
+            "isometry": isometry,
+            "orthogonal_ranges": off < tol,
+            "cuntz": isometry and off < tol and self_comp < tol,
+            "biorthogonal": max(map(max, pair_bnd)) < tol and comp < tol,
+        },
+    }
+
+
+def per_vector_spanning_residual(P: ChoiMatrix, k: int, rng) -> float:
+    """The d = 1 spanning residual of `level_kernel`, one tensor at a time:
+    per position and kernel column, k factors drawn one standard complex
+    normal vector at a time (the kernel column at the position), and the
+    product of their quotient norm ratios."""
+    fock = truncated_fock(P, k)
+    spanning = 0.0
+    for pos in range(k):
+        for col in fock.choi_report.kernel.T:
+            factors = [rng.standard_normal(P.N) + 1j * rng.standard_normal(P.N) for _ in range(k)]
+            factors[pos] = col
+            ratios = [np.linalg.norm(fock.letters @ f) / np.linalg.norm(f) for f in factors]
+            spanning = max(spanning, float(np.prod(ratios)))
+    return spanning

@@ -15,6 +15,7 @@ from wavefock.anchor import (
     adjoint_on_mode,
     compute_anchor,
     cyclicity_check,
+    depths_and_cyclicity,
     pullback_depth,
     pullback_depths,
 )
@@ -409,6 +410,30 @@ def test_cyclicity_flags_a_bank_that_does_not_reconstruct():
     recon, member = oracle_cyclicity(bank, K, 4)
     assert report.membership_residual == member == 0.0
     assert report.reconstruction_residual > 0.1 and recon > 0.1
+
+
+@pytest.mark.parametrize(
+    "bank_fn", [haar_bank, lambda: stretched_haar_bank(with_duals=True), lambda: pair_bank(2)]
+)
+@pytest.mark.parametrize("span, n_range", [(12, 8), (8, 8), (5, 3)])
+def test_depths_and_cyclicity_build_frames_once(monkeypatch, bank_fn, span, n_range):
+    # one frame build per filter set and one depth run give what
+    # pullback_depths and cyclicity_check give apart
+    bank = bank_fn()
+    K = compute_anchor(bank)
+    outer = [n for n in range(-span, span + 1) if abs(n) > n_range]
+    want_depths = {**cyclicity_check(bank, K, n_range).depths, **pullback_depths(bank, outer, K)}
+    want = cyclicity_check(bank, K, n_range).to_json()
+    builds, runs = [], []
+    frame_matrices, depths = anchor_module._frame_matrices, anchor_module._depths
+    monkeypatch.setattr(
+        anchor_module, "_frame_matrices", lambda *a: builds.append(1) or frame_matrices(*a)
+    )
+    monkeypatch.setattr(anchor_module, "_depths", lambda *a: runs.append(1) or depths(*a))
+    got_depths, report = depths_and_cyclicity(bank, K, span, n_range)
+    assert len(builds) == (1 if bank.is_self_dual else 2) and len(runs) == 1
+    assert list(got_depths.items()) == list(want_depths.items())
+    assert report.to_json() == want
 
 
 def test_cyclicity_report_json(haar):

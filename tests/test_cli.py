@@ -162,20 +162,23 @@ def test_anchor_many_modes(capsys):
 
 @pytest.mark.parametrize("modes, outer", [("4", []), ("8", []), ("11", [-11, -10, -9, 9, 10, 11])])
 def test_anchor_depths_computed_once_per_mode(monkeypatch, capsys, modes, outer):
-    # |n| <= 8 comes from the cyclicity check's report; only the modes
-    # beyond it get a pull-back depth run of their own
+    # one depth run covers every mode, the modes beyond the cyclicity
+    # range (|n| > 8) first, and each mode appears in it once
+    import wavefock.anchor as anchor_mod
     from wavefock.anchor import pullback_depths
     from wavefock.corpus import builtin_bank
 
     calls = []
+    depths = anchor_mod._depths
 
-    def recording(bank, ns, *args, **kw):
+    def recording(ns, *args, **kw):
         calls.append(list(ns))
-        return pullback_depths(bank, ns, *args, **kw)
+        return depths(ns, *args, **kw)
 
-    monkeypatch.setattr(cli, "pullback_depths", recording)
+    monkeypatch.setattr(anchor_mod, "_depths", recording)
     code, doc, _ = run_json(capsys, "anchor", "--builtin", "random-causal-pair", "N=3", "--modes", modes)
-    assert code == 0 and calls == [outer]
+    n_range = min(int(modes), 8)
+    assert code == 0 and calls == [outer + list(range(-n_range, n_range + 1))]
     span = int(modes)
     direct = pullback_depths(builtin_bank("random-causal-pair", {"N": "3"}), range(-span, span + 1))
     assert doc["depths"] == {str(n): d for n, d in direct.items()}

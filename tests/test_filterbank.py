@@ -22,6 +22,7 @@ from wavefock.filterbank import (
 )
 from wavefock.laurent import LaurentPoly, adjoint_poly, decimate, upsample
 from wavefock.polyphase import loop_unitarity_residual, loop_from_filters
+from oracles import eager_relation_json
 
 SQRT2 = math.sqrt(2.0)
 HAAR_M0 = LaurentPoly({0: 1 / SQRT2, 1: 1 / SQRT2})
@@ -282,6 +283,73 @@ def test_relation_report_stays_in_coefficients(monkeypatch, rng):
         monkeypatch.setattr(owner, name, forbidden)
     assert relation_report(banks[0]).biorthogonal
     assert relation_report(banks[1]).cuntz
+
+
+def _count_parts(monkeypatch):
+    """Count the calls to the part and grid-sup helpers of relation_report."""
+    import wavefock.filterbank as fb
+
+    calls = {"part": 0, "sups": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(fb, "_part", counted("part", fb._part))
+    monkeypatch.setattr(fb, "_grid_sups", counted("sups", fb._grid_sups))
+    return calls
+
+
+def test_biorthogonal_reads_only_the_pair_part(monkeypatch, rng):
+    bank = random_biorthogonal_bank(3, rng)
+    calls = _count_parts(monkeypatch)
+    rep = relation_report(bank)
+    assert calls == {"part": 0, "sups": 0}
+    assert rep.biorthogonal and rep.biorthogonal
+    assert calls == {"part": 1, "sups": 0}
+    assert rep.cuntz is False  # the self part of a non-orthogonal bank
+    assert calls == {"part": 2, "sups": 0}
+    doc = rep.to_json()
+    assert calls == {"part": 2, "sups": 2}
+    assert rep.to_json() == doc and calls == {"part": 2, "sups": 2}
+
+
+@pytest.mark.parametrize("read", ["cuntz", "biorthogonal", "isometry", "orthogonal_ranges"])
+def test_self_dual_bank_computes_one_part(monkeypatch, rng, read):
+    bank = random_orthogonal_bank(3, rng)
+    calls = _count_parts(monkeypatch)
+    rep = relation_report(bank)
+    assert getattr(rep, read) is True
+    assert calls == {"part": 1, "sups": 0}
+    doc = rep.to_json()
+    assert calls == {"part": 1, "sups": 1}
+    assert doc["pair_residuals"] is doc["self_residuals"]
+
+
+def _oracle_banks():
+    rng = np.random.default_rng(11)
+    banks = [("haar", builtin_bank("haar", {})), ("stretched-dual", builtin_bank("stretched-haar-dual", {}))]
+    for N in (2, 3, 4, 5):
+        banks.append((f"biorthogonal-{N}", random_biorthogonal_bank(N, rng)))
+        banks.append((f"orthogonal-{N}", random_orthogonal_bank(N, rng)))
+        banks.append((f"causal-{N}", random_causal_pair(N, rng)))
+        banks.append((f"unstructured-{N}", random_bank(N, rng)))
+        dual = random_bank(N, rng)
+        banks.append((f"unstructured-pair-{N}", FilterBank(N, random_bank(N, rng).filters, dual.filters)))
+    return banks
+
+
+ORACLE_BANKS = _oracle_banks()
+
+
+@pytest.mark.parametrize("grid", [1, 8, 64, 256])
+@pytest.mark.parametrize("bank", [b for _, b in ORACLE_BANKS], ids=[n for n, _ in ORACLE_BANKS])
+def test_to_json_matches_eager_oracle(bank, grid):
+    # every value bit for bit, verdicts included
+    assert relation_report(bank, tol=1e-9, grid=grid).to_json() == eager_relation_json(bank, 1e-9, grid)
 
 
 class TestModuleExpand:

@@ -37,6 +37,7 @@ from oracles import (
     dense_creation,
     dense_tstar_t_check,
     dense_validate_choi,
+    per_vector_spanning_residual,
     word_factor,
     word_quotient,
 )
@@ -226,6 +227,37 @@ def test_scalar_kernel_dimension_law(seed):
         assert rep.dim == N**k - r**k
         assert rep.matches_prediction
         assert rep.spanning_residual < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_spanning_residual_matches_per_vector_oracle(seed):
+    # one batched draw is the per-vector stream in the same order: the same
+    # residual, and the rng left where the next criterion expects it
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 5))
+    r = int(rng.integers(1, N + 1))  # r = N: no kernel, nothing drawn
+    P = scalar_choi(random_psd_choi(N, r, rng))
+    for k in (1, 2, 3):
+        ours, theirs = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        got = level_kernel(P, k, rng=ours).spanning_residual
+        want = per_vector_spanning_residual(P, k, theirs)
+        assert abs(got - want) <= 1e-15
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_spanning_residual_pairs_draws_as_the_oracle(monkeypatch):
+    # on true kernel columns the residual is roundoff; on arbitrary columns
+    # it is O(1) and tells which draw went into which factor
+    from wavefock.fock import ChoiReport
+
+    rng = np.random.default_rng(4)
+    P = scalar_choi(random_psd_choi(3, 3, rng))
+    cols = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    monkeypatch.setattr(ChoiReport, "kernel", property(lambda self: cols))
+    for k in (1, 2, 3):
+        got = level_kernel(P, k, rng=np.random.default_rng(k)).spanning_residual
+        want = per_vector_spanning_residual(P, k, np.random.default_rng(k))
+        assert got > 0.1 and got == pytest.approx(want, rel=1e-12)
 
 
 def test_kernel_no_prediction_for_blocks():
@@ -655,6 +687,28 @@ def test_layered_levels_match_dense_oracle(name, P):
     assert rep.norm_law_argmax == rep_ref.norm_law_argmax
     if P.d == 1:
         assert abs(rep.attainment_gap - rep_ref.attainment_gap) <= 1e-12
+
+
+@pytest.mark.parametrize("name,P", VALIDATION_INPUTS, ids=[c[0] for c in VALIDATION_INPUTS])
+def test_norm_law_target_matches_svd(name, P):
+    # diagonal blocks (d = 1, sampled Grams) read ||p_ii|| as their largest
+    # |diagonal entry|; the result stays within 1e-15 of the SVD target
+    from wavefock.fock import _off_diagonal
+
+    ops = creation_matrices(P, 1)
+    rep = tstar_t_check(ops)
+    if not rep.commuting:
+        assert rep.norm_law_residual is None
+        return
+    blocks, letters = P.blocks(), np.arange(P.N)
+    diagonal = not _off_diagonal(blocks).any()
+    assert diagonal is (P.d == 1 or "grid" in name)
+    svd = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
+    if diagonal:
+        read = np.abs(np.diagonal(blocks[letters, letters], axis1=-2, axis2=-1)).max(axis=-1)
+        assert np.abs(read - svd).max() <= 1e-15 * svd.max()
+    got = ops.layer_products()[:, letters, letters].real.max(axis=0)
+    assert abs(rep.norm_law_residual - np.abs(got - svd).max()) <= 1e-15 * max(1.0, svd.max())
 
 
 def _singular_values(m):

@@ -154,6 +154,58 @@ class TestLoopArrays:
         assert np.abs(tiny.taps * 1e16 - big.taps).max() < 1e-12
 
 
+    @staticmethod
+    def tap_convolution(A, B):
+        """The product as a sum of shifted tap products, trimmed by hand."""
+        out = np.zeros((len(A.taps) + len(B.taps) - 1, A.N, A.N), dtype=complex)
+        for s, tap in enumerate(A.taps):
+            out[s : s + len(B.taps)] += tap @ B.taps
+        live = np.flatnonzero(out.reshape(len(out), -1).any(axis=1))
+        if not len(live):
+            return 0, out[:1] * 0
+        return A.lo + B.lo + int(live[0]), out[live[0] : live[-1] + 1]
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_products_match_tap_convolution_bit_for_bit(self, rng, N):
+        # one-tap factors take the broadcast product; signed zeros included
+        one_tap = [
+            LoopMatrix.from_array(int(rng.integers(-2, 3)), rng.standard_normal((1, N, N)) - 0.5)
+            for _ in range(3)
+        ]
+        diagonal = LoopMatrix.from_array(1, np.eye(N)[None] * -1.0)
+        sparse = LoopMatrix.from_array(-1, np.stack([np.eye(N), np.eye(N)[::-1]]))  # exact zeros
+        loops = one_tap + [diagonal, sparse, random_invertible_loop(N, rng), random_unitary_loop(N, rng)]
+        for A in loops:
+            for B in loops:
+                got, (lo, want) = A @ B, self.tap_convolution(A, B)
+                assert got.lo == lo and np.array_equal(got.taps, want)
+                assert np.array_equal(np.signbit(got.taps.view(float)), np.signbit(want.view(float)))
+
+    def test_product_trims_cancelled_end_taps(self):
+        E = np.zeros((2, 2))
+        E[0, 1] = 1.0
+        plus = LoopMatrix.from_array(0, np.stack([np.eye(2), E]))
+        minus = LoopMatrix.from_array(0, np.stack([np.eye(2), -E]))
+        prod = plus @ minus  # (I + zE)(I - zE) = I - z^2 E^2 = I
+        assert (prod.lo, prod.taps.shape) == (0, (1, 2, 2))
+        assert np.array_equal(prod.taps[0], np.eye(2))
+        shifted = LoopMatrix.from_array(-3, np.stack([E, E]))  # z^-3 E (1 + z)
+        for zero in (shifted @ shifted, LoopMatrix.from_constant(E) @ LoopMatrix.from_constant(E)):
+            assert (zero.lo, zero.taps.shape) == (0, (1, 2, 2))
+            assert not zero.taps.any()
+
+    def test_trim_scans_only_when_an_end_tap_is_zero(self, monkeypatch):
+        taps = np.zeros((3, 2, 2))
+        taps[0, 0, 0] = taps[2, 1, 1] = 1.0
+        scans = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or flatnonzero(a))
+        A = LoopMatrix.from_array(0, taps)
+        assert (A.lo, len(A.taps), scans) == (0, 3, [])
+        B = LoopMatrix.from_array(0, taps[:2])
+        assert (B.lo, len(B.taps), scans) == (0, 1, [1])
+
+
 class TestLoopFromFilters:
     def test_haar_constant_loop(self, haar):
         A, At = loop_from_filters(haar)
@@ -263,6 +315,28 @@ class TestDualLoop:
         )
         with pytest.raises(SingularLoopError):
             dual_loop(A)
+
+    @pytest.mark.parametrize("scale, singular", [(0.9, True), (1.1, False)])
+    def test_monomial_det_read_from_its_tap(self, monkeypatch, scale, singular):
+        # det A = c z^2 with |c| = scale * SINGULAR_TOL: |det A| = |c| on the
+        # whole circle, so no grid point is evaluated
+        from wavefock.polyphase import SINGULAR_TOL
+
+        c = scale * SINGULAR_TOL * np.exp(0.7j)
+        A = LoopMatrix.from_array(1, np.diag([c, 1.0])[None])
+        assert loop_det(A).support == [2]
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a monomial determinant was sampled on the grid")
+
+        monkeypatch.setattr(LaurentPoly, "eval_grid", forbidden)
+        if singular:
+            with pytest.raises(SingularLoopError, match="9.000e-11"):
+                dual_loop(A)
+        else:
+            At = dual_loop(A)
+            assert isinstance(At, LoopMatrix)
+            assert (A.adjoint() @ At).isclose(LoopMatrix.identity(2))
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_det_matches_cofactor(self, rng, N):
