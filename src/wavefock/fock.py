@@ -363,7 +363,8 @@ def level_kernel(
         draws = rng.standard_normal((k, len(kernel), k, 2, P.N))
         factors = draws[..., 0, :] + 1j * draws[..., 1, :]  # [pos, column, factor]
         factors[np.arange(k), :, np.arange(k)] = kernel
-        ratios = np.linalg.norm(factors @ fock.letters.T, axis=-1) / np.linalg.norm(factors, axis=-1)
+        ratios = np.linalg.norm(factors @ fock.letters.T, axis=-1)
+        ratios /= np.linalg.norm(factors, axis=-1)
         spanning = float(np.prod(ratios, axis=-1).max(initial=0.0))
     return KernelReport(k=k, dim=top.kernel_dim, predicted_dim=predicted, spanning_residual=spanning)
 

@@ -308,7 +308,7 @@ def test_biorthogonal_reads_only_the_pair_part(monkeypatch, rng):
     calls = _count_parts(monkeypatch)
     rep = relation_report(bank)
     assert calls == {"part": 0, "sups": 0}
-    assert rep.biorthogonal and rep.biorthogonal
+    assert rep.biorthogonal and rep.biorthogonal  # read twice, computed once
     assert calls == {"part": 1, "sups": 0}
     assert rep.cuntz is False  # the self part of a non-orthogonal bank
     assert calls == {"part": 2, "sups": 0}

@@ -21,6 +21,7 @@ from wavefock.filterbank import (
 from oracles import DictPoly, torus_grid
 from wavefock.laurent import LaurentPoly, adjoint_poly
 from wavefock.polyphase import (
+    SINGULAR_TOL,
     LoopMatrix,
     SampledLoop,
     as_monomial_unit,
@@ -152,7 +153,6 @@ class TestLoopArrays:
         big, tiny = A @ A.adjoint(), small @ small.adjoint()
         assert (tiny.lo, tiny.taps.shape) == (big.lo, big.taps.shape)
         assert np.abs(tiny.taps * 1e16 - big.taps).max() < 1e-12
-
 
     @staticmethod
     def tap_convolution(A, B):
@@ -320,8 +320,6 @@ class TestDualLoop:
     def test_monomial_det_read_from_its_tap(self, monkeypatch, scale, singular):
         # det A = c z^2 with |c| = scale * SINGULAR_TOL: |det A| = |c| on the
         # whole circle, so no grid point is evaluated
-        from wavefock.polyphase import SINGULAR_TOL
-
         c = scale * SINGULAR_TOL * np.exp(0.7j)
         A = LoopMatrix.from_array(1, np.diag([c, 1.0])[None])
         assert loop_det(A).support == [2]
