@@ -199,7 +199,7 @@ def compute_anchor(
         X[:W] = basis[::-1]  # basis row r is e_{-r}
         images = adjs @ X
         leak_map = (images - X @ (X.conj().T @ images)).reshape(-1, dim)
-        _, s, vh = np.linalg.svd(leak_map)
+        _, s, vh = np.linalg.svd(leak_map, full_matrices=False)
         n_kernel = int(np.sum(s <= max(cutoff, cutoff * s[0])))
         if n_kernel == dim:
             return AnchorSubspace(bank.N, bank.genus, basis, float(s[0]))

@@ -12,6 +12,7 @@ so P splits into d scalar N x N layers P_s and the level-k Gram is unitarily
 the direct sum of their Kronecker powers P_s^(x)k.  `validate_choi` runs the
 one eigh, over the stack of layers, and reads the PSD floor, rank, norm and
 kernel of P from it; blocks that do not commute make P itself the one layer.
+A `ChoiMatrix` whose blocks are all diagonal is stored as its layers, W = I.
 
 Every level is read from those eigenpairs in closed form.  On layer s,
 P_s = A_s* A_s on its kept part with A_s = Lambda_s^(1/2) U_s* (r_s x N), and
@@ -46,40 +47,36 @@ MAX_LEVEL = 12
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """N letters over a d-dimensional base space; matrix is (Nd) x (Nd)."""
+    """N letters over a d-dimensional base space, (Nd) x (Nd), stored as its
+    `layers` (d, N, N), (P_s)_ij = (p_ij)_ss, when every block p_ij is
+    diagonal (d = 1, sampled doubled Grams), else as the blocks (N, N, d, d)
+    in `general`.  `blocks()` and `matrix` are derived from either."""
 
     N: int
     d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.N < 1 or self.d < 1:
-            raise ValueError("N and d must be positive")
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.N * self.d, self.N * self.d):
-            raise ValueError(f"matrix must be {self.N * self.d} square")
-        object.__setattr__(self, "matrix", m)
+    layers: np.ndarray | None = None
+    general: np.ndarray | None = None
 
     @classmethod
     def from_matrix(cls, matrix, d: int = 1) -> "ChoiMatrix":
         matrix = np.asarray(matrix, dtype=complex)
-        n, _ = matrix.shape
-        if n % d:
-            raise ValueError("matrix size is not a multiple of d")
-        return cls(n // d, d, matrix)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
+        n = len(matrix)
+        if matrix.shape != (n, n) or n % d or not n:
+            raise ValueError(f"matrix must be square, its size a positive multiple of {d}")
+        blocks = matrix.reshape(n // d, d, n // d, d).transpose(0, 2, 1, 3)
+        if _off_diagonal(blocks).any():
+            return cls(n // d, d, general=blocks)
+        return cls(n // d, d, layers=np.diagonal(blocks, axis1=2, axis2=3).transpose(2, 0, 1))
 
     def blocks(self) -> np.ndarray:
         """All blocks as an (N, N, d, d) array."""
-        N, d = self.N, self.d
-        return self.matrix.reshape(N, d, N, d).transpose(0, 2, 1, 3)
+        if self.general is not None:
+            return self.general
+        return np.where(np.eye(self.d, dtype=bool), self.layers.transpose(1, 2, 0)[..., None], 0)
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
+    def matrix(self) -> np.ndarray:
+        return self.blocks().transpose(0, 2, 1, 3).reshape(self.N * self.d, -1)
 
     @functools.cached_property
     def report(self) -> "ChoiReport":
@@ -105,20 +102,25 @@ class ChoiMatrix:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed block matrix document: {exc}") from exc
-        return cls(N, d, matrix)
+        if N < 1 or d < 1 or matrix.shape != (N * d, N * d):
+            raise ValueError(f"block matrix document must hold an {N * d} square matrix")
+        return cls.from_matrix(matrix, d)
 
 
 @dataclass
 class ChoiReport:
     """The spectrum of P by layers: row s of `eigenvalues` (ascending) and
-    `eigenvectors` is the eigh of P_s, and u (x) W[:, s] is the eigenvector
-    of P for an eigenvector u of P_s.  One layer with W = [[1]] is P itself.
+    `eigenvectors` is the eigh of the Hermitian part of `layers[s]`, and
+    u (x) W[:, s] is the eigenvector of P for an eigenvector u of P_s; W is
+    None for diagonal blocks, where it is I.  One layer, W = [[1]], is P.
     """
 
     hermiticity_residual: float  # ||P - P*||_F
     commutator: float  # ||G_2 - G_2*||_F
     commuting: bool
-    W: np.ndarray
+    W: np.ndarray | None
+    layers: np.ndarray  # (layers, n, n): (W* p_ij W)_ss, or P itself
+    off: np.ndarray | None  # (N, N, d(d-1)): entries W* p_ij W keeps off its diagonal
     eigenvalues: np.ndarray  # (layers, n)
     eigenvectors: np.ndarray  # (layers, n, n)
     kept: np.ndarray  # (layers, n), above the rank cutoff
@@ -133,12 +135,19 @@ class ChoiReport:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues.min())
 
+    def base_vectors(self, s: np.ndarray) -> np.ndarray:
+        """Columns W[:, s]: the base-space vector of each layer in s."""
+        if self.W is None:
+            return (np.arange(len(self.layers))[:, None] == s).astype(float)
+        return self.W[:, s]
+
     @property
     def kernel(self) -> np.ndarray:
         """Eigenvectors of P at or below the rank cutoff, as columns."""
         s, a = np.nonzero(~self.kept)
         u = self.eigenvectors[s, :, a]
-        return np.einsum("mi,bm->ibm", u, self.W[:, s]).reshape(u.shape[1] * len(self.W), -1)
+        lift = self.base_vectors(s)
+        return np.einsum("mi,bm->ibm", u, lift).reshape(u.shape[1] * len(lift), -1)
 
 
 def _drift_bound(pnorm: float, k: int) -> float:
@@ -150,68 +159,64 @@ def _off_diagonal(blocks: np.ndarray) -> np.ndarray:
     return blocks[..., ~np.eye(blocks.shape[-1], dtype=bool)]
 
 
-def _commutator_norm(blocks: np.ndarray) -> float:
-    """sqrt(sum_{a,b} ||[p_a, p_b]||_F^2) over ordered pairs of blocks: exactly
-    ||G_2 - G_2*||_F, as block ((i w), (j w')) of G_2 - G_2* is [p_ij, p_ww']."""
-    if not _off_diagonal(blocks).any():
-        return 0.0
-    flat = blocks.reshape(-1, *blocks.shape[-2:])
-    return float(np.sqrt(sum(np.linalg.norm(b @ flat - flat @ b) ** 2 for b in flat)))
-
-
-def _layers(P: ChoiMatrix):
-    """(W, layers, off): the layers (P_s)_ij = (W* p_ij W)_ss, and the
-    off-diagonal mass W leaves in the blocks.
+def _layers(blocks: np.ndarray):
+    """(W, layers, off, commutator) of general blocks: the layers
+    (P_s)_ij = (W* p_ij W)_ss, the entries W leaves off the diagonals, and
+    sqrt(sum_{a,b} ||[p_a, p_b]||_F^2) over ordered pairs of blocks: exactly
+    ||G_2 - G_2*||_F, as block ((i w), (j w')) of G_2 - G_2* is [p_ij, p_ww'].
 
     Commuting blocks are normal (p_ji = p_ij*), so one unitary W makes them
-    all diagonal: the identity for diagonal blocks (and for d = 1), else the
-    eigenbasis of a fixed Hermitian combination (weights are golden-ratio
-    Weyl phases, so no random numbers are drawn).
+    all diagonal: the eigenbasis of a fixed Hermitian combination (weights
+    are golden-ratio Weyl phases, so no random numbers are drawn).
     """
-    N, d = P.N, P.d
-    rotated, W = P.blocks(), np.eye(d)
-    if _off_diagonal(rotated).any():
-        weights = np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) * np.arange(1, N * N + 1))
-        M = np.einsum("ij,ijab->ab", weights.reshape(N, N), rotated)
-        W = np.linalg.eigh(M + M.conj().T)[1]
-        rotated = W.conj().T @ rotated @ W
+    flat = blocks.reshape(-1, *blocks.shape[-2:])
+    commutator = float(np.sqrt(sum(np.linalg.norm(b @ flat - flat @ b) ** 2 for b in flat)))
+    N = len(blocks)
+    weights = np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) * np.arange(1, N * N + 1))
+    M = np.einsum("ij,ijab->ab", weights.reshape(N, N), blocks)
+    W = np.linalg.eigh(M + M.conj().T)[1]
+    rotated = W.conj().T @ blocks @ W
     layers = np.diagonal(rotated, axis1=2, axis2=3).transpose(2, 0, 1)
-    return W, layers, float(np.linalg.norm(_off_diagonal(rotated)))
+    return W, layers, _off_diagonal(rotated), commutator
 
 
 def validate_choi(P: ChoiMatrix) -> ChoiReport:
     """Spectrum of P from one eigh over its layers, with ||P - P*||_F and
     the commutator norm of the blocks.
 
-    The blocks commute when that norm is within the level-2 drift bound of
-    the layers' top eigenvalue, at most ||P|| as the layers pinch W* P W;
-    then off-diagonal mass above the bound raises, else P is the one layer.
-    An eigenvalue below -PSD_HARD max(1, ||P||) raises (eigh roundoff grows
-    with the norm); the rank counts those above RANK_CUTOFF times the top
-    one, so it is scale invariant and a zero matrix has rank 0.
+    Stored layers commute by type.  Blocks commute when that norm is within
+    the level-2 drift bound of the layers' top eigenvalue, at most ||P|| as
+    the layers pinch W* P W; then off-diagonal mass above the bound raises,
+    else P is the one layer.  An eigenvalue below -PSD_HARD max(1, ||P||)
+    raises (eigh roundoff grows with the norm); the rank counts those above
+    RANK_CUTOFF times the top one, so it is scale invariant and a zero
+    matrix has rank 0.
     """
-    m = P.matrix
-    commutator = _commutator_norm(P.blocks())
-    W, layers, off = _layers(P)
+    W, layers, off, commutator = None, P.layers, None, 0.0
+    if P.general is not None:
+        W, layers, off, commutator = _layers(P.general)
     eigvals, eigvecs = np.linalg.eigh((layers + layers.conj().transpose(0, 2, 1)) / 2)
     bound = _drift_bound(max(eigvals.max(), 0.0), 2)
     commuting = commutator <= bound
     if not commuting:
-        W = np.ones((1, 1))
-        eigvals, eigvecs = np.linalg.eigh((m + m.conj().T)[None] / 2)
-    elif off > bound:
-        raise NotPsdError(f"commuting blocks keep off-diagonal mass {off:.3e} in one eigenbasis")
+        W, layers, off = np.ones((1, 1)), P.matrix[None], None
+        eigvals, eigvecs = np.linalg.eigh((layers + layers.conj().transpose(0, 2, 1)) / 2)
+    elif off is not None and (mass := float(np.linalg.norm(off))) > bound:
+        raise NotPsdError(f"commuting blocks keep off-diagonal mass {mass:.3e} in one eigenbasis")
     lo = float(eigvals.min())
     norm = float(max(eigvals.max(), 0.0))
     scale = max(1.0, norm)
     if lo < -PSD_HARD * scale:
         raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{PSD_HARD * scale:.3g}")
-    herm = float(np.linalg.norm(m - m.conj().T))
+    stored = P.layers if P.general is None else P.matrix
+    herm = float(np.linalg.norm(stored - stored.conj().swapaxes(-2, -1)))
     return ChoiReport(
         hermiticity_residual=herm,
         commutator=commutator,
         commuting=bool(commuting),
         W=W,
+        layers=layers,
+        off=off,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
         kept=eigvals > RANK_CUTOFF * eigvals.max(),
@@ -246,11 +251,11 @@ def level_gram(P: ChoiMatrix, k: int, size_cap: int = SIZE_CAP) -> np.ndarray:
         raise ValueError("level must be nonnegative")
     if P.N**k * P.d > size_cap:
         raise SizeCapError(f"level {k} needs {P.N**k * P.d} spanning vectors (cap {size_cap})")
-    d, pnorm = P.d, P.norm
+    d, pnorm, blocks = P.d, float(np.linalg.norm(P.matrix, 2)), P.blocks()
     G = np.eye(d, dtype=complex)
     for j in range(1, k + 1):
         prev = G.shape[0] // d
-        G = np.einsum("ijab,wbvc->iwajvc", P.blocks(), G.reshape(prev, d, prev, d))
+        G = np.einsum("ijab,wbvc->iwajvc", blocks, G.reshape(prev, d, prev, d))
         G = G.reshape(P.N * prev * d, -1)
         # Frobenius: a safe-side bound on the spectral norm, without an SVD
         drift = float(np.linalg.norm(G - G.conj().T))
@@ -395,7 +400,7 @@ class CreationOps:
         e = fock.letters.shape[1] // fock.choi.N
         a = fock.letters[:, i * e : (i + 1) * e]
         if k == 0:
-            return a * fock.choi_report.W.conj().T[fock.layer]
+            return a * fock.choi_report.base_vectors(fock.layer).conj().T
         T = np.zeros((q, fock.level(k).q), dtype=complex)
         row = col = 0
         for s in np.unique(fock.layer):
@@ -473,41 +478,37 @@ def tstar_t_check(ops: CreationOps) -> TstarTReport:
     fock = ops.fock
     report, P = fock.choi_report, fock.choi
     N, d = P.N, P.d
-    blocks = P.blocks()
     got = ops.layer_products()
     letters = np.arange(N)
 
     norm_law = None
     argmax = None
     if not report.commuting:
-        diff = got[0].reshape(N, d, N, d).transpose(0, 2, 1, 3) - blocks
+        diff = (got - report.layers)[0].reshape(N, d, N, d).transpose(0, 2, 1, 3)
         vacuum = float(np.linalg.norm(diff, 2, axis=(-2, -1)).max())
         general = vacuum if ops.K else 0.0
     else:
-        diagonal = not _off_diagonal(blocks).any()
-        rotated = blocks if diagonal else report.W.conj().T @ blocks @ report.W
-        diag = np.abs(got.transpose(1, 2, 0) - np.diagonal(rotated, axis1=2, axis2=3))
-        off = np.abs(_off_diagonal(rotated)) ** 2
-        frob = np.zeros(off.shape[-1])  # ||A_s A_t^+||_F^2 for s != t
-        if off.any():
+        diag = np.abs(got - report.layers)
+        present = report.kept.any(axis=1)[:, None, None]
+        off, frob = np.zeros((N, N, 0)), np.zeros(0)  # W = I leaves nothing off the diagonal
+        if report.off is not None:
             layers = len(got)
             onehot = (fock.layer == np.arange(layers)[:, None]).astype(float)
             A = fock.letters
             ratio = np.abs(A @ A.conj().T / report.eigenvalues[report.kept]) ** 2
-            frob = (onehot @ ratio @ onehot.T)[~np.eye(layers, dtype=bool)]
-        present = report.kept.any(axis=1)
+            frob = (onehot @ ratio @ onehot.T)[~np.eye(layers, dtype=bool)]  # ||A_s A_t^+||_F^2
+            off = np.abs(report.off) ** 2
 
         def residual(k: int) -> float:
             on_layers = diag if k == 0 else np.where(present, diag, 0.0)
-            return float((on_layers.max(axis=-1) + np.sqrt(off @ frob**k)).max())
+            return float((on_layers.max(axis=0) + np.sqrt(off @ frob**k)).max())
 
         vacuum = residual(0)
         general = max((residual(k) for k in range(ops.K)), default=0.0)
-        p_ii = blocks[letters, letters]
-        if diagonal:  # ||p_ii|| is its largest |diagonal entry|
-            targets = np.abs(np.diagonal(p_ii, axis1=-2, axis2=-1)).max(axis=-1)
+        if P.layers is not None:  # ||p_ii|| is its largest |diagonal entry|
+            targets = np.abs(P.layers[:, letters, letters]).max(axis=0)
         else:
-            targets = np.linalg.norm(p_ii, 2, axis=(-2, -1))
+            targets = np.linalg.norm(P.general[letters, letters], 2, axis=(-2, -1))
         norm_law = float(np.abs(got[:, letters, letters].real.max(axis=0) - targets).max())
         argmax = 0
 

@@ -4,10 +4,10 @@ The 2N operators (S_1..S_N, dual family) of a reconstructive bank have the
 doubled Gram [[AA*, I], [I, (AA*)^-1]], a positive matrix-valued function on
 the circle with commuting entries.  Sampling it on a grid makes every entry
 a diagonal multiplication operator: the block matrix has d = grid size and
-diagonal blocks, so its layers are the grid points' 2N x 2N matrices and
-`validate_choi` judges all of them in one batched eigh.  The block matrix
-feeds straight into the Fock construction, whose letter vectors are the
-points' kept eigenpairs: the vacuum compressions T_i* T_j recover the
+diagonal blocks, so it is stored as its layers, the grid points' 2N x 2N
+matrices, and `validate_choi` judges all of them in one batched eigh.  The
+layers feed straight into the Fock construction, whose letter vectors are
+the points' kept eigenpairs: the vacuum compressions T_i* T_j recover the
 sampled functions exactly, point by point, and no level is formed.
 """
 
@@ -27,8 +27,8 @@ FOCK_GRID = 8
 
 @dataclass
 class SampledWaveletChoi:
-    """Doubled Gram of a bank on a grid, as one block matrix with d = grid
-    size and diagonal blocks: its layer t is the 2N x 2N matrix at point t."""
+    """Doubled Gram of a bank on a grid, a block matrix with d = grid size
+    stored as its layers: layer t is the 2N x 2N matrix at point t."""
 
     bank: FilterBank
     gram: GramMatrixFunction
@@ -70,10 +70,7 @@ def sampled_choi(
     if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
         raise NotReconstructiveError("doubled Gram needs a dual pair or orthogonal bank")
     g = gram_function(bank, grid_size)
-    n, t = 2 * bank.N, np.arange(grid_size)
-    m = np.zeros((n, grid_size, n, grid_size), dtype=complex)
-    m[:, t, :, t] = _points(g)
-    P = ChoiMatrix(n, grid_size, m.reshape(n * grid_size, -1))
+    P = ChoiMatrix(2 * bank.N, grid_size, layers=_points(g))
     ranks = P.report.kept.sum(axis=1)
     if (ranks != bank.N).any():
         raise NotPsdError(
@@ -127,8 +124,7 @@ def cor6_check(
     Letters 0..N-1 are the primary family, N..2N-1 the dual family:
     (i) primary pairs give the sampled AA* entries, (ii) dual pairs the
     sampled inverse entries, (iii) mixed pairs delta_ij times the identity.
-    The targets are the sampled doubled Gram itself, read independently of
-    the block-matrix assembly.
+    The targets are the layers of the sampled doubled Gram.
     """
     sw = sampled_choi(bank, grid_size)
     N, g = bank.N, grid_size
@@ -136,7 +132,7 @@ def cor6_check(
 
     # the blocks are diagonal (W = I): vacuum product (a, b) is diagonal, with
     # (A_t* A_t)_ab against entry (a, b) of the doubled Gram at point t
-    values = _points(sw.gram)
+    values = sw.choi.layers
     got = ops.layer_products()
     res = np.abs(got - values).max(axis=0)
 

@@ -154,7 +154,7 @@ def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
     scale = max(1.0, norm)
     if lo < -PSD_HARD * scale:
         raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{PSD_HARD * scale:.3g}")
-    flat = [P.block(i, j) for i in range(P.N) for j in range(P.N)]
+    flat = [P.blocks()[i, j] for i in range(P.N) for j in range(P.N)]
     commutator = math.sqrt(
         sum(np.linalg.norm(a @ b - b @ a) ** 2 for a in flat for b in flat)
     )
@@ -163,6 +163,8 @@ def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
         commutator=commutator,
         commuting=commutator <= PSD_HARD * max(1.0, norm**2),
         W=np.ones((1, 1)),
+        layers=m[None],
+        off=None,
         eigenvalues=eigvals[None],
         eigenvectors=eigvecs[None],
         kept=(eigvals > RANK_CUTOFF * eigvals[-1])[None],
@@ -251,12 +253,12 @@ def dense_creation(P: ChoiMatrix, K: int) -> DenseCreation:
     report = dense_validate_choi(P)
     if K > MAX_LEVEL:
         raise SizeCapError(f"truncation level {K} above cap {MAX_LEVEL}")
-    N = P.N
+    N, pnorm = P.N, np.linalg.norm(P.matrix, 2)
     grams = [level_gram(P, k) for k in range(K + 1)]
     levels = []
     for k, G in enumerate(grams):
         eigvals, eigvecs = np.linalg.eigh(G)
-        if eigvals[0] < -PSD_HARD * max(1.0, P.norm**k):
+        if eigvals[0] < -PSD_HARD * max(1.0, pnorm**k):
             raise NotPsdError(f"level {k} Gram eigenvalue {eigvals[0]:.3e}")
         keep = eigvals > RANK_CUTOFF * eigvals[-1]
         V = eigvecs[:, keep] / np.sqrt(eigvals[keep])
@@ -371,10 +373,13 @@ def dense_cor6_check(bank: FilterBank, grid_size: int, K: int) -> Cor6Report:
 def word_factor(fock: TruncatedFock, k: int) -> np.ndarray:
     """The level-k factor V_k* G_k in word space, q_k x N^k d, from the
     layered letters: row (s, a_1 .. a_k) is A_s^(x)k (x) w_s*, and level 0 is
-    the base space.  Its quotient is V_k = F_k* (F_k F_k*)^-1."""
+    the base space.  Its quotient is V_k = F_k* (F_k F_k*)^-1.  Diagonal
+    blocks have W = I."""
     if k == 0:
         return np.eye(fock.choi.d, dtype=complex)
     W = fock.choi_report.W
+    if W is None:
+        W = np.eye(fock.choi.d)
     rows = []
     for s in np.unique(fock.layer):
         A = fock.letters[fock.layer == s]

@@ -87,8 +87,8 @@ def test_choi_warning_band():
 
 def test_choi_blocks_view():
     m = np.arange(16, dtype=float).reshape(4, 4)
-    P = ChoiMatrix(2, 2, m)
-    assert np.array_equal(P.block(0, 1), m[0:2, 2:4])
+    P = ChoiMatrix.from_matrix(m, d=2)
+    assert np.array_equal(P.blocks()[0, 1], m[0:2, 2:4])
     assert np.array_equal(P.blocks()[1, 0], m[2:4, 0:2])
 
 
@@ -117,7 +117,7 @@ def test_choi_json_malformed(doc):
 
 def test_choi_shape_validation():
     with pytest.raises(ValueError):
-        ChoiMatrix(2, 2, np.eye(3))
+        ChoiMatrix.from_json({"N": 2, "d": 2, "blocks": ChoiMatrix.from_matrix(np.eye(3)).to_json()["blocks"]})
     with pytest.raises(ValueError):
         ChoiMatrix.from_matrix(np.eye(3), d=2)
 
@@ -164,7 +164,7 @@ def test_gram_size_cap():
 def test_gram_noncommuting_blocks_abort():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    P = ChoiMatrix(2, 2, x @ x.conj().T)
+    P = ChoiMatrix.from_matrix(x @ x.conj().T, d=2)
     with pytest.raises(NotPsdError):
         level_gram(P, 2)
 
@@ -176,8 +176,8 @@ def test_gram_noncommuting_blocks_not_hermitian(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(NotPsdError, match="level 2 Gram is not Hermitian"):
-        level_gram(ChoiMatrix(2, 2, x @ x.conj().T), 2)
-    level_gram(ChoiMatrix(2, 2, random_commuting_choi(2, 2, rng)), 3)
+        level_gram(ChoiMatrix.from_matrix(x @ x.conj().T, d=2), 2)
+    level_gram(ChoiMatrix.from_matrix(random_commuting_choi(2, 2, rng), d=2), 3)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -186,7 +186,7 @@ def test_gram_psd_for_valid_input(seed):
     P = scalar_choi(random_psd_choi(3, 2, rng, scale=1.7))
     for k in range(1, 4):
         lo = float(np.linalg.eigvalsh(level_gram(P, k))[0])
-        assert lo >= -1e-9 * P.norm**k
+        assert lo >= -1e-9 * np.linalg.norm(P.matrix, 2) ** k
 
 
 # ----------------------------------------------------------------------
@@ -461,14 +461,14 @@ def _tstar_oracle(ops, P):
     for i in range(N):
         for j in range(N):
             prod = ops.op(i, 0).conj().T @ ops.op(j, 0)
-            vacuum = max(vacuum, np.linalg.norm(prod - P.block(i, j), 2))
+            vacuum = max(vacuum, np.linalg.norm(prod - P.blocks()[i, j], 2))
             for k in range(ops.K):
                 V = word_quotient(ops.fock, k)
-                kron = np.kron(np.eye(N**k), P.block(i, j))
+                kron = np.kron(np.eye(N**k), P.blocks()[i, j])
                 target = V.conj().T @ level_gram(P, k) @ kron @ V
                 prod_k = ops.op(i, k).conj().T @ ops.op(j, k)
                 general = max(general, np.linalg.norm(prod_k - target, 2))
-    blocks = [P.block(i, j) for i in range(N) for j in range(N)]
+    blocks = [P.blocks()[i, j] for i in range(N) for j in range(N)]
     commuting = all(
         np.linalg.norm(a @ b - b @ a, 2) <= 1e-10 for a in blocks for b in blocks
     )
@@ -496,7 +496,7 @@ def test_tstar_matches_dense_oracle(case):
     assert rep.commuting == commuting == (case != "noncommuting")
     if commuting:
         want = max(
-            abs(max(diag[i]) - np.linalg.norm(P.block(i, i), 2)) for i in range(P.N)
+            abs(max(diag[i]) - np.linalg.norm(P.blocks()[i, i], 2)) for i in range(P.N)
         )
         assert abs(rep.norm_law_residual - want) < 1e-12
 
@@ -525,10 +525,8 @@ def basis_change_equivalence(P: ChoiMatrix, U: np.ndarray, K: int = 2) -> float:
     defect = float(np.linalg.norm(U.conj().T @ U - np.eye(P.N), 2))
     if defect > 1e-10:
         raise NotUnitaryError(f"U*U differs from I by {defect:.3e}")
-    Pp = ChoiMatrix(
-        P.N,
-        P.d,
-        np.kron(U, np.eye(P.d)) @ P.matrix @ np.kron(U.conj().T, np.eye(P.d)),
+    Pp = ChoiMatrix.from_matrix(
+        np.kron(U, np.eye(P.d)) @ P.matrix @ np.kron(U.conj().T, np.eye(P.d)), d=P.d
     )
     ops = creation_matrices(P, K)
     ops_p = creation_matrices(Pp, K)
@@ -559,7 +557,7 @@ def test_basis_change_fourier_on_identity():
     assert basis_change_equivalence(P, F, K=2) < 1e-9
     # the recombined tuple is still a family of isometries with orthogonal
     # ranges: the transformed block matrix is again the identity
-    Pp = ChoiMatrix(2, 1, F @ P.matrix @ F.conj().T)
+    Pp = scalar_choi(F @ P.matrix @ F.conj().T)
     ops = creation_matrices(Pp, 2)
     for k in range(2):
         for i in range(2):
@@ -639,12 +637,21 @@ BENCHMARK_INPUTS = _benchmark_inputs()
 
 def _validation_inputs():
     """(name, P) for every `fock` input class: the benchmark inputs, a
-    noncommuting d = 2 matrix, and sampled banks at grid 16."""
+    noncommuting d = 2 matrix, d = 2 blocks built with W = I and with a
+    random W, and sampled banks at grid 16."""
     gen = _load_gen()
     rng = np.random.default_rng(6)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     cases = [(name, P) for name, P, _ in BENCHMARK_INPUTS]
     cases.append(("noncommuting-2x2", ChoiMatrix.from_matrix(b @ b.conj().T, d=2)))
+    # real layers: the oracle's products of complex diagonal blocks commute
+    # only to roundoff (1e-17), where the stored layers give an exact 0
+    m = np.zeros((3, 2, 3, 2))
+    for s, rank in enumerate((2, 3)):
+        g = rng.standard_normal((3, rank))
+        m[:, s, :, s] = g @ g.T
+    cases.append(("diagonal-3x2", ChoiMatrix.from_matrix(m.reshape(6, 6), d=2)))
+    cases.append(("commuting-3x2", ChoiMatrix.from_matrix(gen.commuting_choi(3, 2, [2, 1], rng), d=2)))
     bank = FilterBank.from_json(gen.Bank.random("biorthogonal", 2, rng).json())
     cases.append(("biorthogonal-grid16", sampled_choi(bank, 16).choi))
     for grid in (8, 16):
@@ -689,20 +696,37 @@ def test_layered_levels_match_dense_oracle(name, P):
         assert abs(rep.attainment_gap - rep_ref.attainment_gap) <= 1e-12
 
 
+def _takes_layers(name: str, P: ChoiMatrix) -> bool:
+    return P.d == 1 or "grid" in name or name.startswith("diagonal")
+
+
+@pytest.mark.parametrize("name,P", VALIDATION_INPUTS, ids=[c[0] for c in VALIDATION_INPUTS])
+def test_stored_form_follows_the_blocks(name, P):
+    # diagonal blocks are kept as their layer stack, all others as blocks;
+    # both views agree with the dense matrix
+    blocks = P.blocks()
+    diagonal = np.array_equal(blocks * np.eye(P.d), blocks)
+    assert diagonal is _takes_layers(name, P) is (P.layers is not None) is (P.general is None)
+    assert np.array_equal(blocks.transpose(0, 2, 1, 3).reshape(P.N * P.d, -1), P.matrix)
+    if diagonal:
+        assert np.array_equal(np.diagonal(blocks, axis1=2, axis2=3).transpose(2, 0, 1), P.layers)
+    assert (P.report.W is None) is diagonal
+    back = ChoiMatrix.from_json(P.to_json())
+    assert np.array_equal(back.matrix, P.matrix) and (back.layers is None) is (P.layers is None)
+
+
 @pytest.mark.parametrize("name,P", VALIDATION_INPUTS, ids=[c[0] for c in VALIDATION_INPUTS])
 def test_norm_law_target_matches_svd(name, P):
     # diagonal blocks (d = 1, sampled Grams) read ||p_ii|| as their largest
     # |diagonal entry|; the result stays within 1e-15 of the SVD target
-    from wavefock.fock import _off_diagonal
-
     ops = creation_matrices(P, 1)
     rep = tstar_t_check(ops)
     if not rep.commuting:
         assert rep.norm_law_residual is None
         return
     blocks, letters = P.blocks(), np.arange(P.N)
-    diagonal = not _off_diagonal(blocks).any()
-    assert diagonal is (P.d == 1 or "grid" in name)
+    diagonal = np.array_equal(blocks * np.eye(P.d), blocks)
+    assert diagonal is _takes_layers(name, P)
     svd = np.linalg.norm(blocks[letters, letters], 2, axis=(-2, -1))
     if diagonal:
         read = np.abs(np.diagonal(blocks[letters, letters], axis1=-2, axis2=-1)).max(axis=-1)
@@ -802,7 +826,7 @@ def test_deep_levels_form_no_word_space():
     assert ops.fock.quotient_dims == [1] * 13
     assert ops.fock.level(12).kernel_dim == 4**12 - 1
     assert ops.op(0, 11).shape == (1, 1)
-    assert tstar_t_check(ops).general_residual < 1e-12 * max(1.0, P.norm)
+    assert tstar_t_check(ops).general_residual < 1e-12 * max(1.0, np.linalg.norm(P.matrix, 2))
 
 
 # ----------------------------------------------------------------------
@@ -874,7 +898,7 @@ def test_fock_report_scale_invariant(case, exponent, tmp_path):
     P = SCALE_CASES[case]
     if case not in UNIT_SUMMARIES:
         UNIT_SUMMARIES[case] = _fock_summary(tmp_path / "unit.json", P)
-    scaled = ChoiMatrix(P.N, P.d, 10.0**exponent * P.matrix)
+    scaled = ChoiMatrix.from_matrix(10.0**exponent * P.matrix, d=P.d)
     assert _fock_summary(tmp_path / "scaled.json", scaled) == UNIT_SUMMARIES[case]
 
 

@@ -1,5 +1,7 @@
 """Doubled-Gram sampling and the wavelet creation-operator corollary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,11 +99,14 @@ def test_block_choi_layout(haar):
     sw = sampled_choi(haar, grid_size=4)
     P = sw.choi
     assert P.N == 4 and P.d == 4
-    assert np.array_equal(sw.choi.report.W, np.eye(4))
+    # diagonal blocks are stored as the layer stack, with W = I by type
+    assert P.general is None and P.layers.shape == (4, 4, 4)
+    assert sw.choi.report.W is None
+    assert np.array_equal(sw.choi.report.base_vectors(np.arange(4)), np.eye(4))
     # diagonal blocks carry the per-point samples
     for a in range(4):
         for b in range(4):
-            block = P.block(a, b)
+            block = P.blocks()[a, b]
             assert np.allclose(np.diag(np.diagonal(block)), block, atol=0)
             assert np.allclose(np.diagonal(block), [layer(sw, t)[a, b] for t in range(4)])
 
@@ -191,6 +196,20 @@ def test_cor6_runs_one_eigh_on_the_layers(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
     cor6_check(pair_bank(1), grid_size=8, K=2)
     assert shapes == [(8, 4, 4)]
+
+
+def test_cor6_memory_grows_with_the_layers_not_the_block_matrix():
+    # grid 512 on four letters per family: the dense block matrix would be
+    # (8 * 512)^2 complex entries, 256 MiB; the layer stack is 0.5 MiB
+    bank = stretched_haar_bank(with_duals=True)
+    tracemalloc.start()
+    try:
+        rep = cor6_check(bank, grid_size=512, K=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.residual < 1e-9
+    assert peak < 32 * 2**20
 
 
 def _cor6_oracle(bank, grid_size, K):
