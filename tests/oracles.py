@@ -154,7 +154,7 @@ def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
     scale = max(1.0, norm)
     if lo < -PSD_HARD * scale:
         raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{PSD_HARD * scale:.3g}")
-    flat = [P.blocks()[i, j] for i in range(P.N) for j in range(P.N)]
+    flat = list(P.blocks().reshape(-1, P.d, P.d))
     commutator = math.sqrt(
         sum(np.linalg.norm(a @ b - b @ a) ** 2 for a in flat for b in flat)
     )

@@ -116,8 +116,9 @@ def test_choi_json_malformed(doc):
 
 
 def test_choi_shape_validation():
+    doc = ChoiMatrix.from_matrix(np.eye(3)).to_json()
     with pytest.raises(ValueError):
-        ChoiMatrix.from_json({"N": 2, "d": 2, "blocks": ChoiMatrix.from_matrix(np.eye(3)).to_json()["blocks"]})
+        ChoiMatrix.from_json({**doc, "N": 2, "d": 2})
     with pytest.raises(ValueError):
         ChoiMatrix.from_matrix(np.eye(3), d=2)
 
@@ -651,7 +652,8 @@ def _validation_inputs():
         g = rng.standard_normal((3, rank))
         m[:, s, :, s] = g @ g.T
     cases.append(("diagonal-3x2", ChoiMatrix.from_matrix(m.reshape(6, 6), d=2)))
-    cases.append(("commuting-3x2", ChoiMatrix.from_matrix(gen.commuting_choi(3, 2, [2, 1], rng), d=2)))
+    matrix = gen.commuting_choi(3, 2, [2, 1], rng)
+    cases.append(("commuting-3x2", ChoiMatrix.from_matrix(matrix, d=2)))
     bank = FilterBank.from_json(gen.Bank.random("biorthogonal", 2, rng).json())
     cases.append(("biorthogonal-grid16", sampled_choi(bank, 16).choi))
     for grid in (8, 16):
