@@ -18,9 +18,9 @@ R_{k+1} = sum_i B_i^* R_k B_i from R_0 = I - Pi_K, and G_{k+1} likewise from
 G_0 = I, per family.  Unrolled, (R_k)_nn = sum over length-k words w of
 ||(I - Pi_K) B_w e_n||^2 and (G_k)_nn = sum_w ||B_w e_n||^2, so (R_k)_nn
 vanishes exactly when every length-k word sends e_n into K.  The depth of e_n
-is the least k with (R_k)_nn <= tol^2 (G_k)_nn: relative, so images that grow
-or shrink with k (large-norm duals) are judged by their roundoff, not their
-scale.  Unlike a test of each unit direction of their span, it passes a small
+is the least k with (R_k)_nn <= MEMBER_TOL^2 (G_k)_nn: relative, so images
+that grow or shrink with k (large-norm duals) are judged by their roundoff,
+not their scale.  Unlike a test of each unit direction of their span, it passes a small
 out-of-K image beside large ones in K.  Both diagonals are read off V_k, the
 QR factor of the stacked images of V_{k-1}'s rows: it keeps the Gram matrix
 of all length-k word images of e_n in at most 2 Mf + 1 rows.
@@ -170,12 +170,7 @@ class AnchorSubspace:
         }
 
 
-def compute_anchor(
-    bank: FilterBank,
-    tol: float = MEMBER_TOL,
-    cutoff: float = SVD_CUTOFF,
-    check: bool = True,
-) -> AnchorSubspace:
+def compute_anchor(bank: FilterBank, check: bool = True) -> AnchorSubspace:
     """Largest subspace of the mode window invariant under all 2N adjoints.
 
     Iteratively removes the directions whose images leak outside the current
@@ -200,7 +195,7 @@ def compute_anchor(
         images = adjs @ X
         leak_map = (images - X @ (X.conj().T @ images)).reshape(-1, dim)
         _, s, vh = np.linalg.svd(leak_map, full_matrices=False)
-        n_kernel = int(np.sum(s <= max(cutoff, cutoff * s[0])))
+        n_kernel = int(np.sum(s <= SVD_CUTOFF * max(1.0, s[0])))
         if n_kernel == dim:
             return AnchorSubspace(bank.N, bank.genus, basis, float(s[0]))
         if n_kernel == 0:
@@ -216,11 +211,11 @@ MODE_BLOCK = 1024  # modes per block of a pull-back depth run
 WORD_BUDGET = 1 << 20  # complex entries per chunk of a cyclicity expansion
 
 
-def _first_absorbed(modes, frames, basis, cap: int, tol: float) -> np.ndarray:
-    """Per mode, the least k <= cap with (R_k)_nn <= tol^2 (G_k)_nn, or -1."""
+def _first_absorbed(modes, frames, basis, cap: int) -> np.ndarray:
+    """Per mode, the least k <= cap with (R_k)_nn <= MEMBER_TOL^2 (G_k)_nn, or -1."""
     if len(modes) > MODE_BLOCK:
         parts = [modes[b : b + MODE_BLOCK] for b in range(0, len(modes), MODE_BLOCK)]
-        return np.concatenate([_first_absorbed(m, frames, basis, cap, tol) for m in parts])
+        return np.concatenate([_first_absorbed(m, frames, basis, cap) for m in parts])
     L = frames.shape[-1]
     first = np.full(len(modes), -1)
     live = np.arange(len(modes))
@@ -228,7 +223,7 @@ def _first_absorbed(modes, frames, basis, cap: int, tol: float) -> np.ndarray:
     V = np.tile(np.eye(L, dtype=complex)[L // 2], (len(modes), 1, 1))  # e_n on its frame
     for k in range(cap + 1):
         leak = np.sum(_leaks(V, c, basis) ** 2, axis=1)
-        hit = leak <= tol**2 * np.sum(np.abs(V) ** 2, axis=(1, 2))
+        hit = leak <= MEMBER_TOL**2 * np.sum(np.abs(V) ** 2, axis=(1, 2))
         first[live[hit]] = k
         live, c, V = live[~hit], c[~hit], V[~hit]
         if not live.size or k == cap:
@@ -243,9 +238,8 @@ def pullback_depths(
     modes,
     anchor: AnchorSubspace | None = None,
     cap: int = DEPTH_CAP,
-    tol: float = MEMBER_TOL,
 ) -> dict:
-    """Per mode e_n, the least k with (R_k)_nn <= tol^2 (G_k)_nn in both
+    """Per mode e_n, the least k with (R_k)_nn <= MEMBER_TOL^2 (G_k)_nn in both
     families: every length-k adjoint word sends e_n into the anchor.  Raises
     DepthExceededError for the first mode, in the order given, that is not
     absorbed within `cap` steps."""
@@ -255,12 +249,12 @@ def pullback_depths(
     if not modes:
         return {}
     frames = [_frame_matrices(bank, expand)[1] for expand, _ in _families(bank)]
-    return _depths(modes, frames, anchor.basis, cap, tol)
+    return _depths(modes, frames, anchor.basis, cap)
 
 
-def _depths(modes: list, frames: list, basis, cap: int, tol: float) -> dict:
+def _depths(modes: list, frames: list, basis, cap: int) -> dict:
     """`pullback_depths` on the expanding families' frame stacks."""
-    per_family = np.array([_first_absorbed(modes, f, basis, cap, tol) for f in frames])
+    per_family = np.array([_first_absorbed(modes, f, basis, cap) for f in frames])
     failed = (per_family < 0).any(axis=0)
     if failed.any():
         n = modes[int(np.argmax(failed))]
@@ -273,10 +267,9 @@ def pullback_depth(
     n: int,
     anchor: AnchorSubspace | None = None,
     cap: int = DEPTH_CAP,
-    tol: float = MEMBER_TOL,
 ) -> int:
     """Smallest k with every length-k adjoint word sending e_n into the anchor."""
-    return pullback_depths(bank, [n], anchor, cap=cap, tol=tol)[n]
+    return pullback_depths(bank, [n], anchor, cap=cap)[n]
 
 
 @dataclass
@@ -358,7 +351,7 @@ def depths_and_cyclicity(
     mats = {id(f): f for f in _families(bank)[0]}  # both filter sets, once each
     mats = {key: _frame_matrices(bank, f) for key, f in mats.items()}
     frames = [mats[id(expand)][1] for expand, _ in _families(bank)]
-    depths = _depths(outer + modes.tolist(), frames, anchor.basis, cap, MEMBER_TOL)
+    depths = _depths(outer + modes.tolist(), frames, anchor.basis, cap)
     inner = {n: depths[n] for n in modes.tolist()}
     ks = np.maximum(list(inner.values()), 1)
     worst = []

@@ -23,7 +23,7 @@ from .anchor import compute_anchor, depths_and_cyclicity
 from .errors import SizeCapError, WavefockError
 from .filterbank import FilterBank, relation_report
 from .fock import ChoiMatrix, creation_matrices, tstar_t_check
-from .polyphase import LoopMatrix, SampledLoop, dual_loop, filters_from_loop, loop_from_filters
+from .polyphase import LoopMatrix, dual_loop, filters_from_loop, loop_from_filters
 from .wavelet_fock import cor6_check
 
 VERDICT_FAILED = 1
@@ -188,19 +188,18 @@ def cmd_loop(args, config: RunConfig) -> int:
     A, At = loop_from_filters(bank)
     report = {"A": A.to_json(), "Atilde": None, "Atilde_exact": False}
     try:
-        if At is None:
-            At = dual_loop(A, grid=config.grid_size)
-        if isinstance(At, SampledLoop):
-            report["note"] = (
-                "no exact dual loop: det A is not a monomial unit, "
-                "or A* Atilde = I fails in coefficients"
-            )
-        else:
-            report["Atilde"] = At.to_json()
-            report["Atilde_exact"] = True
+        At = dual_loop(A) if At is None else At
     except WavefockError as exc:
         _emit(report, config)
         return _diagnostic(exc)
+    if At is None:
+        report["note"] = (
+            "no exact dual loop: det A is not a monomial unit, "
+            "or A* Atilde = I fails in coefficients"
+        )
+    else:
+        report["Atilde"] = At.to_json()
+        report["Atilde_exact"] = True
     _emit(report, config)
     return 0
 
@@ -210,7 +209,7 @@ def cmd_anchor(args, config: RunConfig) -> int:
     span = config.mode_range if config.mode_range is not None else 8
     n_range = min(span, 8)
     try:
-        anchor = compute_anchor(bank, tol=config.tolerance)
+        anchor = compute_anchor(bank)
         depths, cyc = depths_and_cyclicity(bank, anchor, span, n_range)
     except WavefockError as exc:
         return _diagnostic(exc)
@@ -322,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--direction", choices=("to-loop", "from-loop"), default="to-loop"
     )
-    _add_flags(sub, "--input", "--builtin", "--grid")
+    _add_flags(sub, "--input", "--builtin")
     sub.set_defaults(fn=cmd_loop)
 
     sub = subs.add_parser("anchor", help="anchor subspace, depths, cyclicity")
-    _add_flags(sub, "--input", "--builtin", "--tolerance", "--modes")
+    _add_flags(sub, "--input", "--builtin", "--modes")
     sub.set_defaults(fn=cmd_anchor)
 
     sub = subs.add_parser("fock", help="truncated Fock report; cor6 for bank input")

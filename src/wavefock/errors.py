@@ -40,6 +40,3 @@ class NotPsdError(WavefockError):
 class SizeCapError(WavefockError):
     code = "SIZE_CAP"
 
-
-class NotUnitaryError(WavefockError):
-    code = "NOT_UNITARY"

@@ -292,13 +292,7 @@ def relation_report(
 # module expansion over words
 
 
-def module_expand(
-    bank: FilterBank,
-    f: LaurentPoly,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    check: bool = True,
-) -> dict:
+def module_expand(bank: FilterBank, f: LaurentPoly, k: int, check: bool = True) -> dict:
     """Subband components of f over all words of length k, in lexicographic
     order.
 
@@ -310,7 +304,7 @@ def module_expand(
     """
     if k < 1:
         raise ValueError("word length k must be at least 1")
-    if check and not relation_report(bank, tol=tol).biorthogonal:  # the Cuntz verdict if self-dual
+    if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
         raise NotReconstructiveError("bank fails the dual-pairing verdict")
     duals = bank.duals_or_primaries
     components = {(): f}

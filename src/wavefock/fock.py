@@ -170,7 +170,11 @@ def _layers(blocks: np.ndarray):
     are golden-ratio Weyl phases, so no random numbers are drawn).
     """
     flat = blocks.reshape(-1, *blocks.shape[-2:])
-    commutator = float(np.sqrt(sum(np.linalg.norm(b @ flat - flat @ b) ** 2 for b in flat)))
+    # einsum rather than BLAS products, so that diagonal blocks cancel exactly
+    commutator = float(np.sqrt(sum(
+        np.linalg.norm(np.einsum("ij,bjk->bik", b, flat) - np.einsum("bij,jk->bik", flat, b)) ** 2
+        for b in flat
+    )))
     N = len(blocks)
     weights = np.exp(1j * np.pi * (np.sqrt(5.0) - 1.0) * np.arange(1, N * N + 1))
     M = np.einsum("ij,ijab->ab", weights.reshape(N, N), blocks)

@@ -16,7 +16,10 @@ the adjoint is the reversed conjugate transpose, and the values on a grid
 are one contraction with the grid phases.  The determinant
 and the exact dual loop are recovered the other way: sample on enough points
 to cover the known exponent window, invert or take determinants pointwise,
-and read the coefficients back with one DFT.
+and read the coefficients back with one DFT.  Whether A is invertible on the
+circle is decided once, from that exact determinant and relative to the
+scale of A, by the `_check_invertible` that `dual_loop` and `gram_function`
+share; no user grid enters it.
 
 Verdicts read the `*_bound`s, which hold on the whole circle: from a
 residual's taps, or from a grid sized by its exponent span.  The sampled sups
@@ -151,16 +154,6 @@ class LoopMatrix:
         return f"LoopMatrix(N={self.N}, max_abs_exp={self.max_abs_exp()})"
 
 
-@dataclass
-class SampledLoop:
-    """Pointwise values of a loop on the grid; used when no exact Laurent
-    inverse exists (determinant is not a monomial unit)."""
-
-    N: int
-    grid: int
-    values: np.ndarray  # shape (grid, N, N)
-
-
 # ----------------------------------------------------------------------
 # filters <-> loop
 
@@ -211,53 +204,83 @@ def loop_det(A: LoopMatrix) -> LaurentPoly:
     return LaurentPoly.from_array(lo, polys_from_grid(dets, lo))
 
 
-def as_monomial_unit(p: LaurentPoly, eps: float = 1e-12):
+MONOMIAL_EPS = 1e-12  # terms of a determinant below this times its largest are roundoff
+DET_GRID_CAP = 1 << 16  # most circle points a determinant is sampled on before it is refused
+
+
+def as_monomial_unit(p: LaurentPoly):
     """Return (exponent, coeff) if p is a single monomial with nonzero
-    coefficient once terms below eps (relative) are discarded, else None."""
+    coefficient once terms below MONOMIAL_EPS (relative) are discarded,
+    else None."""
     if p.is_zero:
         return None
     top = p.coeff_sup()
-    terms = [(k, c) for k, c in p.coeffs().items() if abs(c) > eps * top]
+    terms = [(k, c) for k, c in p.coeffs().items() if abs(c) > MONOMIAL_EPS * top]
     if len(terms) != 1:
         return None
     return terms[0]
 
 
-def _check_invertible(det_vals: np.ndarray) -> None:
-    worst = float(np.min(np.abs(det_vals)))
-    if worst < SINGULAR_TOL:
-        raise SingularLoopError(
-            f"|det A| reaches {worst:.3e} on the grid; loop is not invertible"
-        )
+def _check_invertible(A: LoopMatrix) -> LaurentPoly:
+    """det A, once min over the circle of |det A| is shown to exceed
+    SINGULAR_TOL times the Hadamard bound prod_i sum_t ||row i of tap t||.
 
-
-def dual_loop(A: LoopMatrix, grid: int = DEFAULT_GRID):
-    """The dual loop Atilde = A^{*-1}.
-
-    A is invertible on the circle when |det A| stays above SINGULAR_TOL: read
-    as |c| when det A is the single tap c z^e, which is |det A| everywhere on
-    the circle, and on `grid` points otherwise.
-    When det A* = conj(det A) is a monomial unit c z^e, the inverse is
-    adj(A*) / (c z^e), a Laurent matrix with exponents in
-    [(N-1) lo - e, (N-1) hi - e], where [lo, hi] bounds the exponents of
-    A*.  It is recovered from the pointwise inverse of A* on that many grid
-    points and returned only if the coefficient product A* Atilde is I.
-    Otherwise the result is a `SampledLoop` holding the pointwise inverse
-    of A(z)^* on the grid.
+    Both sides scale as c^N with A, so the verdict does not see the scale.
+    A single tap c z^e has |det A| = |c| on the whole circle.  Any other
+    det A is sampled on M equispaced points (one FFT of its padded
+    coefficients c_j): the smallest sample bounds the minimum from above, and
+    that sample less (pi/M) sum_j |j - jbar| |c_j|, a Lipschitz bound over the
+    distance to the nearest point, from below.  M doubles until one side
+    decides; a determinant still undecided on DET_GRID_CAP points is refused.
     """
     det = loop_det(A)
-    _check_invertible(det.taps if len(det.taps) == 1 else det.eval_grid(grid))
-    A_star = A.adjoint()
-    unit = as_monomial_unit(adjoint_poly(det))
-    if unit is not None:
-        N, e = A.N, unit[0]
-        lo = (N - 1) * A_star.lo - e
-        inverse = np.linalg.inv(A_star.sample_grid((N - 1) * (A_star.hi - A_star.lo) + 1))
-        At = LoopMatrix.from_array(lo, polys_from_grid(inverse, lo))
-        if (A_star @ At).isclose(LoopMatrix.identity(N)):
-            return At
-    vals = A_star.sample_grid(grid)
-    return SampledLoop(N=A.N, grid=grid, values=np.linalg.inv(vals))
+    floor = SINGULAR_TOL * float(np.prod(np.linalg.norm(A.taps, axis=2).sum(axis=0)))
+    c = det.taps
+    worst = bound = float(np.abs(c).max(initial=0.0))
+    if len(c) > 1:
+        j = np.arange(len(c))
+        slope = np.pi * float(np.abs(j - j.mean()) @ np.abs(c))
+        M = 1 << (len(c) - 1).bit_length()
+        while True:
+            worst = float(np.abs(np.fft.fft(c, n=M)).min())
+            bound = worst - slope / M
+            if worst <= floor or bound > floor or M >= DET_GRID_CAP:
+                break
+            M *= 2
+    if worst <= floor:
+        raise SingularLoopError(
+            f"|det A| reaches {worst:.3e}, at most {SINGULAR_TOL:g} times its "
+            f"Hadamard bound; loop is not invertible"
+        )
+    if bound <= floor:
+        raise SingularLoopError(
+            f"min |det A| undecided on {DET_GRID_CAP} points: samples at least "
+            f"{worst:.3e}, lower bound {bound:.3e}, floor {floor:.3e}; loop refused"
+        )
+    return det
+
+
+def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
+    """The dual loop Atilde = A^{*-1} as a Laurent matrix, or None.
+
+    Raises SingularLoopError unless A is invertible on the whole circle
+    (`_check_invertible`).  When det A* = conj(det A) is a monomial unit
+    c z^e, the inverse is adj(A*) / (c z^e), a Laurent matrix with exponents
+    in [(N-1) lo - e, (N-1) hi - e], where [lo, hi] bounds the exponents of
+    A*.  It is recovered from the pointwise inverse of A* on that many grid
+    points and returned only if the coefficient product A* Atilde is I.
+    Otherwise A is invertible on the circle but its inverse is not a
+    Laurent matrix (or not recovered to that accuracy), and the result is
+    None.
+    """
+    unit = as_monomial_unit(adjoint_poly(_check_invertible(A)))
+    if unit is None:
+        return None
+    A_star, N, e = A.adjoint(), A.N, unit[0]
+    lo = (N - 1) * A_star.lo - e
+    inverse = np.linalg.inv(A_star.sample_grid((N - 1) * (A_star.hi - A_star.lo) + 1))
+    At = LoopMatrix.from_array(lo, polys_from_grid(inverse, lo))
+    return At if (A_star @ At).isclose(LoopMatrix.identity(N)) else None
 
 
 def _identity_gap(L: LoopMatrix) -> float:
@@ -287,16 +310,9 @@ def _hermitian(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-2, -1)
 
 
-def loop_pair_residual(A: LoopMatrix, At, grid: int = DEFAULT_GRID) -> float:
+def loop_pair_residual(A: LoopMatrix, At: LoopMatrix, grid: int = DEFAULT_GRID) -> float:
     """sup over the grid of ||A(z)^* Atilde(z) - I|| (spectral norm)."""
-    a_star = A.adjoint().sample_grid(grid)
-    if isinstance(At, LoopMatrix):
-        b = At.sample_grid(grid)
-    else:
-        if At.grid != grid:
-            raise ValueError("sampled loop grid does not match requested grid")
-        b = At.values
-    return _sup_norm(a_star @ b - np.eye(A.N))
+    return _sup_norm(A.adjoint().sample_grid(grid) @ At.sample_grid(grid) - np.eye(A.N))
 
 
 def loop_unitarity_residual(A: LoopMatrix, grid: int = DEFAULT_GRID) -> float:
@@ -380,9 +396,12 @@ class GramMatrixFunction:
 
 
 def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunction:
-    """Assemble AA*(z) exactly, then sample and invert it on the grid."""
+    """Assemble AA*(z) exactly, then sample and invert it on the grid.
+
+    A is judged invertible on the whole circle first, by the same
+    `_check_invertible` as `dual_loop`; the grid sets only the samples."""
     A, _ = loop_from_filters(bank)
-    _check_invertible(np.linalg.det(A.sample_grid(grid)))
+    _check_invertible(A)
     gram = A @ A.adjoint()
     samples = gram.sample_grid(grid)
     return GramMatrixFunction(bank.N, grid, gram, samples, np.linalg.inv(samples))

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
-from .filterbank import FilterBank
+from .filterbank import DEFAULT_TOL, FilterBank
 from .laurent import LaurentPoly, _trimmed
 from .polyphase import loop_from_filters, loop_pair_bound, phase_split
 
@@ -237,7 +237,7 @@ class PyramidDecomposition:
 
 
 def pyramid(
-    bank: FilterBank, x: SignalWindow, depth: int, check: bool = True, tol: float = 1e-9
+    bank: FilterBank, x: SignalWindow, depth: int, check: bool = True
 ) -> PyramidDecomposition:
     """Analysis tree: split with the dual adjoints, keep band-0 for recursion.
     Each level is one analysis product with the dual loop (A for a self-dual
@@ -247,7 +247,7 @@ def pyramid(
         raise ValueError("depth must be at least 1")
     A, At = loop_from_filters(bank)
     At = A if At is None else At
-    if check and not loop_pair_bound(A, At) < tol:
+    if check and not loop_pair_bound(A, At) < DEFAULT_TOL:
         raise NotReconstructiveError("bank fails the pairing identity A* Atilde = I")
     details = []
     offset, samples = x.offset, x.samples
@@ -281,18 +281,16 @@ def lowpass_value(m0: LaurentPoly, t: float) -> complex:
     return m0.eval(cmath.exp(-1j * t))
 
 
-def fourier_product(
-    m0: LaurentPoly, N: int, t: float, J: int | None = None, tol: float = 1e-9
-) -> complex:
+def fourier_product(m0: LaurentPoly, N: int, t: float, J: int | None = None) -> complex:
     """Partial product prod_{j=1..J} m_0(t/N^j)/sqrt(N) for the scaling symbol.
 
-    Requires the lowpass normalisation m_0(1) = sqrt(N).  With J omitted, J is
+    Requires the lowpass normalisation m_0(1) = sqrt(N), to DEFAULT_TOL.  With J omitted, J is
     raised until the next factor differs from 1 by less than 1e-12, and
     DepthExceededError is raised past FOURIER_DEPTH_CAP.  The angles t/N^j are
     divided down in floats, so no power of N is formed.
     """
     root_n = math.sqrt(N)
-    if abs(m0.eval(1.0) - root_n) > tol:
+    if abs(m0.eval(1.0) - root_n) > DEFAULT_TOL:
         raise BadNormalizationError(f"m0(1) = {m0.eval(1.0):.6g}, expected sqrt({N})")
     if J is None:
         J, angle = 1, t / N / N

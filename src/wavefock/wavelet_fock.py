@@ -35,21 +35,8 @@ class SampledWaveletChoi:
     choi: ChoiMatrix
 
     @property
-    def grid_size(self) -> int:
-        return self.gram.grid
-
-    @property
     def letters(self) -> int:
         return 2 * self.bank.N
-
-    def to_json(self) -> dict:
-        doc = self.choi.to_json()
-        doc["provenance"] = {
-            "source": "filter-bank doubled Gram",
-            "bank": self.bank.to_json(),
-            "grid_size": self.grid_size,
-        }
-        return doc
 
 
 def _points(gram: GramMatrixFunction) -> np.ndarray:

@@ -143,8 +143,9 @@ def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
     The Hermiticity residual is the spectral norm of P - P*, the norm is the
     top eigenvalue, eigenvalues below -PSD_HARD times max(1, ||P||) raise and
     the rank keeps those above RANK_CUTOFF times the top one.  The commutator
-    sums the pairwise ||[p_a, p_b]||_F^2 by a loop; the blocks commute when it
-    is within PSD_HARD times max(1, ||P||^2).
+    is the Frobenius norm of every pairwise [p_a, p_b], from one einsum of all
+    block products; the blocks commute when it is within PSD_HARD times
+    max(1, ||P||^2).
     """
     m = P.matrix
     herm = float(np.linalg.norm(m - m.conj().T, 2))
@@ -154,9 +155,10 @@ def dense_validate_choi(P: ChoiMatrix) -> ChoiReport:
     scale = max(1.0, norm)
     if lo < -PSD_HARD * scale:
         raise NotPsdError(f"minimum eigenvalue {lo:.3e} below -{PSD_HARD * scale:.3g}")
-    flat = list(P.blocks().reshape(-1, P.d, P.d))
+    flat = P.blocks().reshape(-1, P.d, P.d)
+    products = np.einsum("aij,bjk->abik", flat, flat)  # not BLAS: diagonal blocks commute exactly
     commutator = math.sqrt(
-        sum(np.linalg.norm(a @ b - b @ a) ** 2 for a in flat for b in flat)
+        sum(np.linalg.norm(p - q) ** 2 for p, q in zip(products, products.swapaxes(0, 1)))
     )
     return ChoiReport(
         hermiticity_residual=herm,

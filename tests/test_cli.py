@@ -1,15 +1,26 @@
 """Exit codes, report shapes and determinism of the command line."""
 
+import contextlib
+import io
 import json
+import re
+import shlex
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefock import cli
-from wavefock.corpus import haar_bank
+from wavefock.corpus import haar_bank, random_bank, random_invertible_loop
 from wavefock.filterbank import FilterBank
 from wavefock.fock import ChoiMatrix
 from wavefock.laurent import LaurentPoly
+from wavefock.polyphase import LoopMatrix, filters_from_loop, loop_from_filters
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -126,6 +137,64 @@ def test_loop_singular_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "loop", "--input", str(path))
     assert code == 1
     assert "SINGULAR_LOOP" in err
+
+
+def _diag_bank_path(tmp_path, p: LaurentPoly) -> str:
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(filters_from_loop(LoopMatrix([[p, zero], [zero, one]])).to_json()))
+    return str(path)
+
+
+def test_loop_zero_between_grid_points_exits_one(tmp_path, capsys):
+    # det A = 1 + z^16 reads 2 on every grid of at most 16 points and
+    # vanishes between them; `loop` samples no user grid
+    path = _diag_bank_path(tmp_path, LaurentPoly({0: 1.0, 16: 1.0}))
+    code, doc, err = run_json(capsys, "loop", "--input", path)
+    assert code == 1 and doc["Atilde"] is None
+    assert "SINGULAR_LOOP" in err
+
+
+def _loop_verdict(folder: Path, A: LoopMatrix) -> tuple:
+    """(exit code, Atilde_exact) of `loop` on the primary filters of A."""
+    path, out = folder / "bank.json", folder / "report.json"
+    path.write_text(json.dumps(filters_from_loop(A).to_json()))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["loop", "--input", str(path), "--output", str(out)])
+    return code, json.loads(out.read_text())["Atilde_exact"]
+
+
+def _scaled(A: LoopMatrix, c: float) -> LoopMatrix:
+    return LoopMatrix.from_array(A.lo, c * A.taps)
+
+
+def _loop_of_kind(kind: str, N: int, rng) -> LoopMatrix:
+    if kind == "monomial":  # an exact dual
+        return random_invertible_loop(N, rng)
+    if kind == "unstructured":  # a determinant of many terms
+        return loop_from_filters(random_bank(N, rng))[0]
+    # the first row times 1 + z^k: det A vanishes where z^k = -1
+    A = random_invertible_loop(N, rng)
+    taps = np.zeros((len(A.taps) + 4,) + A.taps.shape[1:], dtype=complex)
+    taps[: len(A.taps)] = A.taps
+    taps[4:, 0] += A.taps[:, 0]
+    return LoopMatrix.from_array(A.lo, taps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["monomial", "unstructured", "singular"]),
+    N=st.integers(2, 7),
+    seed=st.integers(0, 2**16),
+    exponent=st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_loop_verdict_is_scale_invariant(kind, N, seed, exponent):
+    A = _loop_of_kind(kind, N, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as folder:
+        want = _loop_verdict(Path(folder), A)
+        assert _loop_verdict(Path(folder), _scaled(A, 10.0**exponent)) == want
+    if kind != "unstructured":
+        assert want == ((0, True) if kind == "monomial" else (1, False))
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +416,8 @@ def test_bad_tolerance_is_config_error(capsys):
         ("verify", "--builtin", "haar", "--seed", "1"),
         ("fock", "--builtin", "cuntz", "--modes", "2"),
         ("verify", "--builtin", "haar", "--modes", "8"),
+        ("loop", "--builtin", "haar", "--grid", "16"),
+        ("anchor", "--builtin", "haar", "--modes", "2", "--tolerance", "1e-9"),
     ],
 )
 def test_unread_flag_is_rejected(capsys, argv):
@@ -358,12 +429,24 @@ def test_unread_flag_is_rejected(capsys, argv):
 
 
 def test_read_flags_still_accepted(capsys):
-    code, doc, _ = run_json(capsys, "loop", "--builtin", "haar", "--grid", "16")
+    code, doc, _ = run_json(capsys, "loop", "--builtin", "haar")
     assert code == 0 and doc["Atilde_exact"] is True
-    code, doc, _ = run_json(
-        capsys, "anchor", "--builtin", "haar", "--modes", "2", "--tolerance", "1e-9"
-    )
+    code, doc, _ = run_json(capsys, "anchor", "--builtin", "haar", "--modes", "2")
     assert code == 0 and sorted(doc["depths"], key=int) == ["-2", "-1", "0", "1", "2"]
+
+
+def _readme_commands() -> list:
+    """The `wavefock ...` lines of the README's sh blocks that read no file."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [line.split("#")[0].strip() for block in blocks for line in block.splitlines()]
+    return [line for line in lines if line.startswith("wavefock ") and "--input" not in line]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    # a flag the README shows must still be registered, and its example pass
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0
 
 
 def test_main_calls_share_no_state(capsys):

@@ -19,7 +19,7 @@ from wavefock.corpus import (
     random_psd_choi,
     stretched_haar_bank,
 )
-from wavefock.errors import NotPsdError, NotUnitaryError, SizeCapError
+from wavefock.errors import NotPsdError, SizeCapError
 from wavefock.fock import (
     ChoiMatrix,
     creation_matrices,
@@ -525,7 +525,7 @@ def basis_change_equivalence(P: ChoiMatrix, U: np.ndarray, K: int = 2) -> float:
         raise ValueError("U must act on the letter index")
     defect = float(np.linalg.norm(U.conj().T @ U - np.eye(P.N), 2))
     if defect > 1e-10:
-        raise NotUnitaryError(f"U*U differs from I by {defect:.3e}")
+        raise ValueError(f"U is not unitary: U*U differs from I by {defect:.3e}")
     Pp = ChoiMatrix.from_matrix(
         np.kron(U, np.eye(P.d)) @ P.matrix @ np.kron(U.conj().T, np.eye(P.d)), d=P.d
     )
@@ -581,9 +581,9 @@ def test_basis_change_seeded(seed):
 
 def test_basis_change_rejects_nonunitary():
     P = scalar_choi(choi_identity(2))
-    with pytest.raises(NotUnitaryError):
+    with pytest.raises(ValueError, match="U is not unitary"):
         basis_change_equivalence(P, np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="U must act on the letter index"):
         basis_change_equivalence(P, np.eye(3))
 
 
@@ -638,20 +638,17 @@ BENCHMARK_INPUTS = _benchmark_inputs()
 
 def _validation_inputs():
     """(name, P) for every `fock` input class: the benchmark inputs, a
-    noncommuting d = 2 matrix, d = 2 blocks built with W = I and with a
-    random W, and sampled banks at grid 16."""
+    noncommuting d = 2 matrix, d = 2 blocks built with W = I (from real and
+    from complex layers) and with a random W, and sampled banks at grid 16."""
     gen = _load_gen()
     rng = np.random.default_rng(6)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     cases = [(name, P) for name, P, _ in BENCHMARK_INPUTS]
     cases.append(("noncommuting-2x2", ChoiMatrix.from_matrix(b @ b.conj().T, d=2)))
-    # real layers: the oracle's products of complex diagonal blocks commute
-    # only to roundoff (1e-17), where the stored layers give an exact 0
-    m = np.zeros((3, 2, 3, 2))
-    for s, rank in enumerate((2, 3)):
-        g = rng.standard_normal((3, rank))
-        m[:, s, :, s] = g @ g.T
-    cases.append(("diagonal-3x2", ChoiMatrix.from_matrix(m.reshape(6, 6), d=2)))
+    # diagonal blocks, W = I: the stored layers commute by type, the
+    # oracle's einsum products exactly, for real and for complex layers
+    g = [rng.standard_normal((3, r)) for r in (2, 3)]
+    cases.append(("diagonal-3x2", _diagonal_choi([x @ x.T for x in g])))
     matrix = gen.commuting_choi(3, 2, [2, 1], rng)
     cases.append(("commuting-3x2", ChoiMatrix.from_matrix(matrix, d=2)))
     bank = FilterBank.from_json(gen.Bank.random("biorthogonal", 2, rng).json())
@@ -659,7 +656,18 @@ def _validation_inputs():
     for grid in (8, 16):
         bank = builtin_bank("stretched-haar-dual", {})
         cases.append((f"stretched-haar-dual-grid{grid}", sampled_choi(bank, grid).choi))
+    # complex layers drawn as for the benchmark's commuting inputs
+    cases.append(("diagonal-complex-3x2", _diagonal_choi([gen._psd(3, r, rng) for r in (2, 3)])))
     return cases
+
+
+def _diagonal_choi(layers) -> ChoiMatrix:
+    """Blocks p_ij = diag(layers[s][i, j] over s): d = len(layers), W = I."""
+    N, d = len(layers[0]), len(layers)
+    m = np.zeros((N, d, N, d), dtype=complex)
+    for s, layer in enumerate(layers):
+        m[:, s, :, s] = layer
+    return ChoiMatrix.from_matrix(m.reshape(N * d, N * d), d=d)
 
 
 VALIDATION_INPUTS = _validation_inputs()
@@ -904,11 +912,11 @@ def test_fock_report_scale_invariant(case, exponent, tmp_path):
     assert _fock_summary(tmp_path / "scaled.json", scaled) == UNIT_SUMMARIES[case]
 
 
-def _reweighted_bank(c: float) -> FilterBank:
+def _reweighted_bank(c: float, N: int = 2) -> FilterBank:
     # the same frame pair with primaries times c and duals over c: the
     # doubled Gram's norm grows like c**2, its eigh roundoff with it
-    bank = builtin_bank("random-biorthogonal", {"N": "2", "seed": "2"})
-    return FilterBank(2, [f * c for f in bank.filters], [f * (1 / c) for f in bank.dual_filters])
+    bank = builtin_bank("random-biorthogonal", {"N": str(N), "seed": "2"})
+    return FilterBank(N, [f * c for f in bank.filters], [f * (1 / c) for f in bank.dual_filters])
 
 
 @pytest.mark.parametrize("c", [1e-4, 1e-3, 1e3, 1e4])
@@ -924,6 +932,18 @@ def test_fock_verdict_on_reweighted_bank(c, tmp_path):
     path = tmp_path / "bank.json"
     path.write_text(json.dumps(_reweighted_bank(c).to_json()))
     assert cli.main(["fock", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 1e3, 1e4])
+def test_fock_passes_on_reweighted_n3_bank(c, tmp_path):
+    # |det A| ~ c^3 |det A_1|: at c = 1e-4 it is 4.4e-13 on the grid, which an
+    # absolute floor of 1e-10 refused in gram_function; the floor is now
+    # relative to the Hadamard bound of A, which scales alike
+    path, out = tmp_path / "bank.json", tmp_path / "out.json"
+    path.write_text(json.dumps(_reweighted_bank(c, N=3).to_json()))
+    assert cli.main(["verify", "--input", str(path), "--output", str(out)]) == 0
+    argv = ["fock", "--input", str(path), "--grid", "16", "--output", str(out)]
+    assert cli.main(argv) == 0
 
 
 def test_psd_floor_is_relative_to_the_norm():

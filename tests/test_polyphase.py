@@ -23,7 +23,6 @@ from wavefock.laurent import LaurentPoly, adjoint_poly
 from wavefock.polyphase import (
     SINGULAR_TOL,
     LoopMatrix,
-    SampledLoop,
     as_monomial_unit,
     dual_loop,
     filters_from_loop,
@@ -294,7 +293,9 @@ class TestDualLoop:
             assert isinstance(At, LoopMatrix)
             assert loop_pair_residual(A, At, 128) < 1e-11
 
-    def test_non_monomial_det_sampled(self):
+    def test_non_monomial_det_has_no_exact_dual(self):
+        # det A = 1 + z/2 has no zero on the circle, but its inverse is not a
+        # Laurent polynomial
         A = LoopMatrix(
             [
                 [LaurentPoly.one(), LaurentPoly.zero()],
@@ -302,9 +303,7 @@ class TestDualLoop:
             ]
         )
         assert len(loop_det(A).support) == 2
-        At = dual_loop(A, grid=64)
-        assert isinstance(At, SampledLoop)
-        assert loop_pair_residual(A, At, 64) < 1e-12
+        assert dual_loop(A) is None
 
     def test_singular_loop_rejected(self):
         A = LoopMatrix(
@@ -318,23 +317,35 @@ class TestDualLoop:
 
     @pytest.mark.parametrize("scale, singular", [(0.9, True), (1.1, False)])
     def test_monomial_det_read_from_its_tap(self, monkeypatch, scale, singular):
-        # det A = c z^2 with |c| = scale * SINGULAR_TOL: |det A| = |c| on the
-        # whole circle, so no grid point is evaluated
+        # A = s z [[1, 0], [1, c]] has det A = s^2 c z^2 and Hadamard bound
+        # s * s sqrt(1 + |c|^2) = s^2 in floats, with |c| = scale *
+        # SINGULAR_TOL: |det A| = s^2 |c| on the whole circle, so no point is
+        # sampled, and the verdict is the same at every s (powers of two, so
+        # that the dual of this cond ~1e10 loop rounds alike at each)
         c = scale * SINGULAR_TOL * np.exp(0.7j)
-        A = LoopMatrix.from_array(1, np.diag([c, 1.0])[None])
-        assert loop_det(A).support == [2]
+        fft = np.fft.fft
 
         def forbidden(*args, **kw):
-            raise AssertionError("a monomial determinant was sampled on the grid")
+            raise AssertionError("a monomial determinant was sampled on the circle")
+
+        def unpadded(a, *args, **kw):  # a determinant's circle samples are one padded FFT
+            if "n" in kw:
+                forbidden()
+            return fft(a, *args, **kw)
 
         monkeypatch.setattr(LaurentPoly, "eval_grid", forbidden)
-        if singular:
-            with pytest.raises(SingularLoopError, match="9.000e-11"):
-                dual_loop(A)
-        else:
-            At = dual_loop(A)
-            assert isinstance(At, LoopMatrix)
-            assert (A.adjoint() @ At).isclose(LoopMatrix.identity(2))
+        monkeypatch.setattr(np.fft, "fft", unpadded)
+        for s in (2.0**-10, 1.0, 2.0**10):
+            A = LoopMatrix.from_array(1, s * np.array([[[1.0, 0.0], [1.0, c]]]))
+            det = loop_det(A)
+            assert det.support == [2] and abs(det.taps[0]) == pytest.approx(s**2 * abs(c))
+            if singular:
+                with pytest.raises(SingularLoopError, match=f"{s**2 * abs(c):.3e}"):
+                    dual_loop(A)
+            else:
+                At = dual_loop(A)
+                assert isinstance(At, LoopMatrix)
+                assert (A.adjoint() @ At).isclose(LoopMatrix.identity(2))
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_det_matches_cofactor(self, rng, N):
@@ -364,7 +375,7 @@ class TestDualLoop:
                 want_support = [[k for k, v in p.coeffs().items() if abs(v) > noise] for p in want]
                 assert [p.support for p in got] == want_support
 
-    def test_failed_coefficient_check_falls_back_to_samples(self):
+    def test_failed_coefficient_check_gives_no_dual(self):
         # det A = 1, but at this conditioning the DFT inverse misses
         # A* Atilde = I by far more than 1e-12 in coefficients
         c = 1e5
@@ -376,8 +387,7 @@ class TestDualLoop:
         )
         exp, coeff = as_monomial_unit(loop_det(A))
         assert exp == 0 and abs(coeff - 1.0) < 1e-12
-        At = dual_loop(A, grid=32)
-        assert isinstance(At, SampledLoop)
+        assert dual_loop(A) is None
 
     def test_det_of_loop_with_zero_row(self):
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
@@ -398,6 +408,45 @@ class TestDualLoop:
         A = random_invertible_loop(3, rng)
         B = LoopMatrix.from_json(A.to_json())
         assert_loop_equal(A, B, 0.0)
+
+
+def _diag(p: LaurentPoly) -> LoopMatrix:
+    """diag(p, 1)."""
+    return LoopMatrix([[p, LaurentPoly.zero()], [LaurentPoly.zero(), LaurentPoly.one()]])
+
+
+class TestInvertibility:
+    def test_zero_between_grid_points_refused(self):
+        # det A = 1 + z^16 vanishes where z^16 = -1, between the points of
+        # every grid of at most 16 points, where it reads 2
+        A = _diag(LaurentPoly({0: 1.0, 16: 1.0}))
+        with pytest.raises(SingularLoopError, match="not invertible"):
+            dual_loop(A)
+        with pytest.raises(SingularLoopError, match="not invertible"):
+            gram_function(filters_from_loop(A), grid=8)
+
+    def test_verdict_is_relative_to_scale(self):
+        # the N = 7 loop times 0.01 has |det A| ~ 1e-14, and an absolute floor
+        # of 1e-10 refused it; its conditioning is that of the loop itself
+        A = random_invertible_loop(7, np.random.default_rng(0))
+        for c in (1e-2, 1e-6, 1e6):
+            At = dual_loop(LoopMatrix.from_array(A.lo, c * A.taps))
+            assert isinstance(At, LoopMatrix)
+            assert_loop_equal(LoopMatrix.from_array(At.lo, c * At.taps), dual_loop(A), 1e-9)
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_non_monomial_det_decided_at_every_scale(self, c):
+        # min |1 + z/2| = 1/2 on the circle: invertible, with no exact dual
+        A = _diag(LaurentPoly({0: c, 1: c / 2}))
+        assert dual_loop(A) is None
+        gram_function(filters_from_loop(A), grid=4)
+
+    def test_undecided_determinant_refused(self):
+        # min |1 + r z| = 1e-9, above the floor (2e-10), but a Lipschitz bound
+        # of slope ~pi separates it from 0 only on ~4e9 points
+        A = _diag(LaurentPoly({0: 1.0, 1: -(1.0 - 1e-9)}))
+        with pytest.raises(SingularLoopError, match="undecided"):
+            dual_loop(A)
 
 
 class TestModulation:

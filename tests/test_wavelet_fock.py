@@ -122,13 +122,6 @@ def test_verdict_required(rng):
         sampled_choi(random_bank(2, rng))
 
 
-def test_sampled_json_provenance(haar):
-    doc = sampled_choi(haar, grid_size=4).to_json()
-    assert doc["N"] == 4 and doc["d"] == 4
-    assert doc["provenance"]["grid_size"] == 4
-    assert doc["provenance"]["bank"]["N"] == 2
-
-
 # ----------------------------------------------------------------------
 # the creation-operator corollary
 
