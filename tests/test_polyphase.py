@@ -442,8 +442,8 @@ class TestInvertibility:
         gram_function(filters_from_loop(A), grid=4)
 
     def test_undecided_determinant_refused(self):
-        # min |1 + r z| = 1e-9, above the floor (2e-10), but a Lipschitz bound
-        # of slope ~pi separates it from 0 only on ~4e9 points
+        # min |1 - r z| = 1 - r = 1e-9, above the floor (2e-10), but a
+        # Lipschitz bound of slope ~pi separates it from 0 only on ~4e9 points
         A = _diag(LaurentPoly({0: 1.0, 1: -(1.0 - 1e-9)}))
         with pytest.raises(SingularLoopError, match="undecided"):
             dual_loop(A)
