@@ -231,7 +231,8 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
     coefficients c_j): the smallest sample bounds the minimum from above, and
     that sample less (pi/M) sum_j |j - jbar| |c_j|, a Lipschitz bound over the
     distance to the nearest point, from below.  M doubles until one side
-    decides; a determinant still undecided on DET_GRID_CAP points is refused.
+    decides; a determinant still undecided once M reaches DET_GRID_CAP is
+    refused.
     """
     det = loop_det(A)
     floor = SINGULAR_TOL * float(np.prod(np.linalg.norm(A.taps, axis=2).sum(axis=0)))
@@ -254,7 +255,7 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
         )
     if bound <= floor:
         raise SingularLoopError(
-            f"min |det A| undecided on {DET_GRID_CAP} points: samples at least "
+            f"min |det A| undecided on {M} points: samples at least "
             f"{worst:.3e}, lower bound {bound:.3e}, floor {floor:.3e}; loop refused"
         )
     return det
