@@ -170,7 +170,7 @@ def _layers(blocks: np.ndarray):
     are golden-ratio Weyl phases, so no random numbers are drawn).
     """
     flat = blocks.reshape(-1, *blocks.shape[-2:])
-    # einsum rather than BLAS products, so that diagonal blocks cancel exactly
+    # einsum, as in the dense oracle: BLAS products round differently
     commutator = float(np.sqrt(sum(
         np.linalg.norm(np.einsum("ij,bjk->bik", b, flat) - np.einsum("bij,jk->bik", flat, b)) ** 2
         for b in flat

@@ -223,9 +223,14 @@ def as_monomial_unit(p: LaurentPoly):
 
 def _check_invertible(A: LoopMatrix) -> LaurentPoly:
     """det A, once min over the circle of |det A| is shown to exceed
-    SINGULAR_TOL times the Hadamard bound prod_i sum_t ||row i of tap t||.
+    SINGULAR_TOL times prod_i ||row i of A||, each row norm taken in L^2 of
+    the circle: sqrt(sum_t ||row i of tap t||^2).
 
-    Both sides scale as c^N with A, so the verdict does not see the scale.
+    That product bounds min |det A| from above (Hadamard's inequality at each
+    point, then Jensen), equals 1 on every paraunitary loop whatever N is,
+    and scales as det A does when a row or the whole loop is scaled, so the
+    verdict does not see the scale.
+
     A single tap c z^e has |det A| = |c| on the whole circle.  Any other
     det A is sampled on M equispaced points (one FFT of its padded
     coefficients c_j): the smallest sample bounds the minimum from above, and
@@ -235,7 +240,7 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
     refused.
     """
     det = loop_det(A)
-    floor = SINGULAR_TOL * float(np.prod(np.linalg.norm(A.taps, axis=2).sum(axis=0)))
+    floor = SINGULAR_TOL * float(np.prod(np.sqrt((np.abs(A.taps) ** 2).sum(axis=(0, 2)))))
     c = det.taps
     worst = bound = float(np.abs(c).max(initial=0.0))
     if len(c) > 1:
@@ -250,8 +255,8 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
             M *= 2
     if worst <= floor:
         raise SingularLoopError(
-            f"|det A| reaches {worst:.3e}, at most {SINGULAR_TOL:g} times its "
-            f"Hadamard bound; loop is not invertible"
+            f"|det A| reaches {worst:.3e}, at most {SINGULAR_TOL:g} times the "
+            f"product of its row norms; loop is not invertible"
         )
     if bound <= floor:
         raise SingularLoopError(

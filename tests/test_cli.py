@@ -155,6 +155,12 @@ def test_loop_zero_between_grid_points_exits_one(tmp_path, capsys):
     assert "SINGULAR_LOOP" in err
 
 
+def test_loop_large_orthogonal_bank_exact(capsys):
+    # a paraunitary loop keeps |det A| = 1 and unit row norms at N = 64
+    code, doc, _ = run_json(capsys, "loop", "--builtin", "random-orthogonal", "N=64")
+    assert code == 0 and doc["Atilde_exact"] is True
+
+
 def _loop_verdict(folder: Path, A: LoopMatrix) -> tuple:
     """(exit code, Atilde_exact) of `loop` on the primary filters of A."""
     path, out = folder / "bank.json", folder / "report.json"

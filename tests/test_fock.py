@@ -938,7 +938,7 @@ def test_fock_verdict_on_reweighted_bank(c, tmp_path):
 def test_fock_passes_on_reweighted_n3_bank(c, tmp_path):
     # |det A| ~ c^3 |det A_1|: at c = 1e-4 it is 4.4e-13 on the grid, which an
     # absolute floor of 1e-10 refused in gram_function; the floor is now
-    # relative to the Hadamard bound of A, which scales alike
+    # relative to the product of the row norms of A, which scales alike
     path, out = tmp_path / "bank.json", tmp_path / "out.json"
     path.write_text(json.dumps(_reweighted_bank(c, N=3).to_json()))
     assert cli.main(["verify", "--input", str(path), "--output", str(out)]) == 0

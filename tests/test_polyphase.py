@@ -8,6 +8,7 @@ from wavefock.corpus import (
     identity_loop_bank,
     random_bank,
     random_biorthogonal_bank,
+    random_causal_pair,
     random_invertible_loop,
     random_unitary_loop,
     stretched_haar_bank,
@@ -29,6 +30,7 @@ from wavefock.polyphase import (
     gram_function,
     loop_from_filters,
     loop_det,
+    loop_pair_bound,
     loop_pair_residual,
     loop_unitarity_residual,
     modulation_matrix,
@@ -317,8 +319,8 @@ class TestDualLoop:
 
     @pytest.mark.parametrize("scale, singular", [(0.9, True), (1.1, False)])
     def test_monomial_det_read_from_its_tap(self, monkeypatch, scale, singular):
-        # A = s z [[1, 0], [1, c]] has det A = s^2 c z^2 and Hadamard bound
-        # s * s sqrt(1 + |c|^2) = s^2 in floats, with |c| = scale *
+        # A = s z [[1, 0], [1, c]] has det A = s^2 c z^2 and row norms
+        # s and s sqrt(1 + |c|^2), whose product is s^2 in floats, with |c| = scale *
         # SINGULAR_TOL: |det A| = s^2 |c| on the whole circle, so no point is
         # sampled, and the verdict is the same at every s (powers of two, so
         # that the dual of this cond ~1e10 loop rounds alike at each)
@@ -442,11 +444,43 @@ class TestInvertibility:
         gram_function(filters_from_loop(A), grid=4)
 
     def test_undecided_determinant_refused(self):
-        # min |1 - r z| = 1 - r = 1e-9, above the floor (2e-10), but a
+        # min |1 - r z| = 1 - r = 1e-9, above the floor (1.4e-10), but a
         # Lipschitz bound of slope ~pi separates it from 0 only on ~4e9 points
         A = _diag(LaurentPoly({0: 1.0, 1: -(1.0 - 1e-9)}))
         with pytest.raises(SingularLoopError, match="undecided"):
             dual_loop(A)
+
+    def test_large_paraunitary_loop_invertible(self):
+        # |det A| = 1 and every row has norm 1 on the circle, at any N; a
+        # floor built from row norms summed over taps (not L^2) grows as
+        # ~1.7^N on these 3-tap loops and refused N = 64 at |det A| = 1
+        A = random_unitary_loop(64, np.random.default_rng(0))
+        assert A.hi - A.lo == 2
+        At = dual_loop(A)
+        assert isinstance(At, LoopMatrix)
+        assert loop_pair_bound(A, At) < 1e-10
+
+    def test_large_banks_build(self):
+        # both generators call dual_loop on N = 64 loops whose |det A| is
+        # ~1e-3 and whose row norms exceed 1; their determinants sit ~1e-5
+        # below the product of the row norms
+        for make in (random_causal_pair, random_biorthogonal_bank):
+            bank = make(64, np.random.default_rng(0))
+            assert bank.N == 64 and bank.dual_filters is not None
+
+    def test_verdict_ignores_row_scale(self):
+        # scaling one filter scales det A and its row norm alike (the exact
+        # dual's absolute coefficient check does not, so judge on the Gram)
+        A = random_invertible_loop(3, np.random.default_rng(1))
+        for s in (2.0**-40, 2.0**40):
+            taps = A.taps.copy()
+            taps[:, 0] *= s
+            gram_function(filters_from_loop(LoopMatrix.from_array(A.lo, taps)), grid=4)
+        B = _diag(LaurentPoly({0: 1.0, 16: 1.0}))
+        taps = B.taps.copy()
+        taps[:, 1] *= 2.0**-40
+        with pytest.raises(SingularLoopError, match="not invertible"):
+            dual_loop(LoopMatrix.from_array(B.lo, taps))
 
 
 class TestModulation:
