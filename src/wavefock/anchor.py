@@ -92,15 +92,14 @@ def _frame_matrices(bank: FilterBank, filters) -> tuple:
 def _frame_step(V: np.ndarray, c: np.ndarray, frames: np.ndarray) -> tuple:
     """Adjoint images of the rows of each V[p], a (rows, L) block on the frame
     at c[p]: a (P, rows, N, L) stack with row w's image under B_i at (w, i),
-    the new centres trunc(c / N) and the phases c - N trunc(c / N)."""
+    the new centres trunc(c / N) and the phases c - N trunc(c / N).  Each
+    block's frames are gathered by its phase into a (P, N, L, L) stack for
+    one batched product; P <= MODE_BLOCK in a depth run, and P <= 2 n_range
+    + 1 in a cyclicity expansion."""
     N = frames.shape[1]
     q = np.sign(c) * (np.abs(c) // N)
     s = c - N * q
-    out = np.empty(V.shape[:2] + (N, V.shape[-1]), dtype=complex)
-    for p in np.unique(s):
-        sel = s == p
-        out[sel] = np.swapaxes(V[sel][:, None] @ frames[p + N - 1].swapaxes(-1, -2), 1, 2)
-    return out, q, s
+    return np.swapaxes(V[:, None] @ frames[s + N - 1].swapaxes(-1, -2), 1, 2), q, s
 
 
 def _leaks(V: np.ndarray, c: np.ndarray, basis: np.ndarray) -> np.ndarray:

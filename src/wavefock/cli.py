@@ -2,9 +2,11 @@
 
 Subcommands load a filter bank or block matrix (from a JSON file or a named
 builtin), run the corresponding verification, and emit a JSON or CSV report.
-Exit codes: 0 when the requested verdict holds, 1 when it fails, 2 when the
-input cannot be parsed.  Reports are byte-identical for a fixed seed and
-config: keys are sorted and wall-clock data never enters the output.
+Exit codes: 0 when the requested verdict holds, 1 when it fails or any step
+raises a `WavefockError`, 2 when the input cannot be parsed.  A JSON report
+is one line with sorted keys, so the json module's C encoder writes it (an
+indented dump runs in Python).  Reports are byte-identical for a fixed seed
+and config: wall-clock data never enters the output.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def _emit(doc: dict, config: RunConfig):
     if config.fmt == "csv":
         text = _to_csv(doc)
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True) + "\n"
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -208,11 +210,8 @@ def cmd_anchor(args, config: RunConfig) -> int:
     bank = _bank_from_args(args)
     span = config.mode_range if config.mode_range is not None else 8
     n_range = min(span, 8)
-    try:
-        anchor = compute_anchor(bank)
-        depths, cyc = depths_and_cyclicity(bank, anchor, span, n_range)
-    except WavefockError as exc:
-        return _diagnostic(exc)
+    anchor = compute_anchor(bank)
+    depths, cyc = depths_and_cyclicity(bank, anchor, span, n_range)
     depths = {str(n): d for n, d in depths.items()}
     doc = {"anchor": anchor.to_json(), "depths": depths, "cyclicity": cyc.to_json()}
     _emit(doc, config)
@@ -233,8 +232,6 @@ def cmd_fock(args, config: RunConfig) -> int:
     except SizeCapError as exc:
         # caps are configuration, not a verdict about the input
         raise CliParseError(str(exc)) from exc
-    except WavefockError as exc:
-        return _diagnostic(exc)
 
     choi_rep = ops.fock.choi_report
     doc = {
@@ -355,6 +352,8 @@ def main(argv=None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_FAILED
+    except WavefockError as exc:
+        return _diagnostic(exc)
 
 
 if __name__ == "__main__":

@@ -276,7 +276,8 @@ def polys_from_grid(values, lo: int) -> np.ndarray:
 # A polynomial is stored as a JSON array of [exponent, re, im] triples with
 # strictly increasing exponents, e.g. [[0, 0.707, 0.0], [1, 0.707, 0.0]].
 # Its coefficient array covers every exponent between the first and the
-# last, so a read polynomial may span at most MAX_JSON_SPAN of them.
+# last, and a family is stacked on one window, so a read polynomial spans
+# fewer than MAX_JSON_SPAN exponents and each is below it in magnitude.
 MAX_JSON_SPAN = 1 << 20
 
 
@@ -285,11 +286,11 @@ def poly_to_json(p: LaurentPoly) -> list:
 
 
 def json_complex(re, im) -> complex:
-    """re + i im from JSON, refusing all but finite numbers: complex() takes
-    no string, null, array or object as a part, and booleans are singled out."""
+    """re + i im from JSON, refusing all but finite numbers: complex() takes no
+    string, null, array, object or int beyond float range; nor booleans."""
     try:
         z = complex(re, im)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         z = None
     if z is None or re is True or re is False or im is True or im is False or not cmath.isfinite(z):
         raise ValueError(f"coefficients must be finite numbers, got {re!r}, {im!r}")
@@ -307,6 +308,8 @@ def poly_from_json(obj) -> LaurentPoly:
         k, re, im = item
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"exponent must be an integer, got {k!r}")
+        if abs(k) >= MAX_JSON_SPAN:
+            raise ValueError(f"exponent {k} has magnitude {MAX_JSON_SPAN} or more")
         if last is not None and k <= last:
             raise ValueError("exponents must be strictly increasing")
         last = k

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefock import cli
+from wavefock import cli, corpus
 from wavefock.corpus import haar_bank, random_bank, random_invertible_loop
+from wavefock.errors import SingularLoopError
 from wavefock.filterbank import FilterBank
 from wavefock.fock import ChoiMatrix
 from wavefock.laurent import LaurentPoly
@@ -336,6 +337,20 @@ def test_fock_not_psd_exits_one(tmp_path, capsys):
     assert "NOT_PSD" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "loop", "anchor", "fock"])
+def test_builtin_construction_error_is_diagnostic(monkeypatch, capsys, command):
+    # a builtin generator that meets a singular loop ends in the error's
+    # code line, as a verdict step does
+    def singular(name, params):
+        raise SingularLoopError("loop is not invertible")
+
+    monkeypatch.setattr(corpus, "builtin_bank", singular)
+    code, out, err = run(capsys, command, "--builtin", "random-biorthogonal", "N=3")
+    assert code == 1
+    assert out == ""
+    assert err == "SINGULAR_LOOP: loop is not invertible\n"
+
+
 def test_fock_cap_is_config_error(capsys):
     code, _, err = run(
         capsys, "fock", "--builtin", "haar", "--grid", "32", "--levels", "13"
@@ -358,14 +373,17 @@ def _nonfinite_doc(kind: str, value) -> dict:
     return doc
 
 
-NOT_FINITE = [float("nan"), float("inf"), "x", None, [1], {}, True]
+TOO_LARGE = 10**400  # an int that no float holds
+NOT_FINITE = [float("nan"), float("inf"), "x", None, [1], {}, True, TOO_LARGE]
 
 
 @pytest.mark.parametrize(
     "command,kind,value",
     [(c, "bank", v) for c in ("verify", "loop", "anchor", "fock") for v in NOT_FINITE]
     + [("fock", "choi", v) for v in NOT_FINITE],
-    ids=lambda v: json.dumps(v) if isinstance(v, (list, dict)) else None,
+    ids=lambda v: (
+        json.dumps(v) if isinstance(v, (list, dict)) else "10**400" if v is TOO_LARGE else None
+    ),
 )
 def test_nonfinite_input_is_parse_error(tmp_path, capsys, command, kind, value):
     # Python's json reads NaN and Infinity, and any JSON value can stand
@@ -382,6 +400,34 @@ def test_nonfinite_input_is_parse_error(tmp_path, capsys, command, kind, value):
 
 # ----------------------------------------------------------------------
 # output formats and determinism
+
+
+def _loop_path(tmp_path) -> str:
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop_from_filters(haar_bank())[0].to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--builtin", "haar"),
+        ("loop", "--builtin", "random-biorthogonal", "N=3", "seed=2"),
+        ("loop", "--direction", "from-loop", "--input", _loop_path),
+        ("anchor", "--builtin", "haar", "--modes", "2"),
+        ("fock", "--builtin", "haar", "--grid", "8", "--levels", "2"),
+        ("fock", "--builtin", "random-psd", "N=3", "rank=2", "seed=5"),
+        ("acceptance",),
+    ],
+    ids=lambda argv: " ".join(a for a in argv if isinstance(a, str)),
+)
+def test_json_report_is_one_sorted_line(tmp_path, capsys, argv):
+    # the layout the json module's C encoder writes: no indent, sorted keys
+    code, out, _ = run(capsys, *[a(tmp_path) if callable(a) else a for a in argv])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert out.count("\n") == 1
+
 
 
 def test_csv_output(capsys):

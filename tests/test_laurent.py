@@ -321,6 +321,8 @@ class TestJson:
             [[0.5, 1.0, 0.0]],
             [[1, 0.0, 0.0], [0, 1.0, 0.0]],
             [[0, 1.0, 0.0], [0, 2.0, 0.0]],
+            [[1 << 20, 1.0, 0.0]],
+            [[-(1 << 20), 1.0, 0.0]],
         ],
     )
     def test_rejects_malformed(self, bad):
