@@ -402,32 +402,27 @@ def test_nonfinite_input_is_parse_error(tmp_path, capsys, command, kind, value):
 # output formats and determinism
 
 
-def _loop_path(tmp_path) -> str:
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(loop_from_filters(haar_bank())[0].to_json()))
-    return str(path)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--builtin", "haar"),
         ("loop", "--builtin", "random-biorthogonal", "N=3", "seed=2"),
-        ("loop", "--direction", "from-loop", "--input", _loop_path),
+        ("loop", "--direction", "from-loop", "--input", "loop.json"),
         ("anchor", "--builtin", "haar", "--modes", "2"),
         ("fock", "--builtin", "haar", "--grid", "8", "--levels", "2"),
         ("fock", "--builtin", "random-psd", "N=3", "rank=2", "seed=5"),
         ("acceptance",),
     ],
-    ids=lambda argv: " ".join(a for a in argv if isinstance(a, str)),
+    ids=" ".join,
 )
-def test_json_report_is_one_sorted_line(tmp_path, capsys, argv):
+def test_json_report_is_one_sorted_line(tmp_path, monkeypatch, capsys, argv):
     # the layout the json module's C encoder writes: no indent, sorted keys
-    code, out, _ = run(capsys, *[a(tmp_path) if callable(a) else a for a in argv])
+    monkeypatch.chdir(tmp_path)
+    Path("loop.json").write_text(json.dumps(loop_from_filters(haar_bank())[0].to_json()))
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
     assert out.count("\n") == 1
-
 
 
 def test_csv_output(capsys):
