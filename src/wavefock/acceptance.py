@@ -129,7 +129,7 @@ def check_stretched_haar() -> CriterionResult:
         dec = decimate(adjoint_poly(m0) * m0, 4)
         dec_err = (dec - LaurentPoly({0: 2.0})).coeff_norm()
 
-        A, _ = loop_from_filters(bank)
+        A, _ = bank.loops
         row = [1.0, 0.0, 1.0, 0.0]
         row_err = max(
             (A.entries[0][j] - LaurentPoly({0: row[j]})).coeff_norm() for j in range(4)

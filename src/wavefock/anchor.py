@@ -40,7 +40,6 @@ import numpy as np
 from .errors import DepthExceededError, EmptyAnchorError, NotReconstructiveError
 from .filterbank import FilterBank, relation_report
 from .laurent import LaurentPoly, adjoint_poly
-from .polyphase import loop_from_filters
 from .subdivision import dense_slanted_matrix
 
 MEMBER_TOL = 1e-10
@@ -57,8 +56,7 @@ def adjoint_on_mode(bank: FilterBank, i: int, n: int, dual: bool = False) -> Lau
     """
     if not 0 <= i < bank.N:
         raise ValueError("filter index out of range")
-    A, At = loop_from_filters(bank)
-    loop = At if dual and At is not None else A
+    loop = (dual and bank.loops[1]) or bank.loops[0]
     j0 = n % bank.N
     entry = LaurentPoly.from_array(loop.lo, loop.taps[:, i, j0])
     return adjoint_poly(entry).shift((n - j0) // bank.N)

@@ -3,10 +3,11 @@
 Subcommands load a filter bank or block matrix (from a JSON file or a named
 builtin), run the corresponding verification, and emit a JSON or CSV report.
 Exit codes: 0 when the requested verdict holds, 1 when it fails or any step
-raises a `WavefockError`, 2 when the input cannot be parsed.  A JSON report
-is one line with sorted keys, so the json module's C encoder writes it (an
-indented dump runs in Python).  Reports are byte-identical for a fixed seed
-and config: wall-clock data never enters the output.
+raises a `WavefockError`, 2 when the input cannot be parsed or is over a size
+cap (`SizeCapError`).  A JSON report is one line with sorted keys, so the
+json module's C encoder writes it (an indented dump runs in Python).  Reports
+are byte-identical for a fixed seed and config: wall-clock data never enters
+the output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .anchor import compute_anchor, depths_and_cyclicity
 from .errors import SizeCapError, WavefockError
 from .filterbank import FilterBank, relation_report
 from .fock import ChoiMatrix, creation_matrices, tstar_t_check
-from .polyphase import LoopMatrix, dual_loop, filters_from_loop, loop_from_filters
+from .polyphase import LoopMatrix, dual_loop, filters_from_loop
 from .wavelet_fock import cor6_check
 
 VERDICT_FAILED = 1
@@ -187,7 +188,7 @@ def cmd_loop(args, config: RunConfig) -> int:
         return 0
 
     bank = _bank_from_args(args)
-    A, At = loop_from_filters(bank)
+    A, At = bank.loops
     report = {"A": A.to_json(), "Atilde": None, "Atilde_exact": False}
     try:
         At = dual_loop(A) if At is None else At
@@ -222,16 +223,12 @@ def cmd_fock(args, config: RunConfig) -> int:
     kind, obj = _fock_input_from_args(args, config)
     K = config.fock_level_cap
     cor6 = None
-    try:
-        if kind == "bank":
-            cor6 = cor6_check(obj, grid_size=config.grid_size, K=K)
-            ops, tstar = cor6.ops, cor6.tstar
-        else:
-            ops = creation_matrices(obj, K)
-            tstar = tstar_t_check(ops)
-    except SizeCapError as exc:
-        # caps are configuration, not a verdict about the input
-        raise CliParseError(str(exc)) from exc
+    if kind == "bank":
+        cor6 = cor6_check(obj, grid_size=config.grid_size, K=K)
+        ops, tstar = cor6.ops, cor6.tstar
+    else:
+        ops = creation_matrices(obj, K)
+        tstar = tstar_t_check(ops)
 
     choi_rep = ops.fock.choi_report
     doc = {
@@ -349,7 +346,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return args.fn(args, config)
-    except CliParseError as exc:
+    except (CliParseError, SizeCapError) as exc:  # a size cap is configuration, not a verdict
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_FAILED
     except WavefockError as exc:

@@ -1,7 +1,8 @@
 """N-band filter banks as systems of isometries.
 
-A bank holds a scale N and N subband filters m_0..m_{N-1}, optionally with a
-dual family.  The associated operators act on Laurent polynomials by
+A bank is an immutable value: a scale N and N subband filters m_0..m_{N-1},
+optionally with a dual family, whose loop matrices and pairing bound it
+builds once.  The associated operators act on Laurent polynomials by
 
     S_i f = m_i * upsample(f, N)        (filter after N-fold upsampling)
     S_i^* f = decimate(adjoint(m_i) * f, N)
@@ -9,7 +10,8 @@ dual family.  The associated operators act on Laurent polynomials by
 and `relation_report` measures how far the family is from satisfying the
 isometry, range-orthogonality, completeness and dual-pairing identities.
 Each of its parts is computed when first read, so a verdict pays only for
-the bounds it reads, and only the reported grid sups sample the circle.
+the bounds it reads, and only the reported grid sups sample the circle; a
+bank whose parts would exceed PART_CAP entries is refused before any.
 Both operators are shift covariant, S_i(z f) = z^N S_i f, so completeness is
 checked on one mode per phase, and adjoint words are expanded level by level.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DualLengthMismatchError, NotReconstructiveError
+from .errors import DualLengthMismatchError, NotReconstructiveError, SizeCapError
 from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
@@ -31,15 +33,18 @@ from .laurent import (
     grid_angles,
     poly_from_json,
     poly_to_json,
+    poly_window,
     stack_polys,
     upsample,
 )
 
 DEFAULT_TOL = 1e-9
+PART_CAP = 1 << 21  # entries of the largest array a report part builds: 32 MiB of complex
 
 
 class FilterBank:
-    """Scale N with N primary filters and an optional dual family.
+    """Scale N with N primary filters and an optional dual family: an
+    immutable value, whose `loops` and `pair_bound` are built on first read.
 
     The genus g is the smallest integer such that every filter exponent lies
     in [-Ng+1, Ng-1]; it is always computed from the stored filters.
@@ -48,37 +53,45 @@ class FilterBank:
     def __init__(self, N: int, filters, dual_filters=None):
         if N < 2:
             raise ValueError("scale N must be at least 2")
-        filters = list(filters)
+        filters = tuple(filters)
         if len(filters) != N:
-            raise DualLengthMismatchError(
-                f"expected {N} primary filters, got {len(filters)}"
-            )
+            raise DualLengthMismatchError(f"expected {N} primary filters, got {len(filters)}")
         if dual_filters is not None:
-            dual_filters = list(dual_filters)
+            dual_filters = tuple(dual_filters)
             if len(dual_filters) != N:
-                raise DualLengthMismatchError(
-                    f"expected {N} dual filters, got {len(dual_filters)}"
-                )
-        self.N = N
-        self.filters = filters
-        self.dual_filters = dual_filters
+                raise DualLengthMismatchError(f"expected {N} dual filters, got {len(dual_filters)}")
+        self.__dict__.update(N=N, filters=filters, dual_filters=dual_filters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FilterBank is immutable; cannot set {name!r}")
+
+    @functools.cached_property
+    def loops(self) -> tuple:
+        """(A, Atilde or None) by `polyphase.loop_from_filters`; taps read-only."""
+        from .polyphase import loop_from_filters  # polyphase imports this module
+        loops = loop_from_filters(self)
+        for loop in filter(None, loops):
+            loop.taps.flags.writeable = False
+        return loops
+
+    @functools.cached_property
+    def pair_bound(self) -> float:
+        """`loop_pair_bound` of A against Atilde, or against A if self-dual."""
+        from .polyphase import loop_pair_bound
+        return loop_pair_bound(self.loops[0], self.loops[1] or self.loops[0])
 
     @property
     def is_self_dual(self) -> bool:
         return self.dual_filters is None
 
     @property
-    def duals_or_primaries(self) -> list:
+    def duals_or_primaries(self) -> tuple:
         return self.dual_filters if self.dual_filters is not None else self.filters
 
     @property
     def genus(self) -> int:
-        all_filters = self.filters + (self.dual_filters or [])
-        m = 0
-        for p in all_filters:
-            if not p.is_zero:
-                m = max(m, abs(p.min_exp), abs(p.max_exp))
-        return max(1, math.ceil((m + 1) / self.N))
+        lo, width = poly_window(self.filters + (self.dual_filters or ()))
+        return max(1, math.ceil((max(-lo, lo + width - 1) + 1) / self.N))
 
     def to_json(self) -> dict:
         return {
@@ -282,8 +295,14 @@ def relation_report(
     pairing residuals, sups over `grid` points, are only reported.
     Completeness is exact: each image of a Fourier mode is finitely supported,
     and by shift covariance the modes e_0..e_{N-1} give the residual over all.
-    The coefficients are stacked here; each part is computed on first read.
+    Each part is computed on first read, and one on L and Ld exponents builds
+    at most (L + Ld + N) max(L, Ld + N) entries in an array: a bank over
+    PART_CAP is refused before its coefficients are stacked.
     """
+    (_, L), (_, Ld) = poly_window(bank.filters), poly_window(bank.duals_or_primaries)
+    entries = (L + max(L, Ld) + bank.N) * (max(L, Ld) + bank.N)  # the self or the pair part
+    if entries > PART_CAP:
+        raise SizeCapError(f"a relation report part needs {entries} entries (cap {PART_CAP})")
     duals = None if bank.is_self_dual else stack_polys(bank.dual_filters)
     return RelationReport(bank.N, tol, grid, stack_polys(bank.filters), duals)
 

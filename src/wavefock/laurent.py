@@ -240,12 +240,19 @@ def upsample(p: LaurentPoly, N: int) -> LaurentPoly:
     return LaurentPoly.from_array(N * p.lo, out)
 
 
-def stack_polys(polys) -> tuple:
-    """(lo, C) with C[i, t] the coefficient of z^(lo + t) in polys[i], on the
-    smallest window holding every support (one zero tap if all are zero)."""
+def poly_window(polys) -> tuple:
+    """(lo, width) of the smallest window holding every support (one zero
+    tap if all are zero)."""
     live = [p for p in polys if not p.is_zero] or [LaurentPoly.one()]
     lo = min(p.lo for p in live)
-    C = np.zeros((len(polys), max(p.max_exp for p in live) - lo + 1), dtype=complex)
+    return lo, max(p.max_exp for p in live) - lo + 1
+
+
+def stack_polys(polys) -> tuple:
+    """(lo, C) with C[i, t] the coefficient of z^(lo + t) in polys[i], on
+    `poly_window(polys)`."""
+    lo, width = poly_window(polys)
+    C = np.zeros((len(polys), width), dtype=complex)
     for row, p in zip(C, polys):
         row[p.lo - lo : p.lo - lo + len(p.taps)] = p.taps
     return lo, C

@@ -42,6 +42,7 @@ from .laurent import (
     grid_angles,
     poly_from_json,
     poly_to_json,
+    poly_window,
     polys_from_grid,
     stack_polys,
 )
@@ -375,8 +376,8 @@ def modulation_bound(bank: FilterBank):
     M samples of phi are the fibres of `modulation_matrix` on M/N points.
     """
     N, eye = bank.N, np.eye(bank.N)
-    (lo_f, F), (lo_d, D) = stack_polys(bank.filters), stack_polys(bank.duals_or_primaries)
-    hi_f, hi_d = lo_f + F.shape[1] - 1, lo_d + D.shape[1] - 1
+    (lo_f, w_f), (lo_d, w_d) = poly_window(bank.filters), poly_window(bank.duals_or_primaries)
+    hi_f, hi_d = lo_f + w_f - 1, lo_d + w_d - 1
     spans = [2 * (hi_f - lo_f), max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)]
     grid = 2 * (max(spans) // N + 1)
     duals = (False,) if bank.is_self_dual else (False, True)
@@ -406,7 +407,7 @@ def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunct
 
     A is judged invertible on the whole circle first, by the same
     `_check_invertible` as `dual_loop`; the grid sets only the samples."""
-    A, _ = loop_from_filters(bank)
+    A, _ = bank.loops
     _check_invertible(A)
     gram = A @ A.adjoint()
     samples = gram.sample_grid(grid)

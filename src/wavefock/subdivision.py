@@ -9,9 +9,11 @@ one analysis level is D[j] = sum_m X[j+m] A_m^* for every filter at once and
 one synthesis level is Y[b] = sum_m D[b-m] A_m.  Each is one matrix product:
 the taps stack into a (T N) x N matrix and multiply a strided view whose row
 b holds T consecutive blocks.  A single filter is the one-row loop, so
-`subdivide`, `decimate_adjoint` and the pyramid share these two kernels.  They act on raw samples, never on
-LaurentPoly arithmetic, so agreement with the polynomial side is a genuine
-cross-check.
+`subdivide`, `decimate_adjoint` and the pyramid share these two kernels.  The
+pyramid reads the loops and the pairing bound the bank builds once, so a bank
+applied to many signals pays for them once.  The kernels act on raw samples,
+never on LaurentPoly arithmetic, so agreement with the polynomial side is a
+genuine cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
 from .filterbank import DEFAULT_TOL, FilterBank
 from .laurent import LaurentPoly, _trimmed
-from .polyphase import loop_from_filters, loop_pair_bound, phase_split
+from .polyphase import phase_split
 
 FOURIER_DEPTH_CAP = 4000
 PRODUCT_ROWS = 1024
@@ -87,8 +89,7 @@ class SignalWindow:
         return SignalWindow(lo, out)
 
     def __sub__(self, other: "SignalWindow") -> "SignalWindow":
-        neg = SignalWindow(other.offset, -other.samples)
-        return self + neg
+        return self + SignalWindow(other.offset, -other.samples)
 
     def isclose(self, other: "SignalWindow", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
@@ -164,16 +165,15 @@ def _loop_product(blocks: np.ndarray, K: np.ndarray, T: int) -> np.ndarray:
     return out
 
 
-def _analysis(lo: int, taps: np.ndarray, offset: int, samples: np.ndarray, N: int):
+def _analysis(lo: int, K: np.ndarray, offset: int, samples: np.ndarray, N: int):
     """(j0, D) with D[j - j0] = sum_m X[j+m] A_m^*, where X[b] = x[Nb : Nb+N]
-    blocks the window (offset, samples) and taps[t] = A_{lo+t}; column k of
-    D is the adjoint of the subdivision by row k of the loop."""
-    T = len(taps)
+    blocks the window (offset, samples) and the rows of K stack the A_{lo+t}^*;
+    column k of D is the adjoint of the subdivision by row k of the loop."""
+    T = len(K) // N
     b0 = offset // N
     X = np.zeros((-(-(offset + len(samples)) // N) - b0 + 2 * (T - 1), N), dtype=complex)
     start = N * (T - 1) + offset - N * b0
     X.reshape(-1)[start : start + len(samples)] = samples
-    K = taps.conj().transpose(0, 2, 1).reshape(T * N, -1)
     return b0 - lo - T + 1, _loop_product(X, K, T)
 
 
@@ -202,7 +202,8 @@ def decimate_adjoint(c: LaurentPoly, x: SignalWindow, N: int) -> SignalWindow:
     """(S*x)_j = sum_k conj(c_k) x_{k+Nj}: the analysis kernel on one band."""
     if c.is_zero or x.is_zero:
         return SignalWindow.zero()
-    j0, D = _analysis(*phase_split(N, [c]), x.offset, x.samples, N)
+    lo, taps = phase_split(N, [c])
+    j0, D = _analysis(lo, taps[:, 0].conj().reshape(-1, 1), x.offset, x.samples, N)
     return SignalWindow(j0, D[:, 0])
 
 
@@ -241,18 +242,18 @@ def pyramid(
 ) -> PyramidDecomposition:
     """Analysis tree: split with the dual adjoints, keep band-0 for recursion.
     Each level is one analysis product with the dual loop (A for a self-dual
-    bank).  The check is the identity A* Atilde = I on these loops, which
-    `pyramid_reconstruct` needs to invert the analysis."""
+    bank), its taps stacked once per call.  The check is the bank's pairing
+    bound on A* Atilde = I, which `pyramid_reconstruct` needs to invert it."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    A, At = loop_from_filters(bank)
-    At = A if At is None else At
-    if check and not loop_pair_bound(A, At) < DEFAULT_TOL:
+    if check and not bank.pair_bound < DEFAULT_TOL:
         raise NotReconstructiveError("bank fails the pairing identity A* Atilde = I")
+    At = bank.loops[1] or bank.loops[0]
+    K = At.taps.conj().transpose(0, 2, 1).reshape(-1, bank.N)
     details = []
     offset, samples = x.offset, x.samples
     for _ in range(depth):
-        offset, D = _analysis(At.lo, At.taps, offset, samples, bank.N)
+        offset, D = _analysis(At.lo, K, offset, samples, bank.N)
         details.append([SignalWindow(offset, D[:, k]) for k in range(1, bank.N)])
         samples = D[:, 0]
     return PyramidDecomposition(
@@ -262,13 +263,13 @@ def pyramid(
 
 def pyramid_reconstruct(bank: FilterBank, pyr: PyramidDecomposition) -> SignalWindow:
     """Synthesis with the primary filters, inverse of `pyramid`: each level
-    is one synthesis product with the loop A on the approximation and the
-    details together."""
-    lo, taps = phase_split(bank.N, bank.filters)
+    is one synthesis product with the bank's loop A on the approximation and
+    the details together."""
+    A = bank.loops[0]
     offset, y = pyr.approx.offset, pyr.approx.samples
     for level in reversed(pyr.details):
         bands = [(offset, y)] + [(d.offset, d.samples) for d in level]
-        offset, y = _synthesis(lo, taps, bands, bank.N)
+        offset, y = _synthesis(A.lo, A.taps, bands, bank.N)
     return SignalWindow(offset, y)
 
 

@@ -6,6 +6,7 @@ import json
 import re
 import shlex
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,25 @@ def test_fock_cap_is_config_error(capsys):
         capsys, "fock", "--builtin", "haar", "--grid", "32", "--levels", "13"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "anchor", "fock"])
+@pytest.mark.parametrize("e", [2000, 10**6])
+def test_relation_report_cap_refuses_before_allocating(tmp_path, capsys, command, e):
+    # the N = 2 bank {1, z^e} is within the JSON limits, but a relation report
+    # part on it would build arrays quadratic in e (214 MiB at e = 2000)
+    path = tmp_path / "bank.json"
+    bank = FilterBank(2, [LaurentPoly.one(), LaurentPoly.monomial(e)])
+    path.write_text(json.dumps(bank.to_json()))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, "--input", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    assert peak < 2 << 20
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from wavefock.corpus import (
 )
 from wavefock.errors import SingularLoopError
 from wavefock.filterbank import (
+    FilterBank,
     apply_S,
     apply_S_adjoint,
     relation_report,
@@ -239,7 +240,7 @@ class TestLoopFromFilters:
             exps = rng.choice(np.arange(0, N * g), size=min(4, N * g), replace=False)
             m = LaurentPoly({int(k): complex(*rng.standard_normal(2)) for k in exps})
             bank = random_bank(N, rng)
-            bank.filters[0] = m
+            bank = FilterBank(N, (m,) + bank.filters[1:])
             A, _ = loop_from_filters(bank)
             for l in range(N):
                 p = A.entries[0][l]

@@ -12,7 +12,8 @@ from wavefock.corpus import (
     stretched_haar_bank,
 )
 from wavefock.errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
-from wavefock.filterbank import apply_S
+from wavefock import polyphase
+from wavefock.filterbank import FilterBank, apply_S
 from wavefock.laurent import LaurentPoly
 from wavefock.subdivision import (
     PRODUCT_ROWS,
@@ -368,6 +369,60 @@ PYRAMID_FAMILIES = {
     "biorthogonal": random_biorthogonal_bank,
     "causal-pair": random_causal_pair,
 }
+
+
+def assert_windows_equal(got, want):
+    assert got.offset == want.offset
+    assert np.array_equal(got.samples, want.samples)
+
+
+class TestBankReuse:
+    """A bank builds its loops and pairing bound on first use, for every
+    later pyramid and reconstruction."""
+
+    def test_loops_built_once(self, rng, monkeypatch):
+        bank = random_biorthogonal_bank(2, rng)
+        calls = []
+        build = polyphase.loop_from_filters
+        monkeypatch.setattr(
+            polyphase, "loop_from_filters", lambda b: calls.append(b) or build(b)
+        )
+        for _ in range(3):
+            x = random_signal(rng, span=10, terms=8)
+            y = pyramid_reconstruct(bank, pyramid(bank, x, 3))
+            assert (y - x).norm() < 1e-10 * max(1.0, x.norm())
+        assert calls == [bank]
+
+    def test_mismatched_duals_refused_every_call(self, rng):
+        bank, other = random_biorthogonal_bank(2, rng), random_biorthogonal_bank(2, rng)
+        mismatched = FilterBank(2, bank.filters, other.dual_filters)
+        for _ in range(3):
+            with pytest.raises(NotReconstructiveError):
+                pyramid(mismatched, random_signal(rng), 2)
+
+    @pytest.mark.parametrize("family", sorted(PYRAMID_FAMILIES))
+    def test_reused_bank_matches_fresh_bank(self, rng, family):
+        bank = PYRAMID_FAMILIES[family](3, rng)
+        for x, depth in pyramid_signals(rng, 3, count=6):
+            fresh = FilterBank(bank.N, bank.filters, bank.dual_filters)
+            got, want = pyramid(bank, x, depth), pyramid(fresh, x, depth)
+            assert_windows_equal(got.approx, want.approx)
+            for level, fresh_level in zip(got.details, want.details, strict=True):
+                for d, fresh_d in zip(level, fresh_level, strict=True):
+                    assert_windows_equal(d, fresh_d)
+            assert_windows_equal(
+                pyramid_reconstruct(bank, got),
+                pyramid_reconstruct(FilterBank(bank.N, bank.filters, bank.dual_filters), want),
+            )
+
+    def test_bank_and_loops_are_read_only(self, stretched_dual):
+        with pytest.raises(TypeError):
+            stretched_dual.filters[0] = LaurentPoly.one()
+        with pytest.raises(AttributeError):
+            stretched_dual.dual_filters = None
+        for loop in stretched_dual.loops:
+            with pytest.raises(ValueError):
+                loop.taps[0, 0, 0] = 0.0
 
 
 def pyramid_signals(rng, N, count=12):
