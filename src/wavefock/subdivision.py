@@ -89,7 +89,8 @@ class SignalWindow:
         return SignalWindow(lo, out)
 
     def __sub__(self, other: "SignalWindow") -> "SignalWindow":
-        return self + SignalWindow(other.offset, -other.samples)
+        neg = SignalWindow(other.offset, -other.samples)
+        return self + neg
 
     def isclose(self, other: "SignalWindow", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
