@@ -12,7 +12,7 @@ import numpy as np
 
 from .filterbank import FilterBank
 from .laurent import LaurentPoly
-from .polyphase import LoopMatrix, dual_loop, filters_from_loop
+from .polyphase import LoopMatrix, dual_loop, filters_from_loop, tap_product
 
 SQRT2 = np.sqrt(2.0)
 
@@ -56,24 +56,54 @@ def identity_loop_bank(N: int = 2) -> FilterBank:
 # random loops
 
 
-def _random_unitary(N: int, rng) -> np.ndarray:
-    z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+def _gaussian(N: int, rng) -> np.ndarray:
+    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+
+
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Unitary factors of a (F, N, N) stack, phases fixed, by one batched QR."""
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def _conditioned_invertible(N: int, rng, smin=0.6, smax=1.5) -> np.ndarray:
-    z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+def _conditioned(z: np.ndarray, smin=0.6, smax=1.5) -> np.ndarray:
+    """A (F, N, N) stack, its singular values mapped onto [smin, smax] by one batched SVD."""
     u, s, vh = np.linalg.svd(z)
-    s = smin + (smax - smin) * (s - s.min()) / max(s.max() - s.min(), 1e-12)
-    return u @ np.diag(s) @ vh
+    lo, hi = s.min(axis=-1, keepdims=True), s.max(axis=-1, keepdims=True)
+    s = smin + (smax - smin) * (s - lo) / np.maximum(hi - lo, 1e-12)
+    return u * s[..., None, :] @ vh
 
 
-def _monomial_diag(N: int, rng, max_shift: int) -> LoopMatrix:
+def _random_unitary(N: int, rng) -> np.ndarray:
+    return _unitaries(_gaussian(N, rng)[None])[0]
+
+
+def _monomial_diag(N: int, rng, max_shift: int) -> tuple:
+    """(lo, taps) of diag(z^k_0, ..., z^k_{N-1}), k_i drawn from 0..max_shift."""
     shifts = rng.integers(0, max_shift + 1, size=N)
     taps = np.zeros((max_shift + 1, N, N), dtype=complex)
     taps[shifts, np.arange(N), np.arange(N)] = 1.0
-    return LoopMatrix.from_array(0, taps)
+    return 0, taps
+
+
+def _random_loop(N: int, rng, stages: int, middle, constants) -> LoopMatrix:
+    """C_0 B_1 C_1 ... B_stages C_stages.  The draws of each C_f precede those
+    of B_{f+1}; `middle()` draws the (lo, taps) factors whose product is B_f,
+    and `constants` makes all C_f from their (stages + 1, N, N) stack of
+    Gaussian draws in one batched call.  The factors are chained as raw taps
+    through `tap_product`, and only the result is trimmed."""
+    z, between = [_gaussian(N, rng)], []
+    for _ in range(stages):
+        between.append(middle())
+        z.append(_gaussian(N, rng))
+    consts = constants(np.array(z))
+    lo, taps = 0, consts[:1]
+    for factors, constant in zip(between, consts[1:]):
+        for shift, factor in factors:
+            lo, taps = lo + shift, tap_product(taps, factor)
+        taps = tap_product(taps, constant[None])
+    return LoopMatrix.from_array(lo, taps)
 
 
 def random_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> LoopMatrix:
@@ -82,21 +112,17 @@ def random_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> Lo
     Pointwise unitary on the circle with monomial determinant, so the dual
     loop is exact and equals the loop itself.
     """
-    A = LoopMatrix.from_constant(_random_unitary(N, rng))
-    for _ in range(factors):
-        A = A @ _monomial_diag(N, rng, max_shift)
-        A = A @ LoopMatrix.from_constant(_random_unitary(N, rng))
-    return A
+    return _random_loop(N, rng, factors, lambda: [_monomial_diag(N, rng, max_shift)], _unitaries)
 
 
-def _shear(N: int, rng, coeff_scale: float) -> LoopMatrix:
+def _shear(N: int, rng, coeff_scale: float) -> tuple:
     a, b = rng.choice(N, size=2, replace=False)
     exps = rng.choice(np.arange(-1, 2), size=2, replace=False)
     taps = np.zeros((3, N, N), dtype=complex)
     taps[1] = np.eye(N)
     for k in exps:  # I + p(z) e_ab with p supported on `exps`
         taps[k + 1, a, b] = coeff_scale * complex(*rng.standard_normal(2))
-    return LoopMatrix.from_array(-1, taps)
+    return -1, taps
 
 
 def random_invertible_loop(
@@ -107,12 +133,10 @@ def random_invertible_loop(
     Alternates conditioned constant factors, unit-determinant shears and
     monomial diagonals; the determinant stays a monomial unit by construction.
     """
-    A = LoopMatrix.from_constant(_conditioned_invertible(N, rng))
-    for _ in range(shears):
-        A = A @ _shear(N, rng, coeff_scale)
-        A = A @ _monomial_diag(N, rng, max_shift)
-        A = A @ LoopMatrix.from_constant(_conditioned_invertible(N, rng))
-    return A
+    def middle():
+        return [_shear(N, rng, coeff_scale), _monomial_diag(N, rng, max_shift)]
+
+    return _random_loop(N, rng, shears, middle, _conditioned)
 
 
 def random_orthogonal_bank(N: int, rng, **kw) -> FilterBank:
@@ -134,10 +158,7 @@ def random_causal_pair(N: int, rng, stages: int = 2, max_shift: int = 1) -> Filt
     loop and its dual polynomial in z; under that support normalization the
     mode window is invariant for both adjoint families.
     """
-    A = LoopMatrix.from_constant(_conditioned_invertible(N, rng))
-    for _ in range(stages):
-        A = A @ _monomial_diag(N, rng, max_shift)
-        A = A @ LoopMatrix.from_constant(_conditioned_invertible(N, rng))
+    A = _random_loop(N, rng, stages, lambda: [_monomial_diag(N, rng, max_shift)], _conditioned)
     primary = filters_from_loop(A)
     dual = filters_from_loop(dual_loop(A))
     return FilterBank(N, primary.filters, dual.filters)

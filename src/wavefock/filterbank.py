@@ -45,6 +45,7 @@ PART_CAP = 1 << 21  # entries of the largest array a report part builds: 32 MiB 
 class FilterBank:
     """Scale N with N primary filters and an optional dual family: an
     immutable value, whose `loops` and `pair_bound` are built on first read.
+    The taps of every polynomial it holds are marked read-only.
 
     The genus g is the smallest integer such that every filter exponent lies
     in [-Ng+1, Ng-1]; it is always computed from the stored filters.
@@ -60,6 +61,8 @@ class FilterBank:
             dual_filters = tuple(dual_filters)
             if len(dual_filters) != N:
                 raise DualLengthMismatchError(f"expected {N} dual filters, got {len(dual_filters)}")
+        for p in filters + (dual_filters or ()):  # the cached loops stay in step with them
+            p.taps.flags.writeable = False
         self.__dict__.update(N=N, filters=filters, dual_filters=dual_filters)
 
     def __setattr__(self, name, value):

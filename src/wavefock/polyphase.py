@@ -11,7 +11,7 @@ Atilde = A^{*-1} characterises the dual-pair case.  The Gram data of the
 operator family is carried by AA*(z) and its pointwise inverse.
 
 A loop is one (taps, N, N) coefficient array: products are tap convolutions
-of matrix products (one broadcast matrix product when a factor has one tap),
+of matrix products (`tap_product`: every tap pair in one batched product),
 the adjoint is the reversed conjugate transpose, and the values on a grid
 are one contraction with the grid phases.  The determinant
 and the exact dual loop are recovered the other way: sample on enough points
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularLoopError
-from .filterbank import FilterBank
+from .errors import SingularLoopError, SizeCapError
+from .filterbank import PART_CAP, FilterBank
 from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
@@ -107,15 +107,7 @@ class LoopMatrix:
     def __matmul__(self, other: "LoopMatrix") -> "LoopMatrix":
         if self.N != other.N:
             raise ValueError("size mismatch")
-        a, b = self.taps, other.taps
-        if len(a) == 1 or len(b) == 1:
-            out = a @ b
-            out += 0.0  # -0.0 to 0.0, as the accumulation below leaves it
-        else:
-            out = np.zeros((len(a) + len(b) - 1, self.N, self.N), dtype=complex)
-            for s, tap in enumerate(a):
-                out[s : s + len(b)] += tap @ b
-        return LoopMatrix.from_array(self.lo + other.lo, out)
+        return LoopMatrix.from_array(self.lo + other.lo, tap_product(self.taps, other.taps))
 
     def adjoint(self) -> "LoopMatrix":
         """Pointwise conjugate transpose as a Laurent-matrix function."""
@@ -155,13 +147,31 @@ class LoopMatrix:
         return f"LoopMatrix(N={self.N}, max_abs_exp={self.max_abs_exp()})"
 
 
+def tap_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Taps of the product of the loops with (T, N, N) taps a and b, untrimmed.
+
+    Every tap pair is multiplied in one batched product; entry k of the
+    result sums the products a[s] b[k - s] in the order of s, from 0.0."""
+    if len(a) == 1 or len(b) == 1:
+        return a @ b + 0.0  # -0.0 to 0.0, as the accumulation below leaves it
+    pairs = a[:, None] @ b[None]
+    out = np.zeros((len(a) + len(b) - 1,) + pairs.shape[2:], dtype=complex)
+    for s, row in enumerate(pairs):
+        out[s : s + len(b)] += row
+    return out
+
+
 # ----------------------------------------------------------------------
 # filters <-> loop
 
 
 def phase_split(N: int, polys) -> tuple:
     """(lo, taps) with taps[t, k, l] the coefficient of z^(N (lo + t) + l) in
-    polys[k]: row k of the loop holds the N phases of polys[k]."""
+    polys[k]: row k of the loop holds the N phases of polys[k].  Refused before
+    any array is built if rows x (window width + N) exceeds PART_CAP."""
+    entries = len(polys) * (poly_window(polys)[1] + N)
+    if entries > PART_CAP:
+        raise SizeCapError(f"a loop build needs {entries} entries (cap {PART_CAP})")
     lo, C = stack_polys(polys)
     start = lo - lo % N
     T = -(-(lo + C.shape[1] - start) // N)
@@ -332,18 +342,23 @@ def loop_unitarity_residual(A: LoopMatrix, grid: int = DEFAULT_GRID) -> float:
 # modulation matrices
 
 
-def modulation_matrix(bank: FilterBank, grid: int = DEFAULT_GRID, dual: bool = False) -> np.ndarray:
-    """M(z)[k, l] = (1/sqrt N) m_k(w_l) over the principal root fiber w_l of
-    each grid point z; shape (grid, N, N).  w_l of grid point g is e^{2 pi i j/M}
-    with M = grid N and j = g + l grid, so one inverse FFT of the coefficients
-    folded mod M gives every value."""
-    N, M = bank.N, grid * bank.N
-    lo, C = stack_polys(bank.duals_or_primaries if dual else bank.filters)
+def _fibre_values(N: int, polys, grid: int) -> np.ndarray:
+    """(1/sqrt N) p_k(w_l) over the principal root fiber w_l of each grid
+    point z, shape (grid, len(polys), N).  w_l of grid point g is
+    e^{2 pi i j/M} with M = grid N and j = g + l grid, so one inverse FFT of
+    the coefficients folded mod M gives every value."""
+    M = grid * N
+    lo, C = stack_polys(polys)
     folded = np.zeros((len(C), M), dtype=complex)
     np.add.at(folded, (slice(None), (lo + np.arange(C.shape[1])) % M), C)
-    values = np.fft.ifft(folded) * M  # values[k, j] = m_k(e^{2 pi i j/M})
+    values = np.fft.ifft(folded) * M  # values[k, j] = p_k(e^{2 pi i j/M})
     fibres = np.arange(grid)[:, None] + grid * np.arange(N)
     return values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)
+
+
+def modulation_matrix(bank: FilterBank, grid: int = DEFAULT_GRID, dual: bool = False) -> np.ndarray:
+    """M(z)[k, l] = (1/sqrt N) m_k(w_l), `_fibre_values` of one family; shape (grid, N, N)."""
+    return _fibre_values(bank.N, bank.duals_or_primaries if dual else bank.filters, grid)
 
 
 def modulation_matrix_check(bank: FilterBank, grid: int = DEFAULT_GRID):
@@ -373,15 +388,15 @@ def modulation_bound(bank: FilterBank):
     q = tr(X^* R) over all ||X||_F = 1 carries it to sup ||R||_F >= the
     spectral sup.  M is a multiple of N above 2s.  Moving phi by 2 pi/N only
     permutes the columns of M(z), which leaves the norms unchanged, so the
-    M samples of phi are the fibres of `modulation_matrix` on M/N points.
+    M samples of phi are both families' fibre values on M/N points.
     """
     N, eye = bank.N, np.eye(bank.N)
     (lo_f, w_f), (lo_d, w_d) = poly_window(bank.filters), poly_window(bank.duals_or_primaries)
     hi_f, hi_d = lo_f + w_f - 1, lo_d + w_d - 1
     spans = [2 * (hi_f - lo_f), max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)]
     grid = 2 * (max(spans) // N + 1)
-    duals = (False,) if bank.is_self_dual else (False, True)
-    mods = [modulation_matrix(bank, grid, dual) for dual in duals]
+    values = _fibre_values(N, bank.filters + (bank.dual_filters or ()), grid)
+    mods = [values[:, k : k + N] for k in range(0, values.shape[1], N)]  # M, and Mtilde if held
     gaps = [np.linalg.norm(_hermitian(mods[0]) @ m - eye, axis=(1, 2)).max() for m in mods]
     bounds = np.array(gaps) / np.cos(np.pi * np.array(spans[: len(gaps)]) / (2 * grid * N))
     return float(bounds[-1]), float(bounds[0])

@@ -16,6 +16,13 @@ stacked level by level, and spectral-norm SVDs of every T_i* T_j residual.
 sups included, as `relation_report` did before it computed each part on
 first read; `per_vector_spanning_residual` is the scalar kernel law with
 one random draw and one norm per factor vector.
+
+`accumulated_tap_product` is the loop product with one matrix product per
+tap of the left factor, and the `factorwise_*` generators are the random
+corpus loops as the package built them before it batched their constant
+factors: one QR or SVD per factor and one trimmed `LoopMatrix` per partial
+product.  `per_family_modulation_bound` is `modulation_bound` with one
+`modulation_matrix` call per family.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from wavefock.fock import (
     level_gram,
     truncated_fock,
 )
-from wavefock.laurent import LaurentPoly, grid_angles, stack_polys
+from wavefock.laurent import LaurentPoly, grid_angles, poly_window, stack_polys
+from wavefock.polyphase import LoopMatrix, dual_loop, filters_from_loop, modulation_matrix
 from wavefock.wavelet_fock import Cor6Report, _points, sampled_choi
 
 
@@ -473,3 +481,97 @@ def per_vector_spanning_residual(P: ChoiMatrix, k: int, rng) -> float:
             ratios = [np.linalg.norm(fock.letters @ f) / np.linalg.norm(f) for f in factors]
             spanning = max(spanning, float(np.prod(ratios)))
     return spanning
+
+
+# ----------------------------------------------------------------------
+# loop products and the random corpus loops, factor by factor
+
+
+def accumulated_tap_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Untrimmed taps of the product of the loops with taps a and b: one
+    broadcast product if a factor has one tap, else tap a[s] times all of b,
+    accumulated from 0.0 in the order of s."""
+    if len(a) == 1 or len(b) == 1:
+        out = a @ b
+        out += 0.0  # -0.0 to 0.0, as the accumulation below leaves it
+        return out
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=complex)
+    for s, tap in enumerate(a):
+        out[s : s + len(b)] += tap @ b
+    return out
+
+
+def _product(A: LoopMatrix, B: LoopMatrix) -> LoopMatrix:
+    return LoopMatrix.from_array(A.lo + B.lo, accumulated_tap_product(A.taps, B.taps))
+
+
+def _factor_unitary(N: int, rng) -> LoopMatrix:
+    z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    q, r = np.linalg.qr(z)
+    return LoopMatrix.from_constant(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+
+
+def _factor_conditioned(N: int, rng, smin=0.6, smax=1.5) -> LoopMatrix:
+    z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    u, s, vh = np.linalg.svd(z)
+    s = smin + (smax - smin) * (s - s.min()) / max(s.max() - s.min(), 1e-12)
+    return LoopMatrix.from_constant(u @ np.diag(s) @ vh)
+
+
+def _factor_monomial_diag(N: int, rng, max_shift: int) -> LoopMatrix:
+    shifts = rng.integers(0, max_shift + 1, size=N)
+    taps = np.zeros((max_shift + 1, N, N), dtype=complex)
+    taps[shifts, np.arange(N), np.arange(N)] = 1.0
+    return LoopMatrix.from_array(0, taps)
+
+
+def _factor_shear(N: int, rng, coeff_scale: float) -> LoopMatrix:
+    a, b = rng.choice(N, size=2, replace=False)
+    exps = rng.choice(np.arange(-1, 2), size=2, replace=False)
+    taps = np.zeros((3, N, N), dtype=complex)
+    taps[1] = np.eye(N)
+    for k in exps:
+        taps[k + 1, a, b] = coeff_scale * complex(*rng.standard_normal(2))
+    return LoopMatrix.from_array(-1, taps)
+
+
+def factorwise_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> LoopMatrix:
+    A = _factor_unitary(N, rng)
+    for _ in range(factors):
+        A = _product(A, _factor_monomial_diag(N, rng, max_shift))
+        A = _product(A, _factor_unitary(N, rng))
+    return A
+
+
+def factorwise_invertible_loop(
+    N: int, rng, shears: int = 2, max_shift: int = 1, coeff_scale: float = 0.35
+) -> LoopMatrix:
+    A = _factor_conditioned(N, rng)
+    for _ in range(shears):
+        A = _product(A, _factor_shear(N, rng, coeff_scale))
+        A = _product(A, _factor_monomial_diag(N, rng, max_shift))
+        A = _product(A, _factor_conditioned(N, rng))
+    return A
+
+
+def factorwise_causal_pair(N: int, rng, stages: int = 2, max_shift: int = 1) -> FilterBank:
+    A = _factor_conditioned(N, rng)
+    for _ in range(stages):
+        A = _product(A, _factor_monomial_diag(N, rng, max_shift))
+        A = _product(A, _factor_conditioned(N, rng))
+    return FilterBank(N, filters_from_loop(A).filters, filters_from_loop(dual_loop(A)).filters)
+
+
+def per_family_modulation_bound(bank: FilterBank):
+    """`modulation_bound` from one `modulation_matrix` call per family."""
+    N, eye = bank.N, np.eye(bank.N)
+    (lo_f, w_f), (lo_d, w_d) = poly_window(bank.filters), poly_window(bank.duals_or_primaries)
+    hi_f, hi_d = lo_f + w_f - 1, lo_d + w_d - 1
+    spans = [2 * (hi_f - lo_f), max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)]
+    grid = 2 * (max(spans) // N + 1)
+    duals = (False,) if bank.is_self_dual else (False, True)
+    mods = [modulation_matrix(bank, grid, dual) for dual in duals]
+    M_star = mods[0].conj().swapaxes(-2, -1)
+    gaps = [np.linalg.norm(M_star @ m - eye, axis=(1, 2)).max() for m in mods]
+    bounds = np.array(gaps) / np.cos(np.pi * np.array(spans[: len(gaps)]) / (2 * grid * N))
+    return float(bounds[-1]), float(bounds[0])

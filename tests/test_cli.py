@@ -378,6 +378,38 @@ def test_relation_report_cap_refuses_before_allocating(tmp_path, capsys, command
     assert peak < 2 << 20
 
 
+def _traced_loop(tmp_path, capsys, bank: FilterBank) -> tuple:
+    """(exit code, stdout, stderr, tracemalloc peak) of `loop --input` on bank."""
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(bank.to_json()))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "loop", "--input", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
+def test_loop_build_cap_refuses_before_allocating(tmp_path, capsys):
+    # 4 rows x (2^20 + 4) phase entries, over the cap; the bank's JSON is tiny
+    bank = FilterBank(4, [LaurentPoly.monomial(k) for k in (0, 1, 2, 2**20 - 1)])
+    code, out, err, peak = _traced_loop(tmp_path, capsys, bank)
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    assert peak < 1 << 20
+
+
+def test_loop_under_build_cap_still_judged(tmp_path, capsys):
+    # {1, z^(10^6)} at N = 2 needs 2 x (10^6 + 3) entries, under the cap:
+    # the loop is built, and found singular: both exponents are even, so
+    # its second column is zero
+    bank = FilterBank(2, [LaurentPoly.one(), LaurentPoly.monomial(10**6)])
+    code, _, err, _ = _traced_loop(tmp_path, capsys, bank)
+    assert code == 1
+    assert "SINGULAR_LOOP" in err
+
+
 # ----------------------------------------------------------------------
 # non-finite numbers in JSON input
 

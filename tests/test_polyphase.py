@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wavefock.acceptance import DEFAULT_SEED
 from wavefock.corpus import (
     HAAR_LOOP,
     STRETCHED_HAAR_LOOP,
@@ -13,15 +16,16 @@ from wavefock.corpus import (
     random_unitary_loop,
     stretched_haar_bank,
 )
-from wavefock.errors import SingularLoopError
+from wavefock.errors import SingularLoopError, SizeCapError
 from wavefock.filterbank import (
+    PART_CAP,
     FilterBank,
     apply_S,
     apply_S_adjoint,
     relation_report,
 )
-from oracles import DictPoly, torus_grid
-from wavefock.laurent import LaurentPoly, adjoint_poly
+from oracles import DictPoly, accumulated_tap_product, per_family_modulation_bound, torus_grid
+from wavefock.laurent import LaurentPoly, adjoint_poly, poly_window
 from wavefock.polyphase import (
     SINGULAR_TOL,
     LoopMatrix,
@@ -33,8 +37,11 @@ from wavefock.polyphase import (
     loop_det,
     loop_pair_residual,
     loop_unitarity_residual,
+    modulation_bound,
     modulation_matrix,
     modulation_matrix_check,
+    phase_split,
+    tap_product,
 )
 from wavefock.wavelet_fock import sampled_choi
 
@@ -158,9 +165,7 @@ class TestLoopArrays:
     @staticmethod
     def tap_convolution(A, B):
         """The product as a sum of shifted tap products, trimmed by hand."""
-        out = np.zeros((len(A.taps) + len(B.taps) - 1, A.N, A.N), dtype=complex)
-        for s, tap in enumerate(A.taps):
-            out[s : s + len(B.taps)] += tap @ B.taps
+        out = accumulated_tap_product(A.taps, B.taps)
         live = np.flatnonzero(out.reshape(len(out), -1).any(axis=1))
         if not len(live):
             return 0, out[:1] * 0
@@ -181,6 +186,37 @@ class TestLoopArrays:
                 got, (lo, want) = A @ B, self.tap_convolution(A, B)
                 assert got.lo == lo and np.array_equal(got.taps, want)
                 assert np.array_equal(np.signbit(got.taps.view(float)), np.signbit(want.view(float)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 7)),
+        seed=st.integers(0, 2**32 - 1),
+        small=st.booleans(),
+        neg_zero=st.sampled_from([0.0, 0.2, 0.7]),
+        ends=st.tuples(*[st.sampled_from(["", "first", "last", "both"])] * 2),
+    )
+    def test_tap_product_matches_accumulation_bit_for_bit(self, shape, seed, small, neg_zero, ends):
+        # small integer entries cancel exactly; -0.0 entries and zero end taps
+        # test the signs of the zeros the accumulation leaves
+        (la, lb, N), rng = shape, np.random.default_rng(seed)
+
+        def taps(T, end):
+            if small:
+                x = rng.integers(-1, 2, (T, N, N)) + 1j * rng.integers(-1, 2, (T, N, N))
+            else:
+                x = rng.standard_normal((T, N, N)) + 1j * rng.standard_normal((T, N, N))
+            x.real[rng.random(x.shape) < neg_zero] = -0.0
+            x.imag[rng.random(x.shape) < neg_zero] = -0.0
+            if end in ("first", "both"):
+                x[0] = -0.0
+            if end in ("last", "both"):
+                x[-1] = 0.0
+            return x
+
+        a, b = taps(la, ends[0]), taps(lb, ends[1])
+        got, want = tap_product(a, b), accumulated_tap_product(a, b)
+        assert got.shape == want.shape == (la + lb - 1, N, N)
+        assert np.array_equal(got.view(float).view(np.int64), want.view(float).view(np.int64))
 
     def test_product_trims_cancelled_end_taps(self):
         E = np.zeros((2, 2))
@@ -257,6 +293,25 @@ class TestLoopFromFilters:
                 for p in row:
                     if not p.is_zero:
                         assert -g <= p.min_exp and p.max_exp <= g - 1
+
+
+    def test_loop_build_cap_refuses_before_stacking(self, monkeypatch):
+        # 4 rows x (2^20 + 4) entries: over PART_CAP before any array is built
+        filters = [LaurentPoly.monomial(k) for k in (0, 1, 2, 2**20 - 1)]
+        stacked = []
+        monkeypatch.setattr("wavefock.polyphase.stack_polys", lambda polys: stacked.append(1))
+        with pytest.raises(SizeCapError, match="cap"):
+            phase_split(4, filters)
+        with pytest.raises(SizeCapError):
+            FilterBank(4, filters).loops
+        assert stacked == []
+
+    def test_large_builtin_far_under_loop_build_cap(self):
+        # 64 x (320 + 64) and 64 x (256 + 64) entries: about 1% of the cap
+        bank = random_biorthogonal_bank(64, np.random.default_rng(0))
+        for family in (bank.filters, bank.dual_filters):
+            assert len(family) * (poly_window(family)[1] + 64) < PART_CAP // 64
+            assert phase_split(64, family)[1].size < PART_CAP // 64
 
 
 class TestFiltersFromLoop:
@@ -525,6 +580,20 @@ class TestBatchedMatchesPointwise:
             At = dual_loop(A)
             assert abs(loop_pair_residual(A, At, 32) - pointwise_pair_residual(A, At, 32)) < 1e-12
             assert abs(loop_pair_residual(A, U, 32) - pointwise_pair_residual(A, U, 32)) < 1e-12
+
+
+    def test_modulation_bound_matches_per_family_calls_bit_for_bit(self):
+        # the equivalence suite's banks at its default seed: one stacked fold
+        # and inverse FFT for both families, against one call per family
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for s in range(50):
+            bank = filters_from_loop(random_unitary_loop(2 + s % 2, rng))
+            assert modulation_bound(bank) == per_family_modulation_bound(bank)
+        for s in range(50):
+            A = random_invertible_loop(2 + s % 2, rng)
+            dual = filters_from_loop(dual_loop(A))
+            bank = FilterBank(A.N, filters_from_loop(A).filters, dual.filters)
+            assert modulation_bound(bank) == per_family_modulation_bound(bank)
 
 
 class TestEquivalenceOfConditions:

@@ -11,7 +11,12 @@ from wavefock.corpus import (
     random_orthogonal_bank,
     stretched_haar_bank,
 )
-from wavefock.errors import BadNormalizationError, DepthExceededError, NotReconstructiveError
+from wavefock.errors import (
+    BadNormalizationError,
+    DepthExceededError,
+    NotReconstructiveError,
+    SizeCapError,
+)
 from wavefock import polyphase
 from wavefock.filterbank import FilterBank, apply_S
 from wavefock.laurent import LaurentPoly
@@ -423,6 +428,21 @@ class TestBankReuse:
         for loop in stretched_dual.loops:
             with pytest.raises(ValueError):
                 loop.taps[0, 0, 0] = 0.0
+
+    def test_filter_taps_are_read_only(self, stretched_dual):
+        # a write to a filter would leave the cached loops stale
+        bank = haar_bank()
+        A = bank.loops[0]
+        with pytest.raises(ValueError):
+            bank.filters[0].taps[0] = 5.0
+        assert A.isclose(polyphase.loop_from_filters(bank)[0], 0.0)
+        for p in stretched_dual.filters + stretched_dual.dual_filters:
+            assert not p.taps.flags.writeable
+
+    def test_loop_build_cap_refuses_pyramid(self):
+        bank = FilterBank(4, [LaurentPoly.monomial(k) for k in (0, 1, 2, 2**20 - 1)])
+        with pytest.raises(SizeCapError):
+            pyramid(bank, SignalWindow(0, np.ones(8)), 1)
 
 
 def pyramid_signals(rng, N, count=12):
