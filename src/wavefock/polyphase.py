@@ -169,15 +169,15 @@ def phase_split(N: int, polys) -> tuple:
     """(lo, taps) with taps[t, k, l] the coefficient of z^(N (lo + t) + l) in
     polys[k]: row k of the loop holds the N phases of polys[k].  Refused before
     any array is built if rows x (window width + N) exceeds PART_CAP."""
-    entries = len(polys) * (poly_window(polys)[1] + N)
-    if entries > PART_CAP:
+    lo, width = poly_window(polys)
+    if (entries := len(polys) * (width + N)) > PART_CAP:
         raise SizeCapError(f"a loop build needs {entries} entries (cap {PART_CAP})")
-    lo, C = stack_polys(polys)
     start = lo - lo % N
-    T = -(-(lo + C.shape[1] - start) // N)
-    phased = np.zeros((len(C), T * N), dtype=complex)
-    phased[:, lo - start : lo - start + C.shape[1]] = C
-    return start // N, phased.reshape(len(C), T, N).transpose(1, 0, 2)
+    T = -(-(lo + width - start) // N)
+    phased = np.zeros((len(polys), T * N), dtype=complex)
+    for row, p in zip(phased, polys):  # each family written once, into its phases
+        row[p.lo - start : p.lo - start + len(p.taps)] = p.taps
+    return start // N, phased.reshape(len(polys), T, N).transpose(1, 0, 2)
 
 
 def loop_from_filters(bank: FilterBank):

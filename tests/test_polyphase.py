@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,16 +297,20 @@ class TestLoopFromFilters:
                         assert -g <= p.min_exp and p.max_exp <= g - 1
 
 
-    def test_loop_build_cap_refuses_before_stacking(self, monkeypatch):
-        # 4 rows x (2^20 + 4) entries: over PART_CAP before any array is built
+    def test_loop_build_cap_refuses_before_allocating(self):
+        # 4 rows x (2^20 + 4) entries, over PART_CAP: the phase array would
+        # take 64 MiB
         filters = [LaurentPoly.monomial(k) for k in (0, 1, 2, 2**20 - 1)]
-        stacked = []
-        monkeypatch.setattr("wavefock.polyphase.stack_polys", lambda polys: stacked.append(1))
-        with pytest.raises(SizeCapError, match="cap"):
-            phase_split(4, filters)
-        with pytest.raises(SizeCapError):
-            FilterBank(4, filters).loops
-        assert stacked == []
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="cap"):
+                phase_split(4, filters)
+            with pytest.raises(SizeCapError):
+                FilterBank(4, filters).loops
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_large_builtin_far_under_loop_build_cap(self):
         # 64 x (320 + 64) and 64 x (256 + 64) entries: about 1% of the cap
