@@ -175,7 +175,7 @@ def phase_split(N: int, polys) -> tuple:
     start = lo - lo % N
     T = -(-(lo + width - start) // N)
     phased = np.zeros((len(polys), T * N), dtype=complex)
-    for row, p in zip(phased, polys):  # each family written once, into its phases
+    for row, p in zip(phased, polys):  # each polynomial written once, into its phases
         row[p.lo - start : p.lo - start + len(p.taps)] = p.taps
     return start // N, phased.reshape(len(polys), T, N).transpose(1, 0, 2)
 
