@@ -15,10 +15,9 @@ import sys
 
 import numpy as np
 
-from wavefock.corpus import random_invertible_loop, random_unitary_loop
+from wavefock.corpus import random_invertible_pair, random_unitary_loop
 from wavefock.filterbank import FilterBank, relation_report
 from wavefock.polyphase import (
-    dual_loop,
     filters_from_loop,
     loop_pair_bound,
     loop_pair_residual,
@@ -51,8 +50,7 @@ def unitary_row(seed, N, rng, tol):
 
 
 def invertible_row(seed, N, rng, tol):
-    A = random_invertible_loop(N, rng)
-    At = dual_loop(A)
+    A, At = random_invertible_pair(N, rng)
     bank = FilterBank(N, filters_from_loop(A).filters, filters_from_loop(At).filters)
     rep = relation_report(bank, tol=tol)
     pair, _ = modulation_bound(bank)

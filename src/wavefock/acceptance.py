@@ -23,7 +23,7 @@ from .corpus import (
     random_biorthogonal_bank,
     random_causal_pair,
     random_commuting_choi,
-    random_invertible_loop,
+    random_invertible_pair,
     random_orthogonal_bank,
     random_psd_choi,
     random_unitary_loop,
@@ -182,8 +182,7 @@ def check_equivalence_suite(seed: int = DEFAULT_SEED) -> CriterionResult:
             worst = max(worst, unit, loop_res)
         for s in range(50):
             N = 2 + s % 2
-            A = random_invertible_loop(N, rng)
-            At = dual_loop(A)
+            A, At = random_invertible_pair(N, rng)
             primary = filters_from_loop(A)
             dual = filters_from_loop(At)
             bank = FilterBank(N, primary.filters, dual.filters)

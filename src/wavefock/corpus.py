@@ -1,9 +1,12 @@
 """Built-in banks, loops, and Choi matrices, plus seeded random generators.
 
 Everything here is deterministic given a seed.  Random loops are composed
-from elementary factors whose determinant is a monomial unit, so the dual
-loop stays an exact Laurent matrix and property tests do not inherit
-inversion error.
+from elementary factors whose determinant is a monomial unit and whose
+inverse adjoint is known in closed form: unitaries, conditioned constants,
+monomial diagonals and unit-determinant shears (lifting steps).  A dual
+loop Atilde = A^{*-1} is chained from those inverse adjoints beside A, so
+it is an exact Laurent matrix built without inverting anything, and
+property tests do not inherit inversion error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 
 from .filterbank import FilterBank
 from .laurent import LaurentPoly
-from .polyphase import LoopMatrix, dual_loop, filters_from_loop, tap_product
+from .polyphase import LoopMatrix, filters_from_loop, tap_product
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,15 +39,13 @@ def haar_bank() -> FilterBank:
 def stretched_haar_bank(with_duals: bool = False) -> FilterBank:
     """N=4 bank with m_0 = 1 + z^2; non-orthogonal but invertible.
 
-    With `with_duals`, the dual family from Atilde = A^{*-1} = A/2 is
-    attached, making the bank a dual pair.
+    With `with_duals`, the dual family from Atilde = A^{*-1} = A/2 (A is
+    real with A A^T = 2I) is attached, making the bank a dual pair.
     """
     A = LoopMatrix.from_constant(STRETCHED_HAAR_LOOP)
-    bank = filters_from_loop(A)
     if not with_duals:
-        return bank
-    dual = filters_from_loop(dual_loop(A))
-    return FilterBank(bank.N, bank.filters, dual.filters)
+        return filters_from_loop(A)
+    return _pair_bank(A, LoopMatrix.from_array(A.lo, A.taps / 2))
 
 
 def identity_loop_bank(N: int = 2) -> FilterBank:
@@ -67,12 +68,13 @@ def _unitaries(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _conditioned(z: np.ndarray, smin=0.6, smax=1.5) -> np.ndarray:
-    """A (F, N, N) stack, its singular values mapped onto [smin, smax] by one batched SVD."""
+def _conditioned(z: np.ndarray, smin=0.6, smax=1.5) -> tuple:
+    """A (F, N, N) stack, its singular values mapped onto [smin, smax] by one
+    batched SVD, and the inverse adjoints u s^-1 vh of its matrices u s vh."""
     u, s, vh = np.linalg.svd(z)
     lo, hi = s.min(axis=-1, keepdims=True), s.max(axis=-1, keepdims=True)
     s = smin + (smax - smin) * (s - lo) / np.maximum(hi - lo, 1e-12)
-    return u * s[..., None, :] @ vh
+    return u * s[..., None, :] @ vh, u * (1 / s)[..., None, :] @ vh
 
 
 def _random_unitary(N: int, rng) -> np.ndarray:
@@ -80,63 +82,90 @@ def _random_unitary(N: int, rng) -> np.ndarray:
 
 
 def _monomial_diag(N: int, rng, max_shift: int) -> tuple:
-    """(lo, taps) of diag(z^k_0, ..., z^k_{N-1}), k_i drawn from 0..max_shift."""
+    """(lo, taps, taps) of diag(z^k_0, ..., z^k_{N-1}), k_i drawn from
+    0..max_shift: the factor is its own inverse adjoint."""
     shifts = rng.integers(0, max_shift + 1, size=N)
     taps = np.zeros((max_shift + 1, N, N), dtype=complex)
     taps[shifts, np.arange(N), np.arange(N)] = 1.0
-    return 0, taps
+    return 0, taps, taps
 
 
-def _random_loop(N: int, rng, stages: int, middle, constants) -> LoopMatrix:
-    """C_0 B_1 C_1 ... B_stages C_stages.  The draws of each C_f precede those
-    of B_{f+1}; `middle()` draws the (lo, taps) factors whose product is B_f,
-    and `constants` makes all C_f from their (stages + 1, N, N) stack of
-    Gaussian draws in one batched call.  The factors are chained as raw taps
-    through `tap_product`, and only the result is trimmed."""
+def _random_loop(N: int, rng, stages: int, middle, constants) -> tuple:
+    """C_0 B_1 C_1 ... B_stages C_stages, and its inverse adjoint if the
+    factors carry theirs.  The draws of each C_f precede those of B_{f+1};
+    `middle()` draws the (lo, taps, inverse adjoint taps) factors whose
+    product is B_f, and `constants` makes all C_f from their
+    (stages + 1, N, N) stack of Gaussian draws in one batched call, as one
+    stack per chain: the C_f, then their inverse adjoints if they differ.
+
+    Since (F_1 ... F_m)^{*-1} = F_1^{*-1} ... F_m^{*-1}, each chain
+    multiplies its side of the factors in the same order, as raw taps
+    through `tap_product`; the inverse adjoint of a factor has the lowest
+    exponent of the factor.  Only the results are trimmed."""
     z, between = [_gaussian(N, rng)], []
     for _ in range(stages):
         between.append(middle())
         z.append(_gaussian(N, rng))
-    consts = constants(np.array(z))
-    lo, taps = 0, consts[:1]
-    for factors, constant in zip(between, consts[1:]):
-        for shift, factor in factors:
-            lo, taps = lo + shift, tap_product(taps, factor)
-        taps = tap_product(taps, constant[None])
-    return LoopMatrix.from_array(lo, taps)
+    chains = constants(np.array(z))
+    lo, taps = 0, [c[:1] for c in chains]
+    for f, factors in enumerate(between, 1):
+        for shift, *sides in factors:
+            lo, taps = lo + shift, [tap_product(t, side) for t, side in zip(taps, sides)]
+        taps = [tap_product(t, c[f : f + 1]) for t, c in zip(taps, chains)]
+    return tuple(LoopMatrix.from_array(lo, t) for t in taps)
+
+
+def _pair_bank(A: LoopMatrix, At: LoopMatrix) -> FilterBank:
+    """The dual pair with loop A and dual loop At."""
+    return FilterBank(A.N, filters_from_loop(A).filters, filters_from_loop(At).filters)
 
 
 def random_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> LoopMatrix:
     """Product of constant unitaries and monomial diagonal phases.
 
-    Pointwise unitary on the circle with monomial determinant, so the dual
-    loop is exact and equals the loop itself.
+    Pointwise unitary on the circle with monomial determinant; each factor
+    is its own inverse adjoint, so the loop is its own dual and only one
+    chain is formed.
     """
-    return _random_loop(N, rng, factors, lambda: [_monomial_diag(N, rng, max_shift)], _unitaries)
+    def middle():
+        return [_monomial_diag(N, rng, max_shift)]
+
+    return _random_loop(N, rng, factors, middle, lambda z: (_unitaries(z),))[0]
 
 
 def _shear(N: int, rng, coeff_scale: float) -> tuple:
+    """(lo, taps, inverse adjoint taps) of the unit-determinant lifting step
+    I + p(z) e_ab, p supported on two of the exponents -1, 0, 1; its inverse
+    adjoint is I - p*(z) e_ba."""
     a, b = rng.choice(N, size=2, replace=False)
     exps = rng.choice(np.arange(-1, 2), size=2, replace=False)
-    taps = np.zeros((3, N, N), dtype=complex)
-    taps[1] = np.eye(N)
-    for k in exps:  # I + p(z) e_ab with p supported on `exps`
-        taps[k + 1, a, b] = coeff_scale * complex(*rng.standard_normal(2))
-    return -1, taps
+    taps = np.zeros((2, 3, N, N), dtype=complex)
+    taps[:, 1] = np.eye(N)
+    for k in exps:
+        c = coeff_scale * complex(*rng.standard_normal(2))
+        taps[0, k + 1, a, b] = c
+        taps[1, 1 - k, b, a] = -c.conjugate()
+    return -1, taps[0], taps[1]
 
 
-def random_invertible_loop(
+def random_invertible_pair(
     N: int, rng, shears: int = 2, max_shift: int = 1, coeff_scale: float = 0.35
-) -> LoopMatrix:
-    """Well-conditioned invertible loop with monomial-unit determinant.
+) -> tuple:
+    """(A, Atilde = A^{*-1}) for a well-conditioned invertible loop A.
 
-    Alternates conditioned constant factors, unit-determinant shears and
-    monomial diagonals; the determinant stays a monomial unit by construction.
+    A alternates conditioned constant factors, unit-determinant shears and
+    monomial diagonals, so its determinant is a monomial unit and its dual
+    an exact Laurent matrix, chained from the factors' inverse adjoints.
     """
     def middle():
         return [_shear(N, rng, coeff_scale), _monomial_diag(N, rng, max_shift)]
 
     return _random_loop(N, rng, shears, middle, _conditioned)
+
+
+def random_invertible_loop(N: int, rng, **kw) -> LoopMatrix:
+    """The loop A of `random_invertible_pair`, with the same draws."""
+    return random_invertible_pair(N, rng, **kw)[0]
 
 
 def random_orthogonal_bank(N: int, rng, **kw) -> FilterBank:
@@ -145,10 +174,7 @@ def random_orthogonal_bank(N: int, rng, **kw) -> FilterBank:
 
 def random_biorthogonal_bank(N: int, rng, **kw) -> FilterBank:
     """Dual pair built from a random invertible loop and its exact dual."""
-    A = random_invertible_loop(N, rng, **kw)
-    primary = filters_from_loop(A)
-    dual = filters_from_loop(dual_loop(A))
-    return FilterBank(N, primary.filters, dual.filters)
+    return _pair_bank(*random_invertible_pair(N, rng, **kw))
 
 
 def random_causal_pair(N: int, rng, stages: int = 2, max_shift: int = 1) -> FilterBank:
@@ -158,10 +184,10 @@ def random_causal_pair(N: int, rng, stages: int = 2, max_shift: int = 1) -> Filt
     loop and its dual polynomial in z; under that support normalization the
     mode window is invariant for both adjoint families.
     """
-    A = _random_loop(N, rng, stages, lambda: [_monomial_diag(N, rng, max_shift)], _conditioned)
-    primary = filters_from_loop(A)
-    dual = filters_from_loop(dual_loop(A))
-    return FilterBank(N, primary.filters, dual.filters)
+    def middle():
+        return [_monomial_diag(N, rng, max_shift)]
+
+    return _pair_bank(*_random_loop(N, rng, stages, middle, _conditioned))
 
 
 def random_bank(N: int, rng, terms: int = 4, span: int = 6) -> FilterBank:

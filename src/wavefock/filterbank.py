@@ -42,10 +42,22 @@ DEFAULT_TOL = 1e-9
 PART_CAP = 1 << 21  # entries of the largest array a report part builds: 32 MiB of complex
 
 
+def _own(p: LaurentPoly) -> LaurentPoly:
+    """p if its taps lie in a read-only array, else p on a read-only copy of
+    its taps: a caller's array is neither shared nor marked."""
+    owner = p.taps if p.taps.base is None else p.taps.base  # numpy's base owns the memory
+    if isinstance(owner, np.ndarray) and not owner.flags.writeable:  # no view of it can write
+        return p
+    taps = p.taps.copy()
+    taps.flags.writeable = False
+    return LaurentPoly.from_array(p.lo, taps)
+
+
 class FilterBank:
     """Scale N with N primary filters and an optional dual family: an
-    immutable value, whose `loops` and `pair_bound` are built on first read.
-    The taps of every polynomial it holds are marked read-only.
+    immutable value, whose `loops`, `pair_bound` and exponent `windows` are
+    built on first read.  Every polynomial it holds has taps of its own,
+    marked read-only.
 
     The genus g is the smallest integer such that every filter exponent lies
     in [-Ng+1, Ng-1]; it is always computed from the stored filters.
@@ -54,15 +66,13 @@ class FilterBank:
     def __init__(self, N: int, filters, dual_filters=None):
         if N < 2:
             raise ValueError("scale N must be at least 2")
-        filters = tuple(filters)
+        filters = tuple(map(_own, filters))  # the cached loops stay in step with them
         if len(filters) != N:
             raise DualLengthMismatchError(f"expected {N} primary filters, got {len(filters)}")
         if dual_filters is not None:
-            dual_filters = tuple(dual_filters)
+            dual_filters = tuple(map(_own, dual_filters))
             if len(dual_filters) != N:
                 raise DualLengthMismatchError(f"expected {N} dual filters, got {len(dual_filters)}")
-        for p in filters + (dual_filters or ()):  # the cached loops stay in step with them
-            p.taps.flags.writeable = False
         self.__dict__.update(N=N, filters=filters, dual_filters=dual_filters)
 
     def __setattr__(self, name, value):
@@ -91,10 +101,16 @@ class FilterBank:
     def duals_or_primaries(self) -> tuple:
         return self.dual_filters if self.dual_filters is not None else self.filters
 
+    @functools.cached_property
+    def windows(self) -> tuple:
+        """`poly_window` of the primaries and of `duals_or_primaries`."""
+        primaries = poly_window(self.filters)
+        return primaries, primaries if self.is_self_dual else poly_window(self.dual_filters)
+
     @property
     def genus(self) -> int:
-        lo, width = poly_window(self.filters + (self.dual_filters or ()))
-        return max(1, math.ceil((max(-lo, lo + width - 1) + 1) / self.N))
+        reach = max(max(-lo, lo + width - 1) for lo, width in self.windows)
+        return max(1, math.ceil((reach + 1) / self.N))
 
     def to_json(self) -> dict:
         return {
@@ -302,7 +318,7 @@ def relation_report(
     at most (L + Ld + N) max(L, Ld + N) entries in an array: a bank over
     PART_CAP is refused before its coefficients are stacked.
     """
-    (_, L), (_, Ld) = poly_window(bank.filters), poly_window(bank.duals_or_primaries)
+    (_, L), (_, Ld) = bank.windows
     entries = (L + max(L, Ld) + bank.N) * (max(L, Ld) + bank.N)  # the self or the pair part
     if entries > PART_CAP:
         raise SizeCapError(f"a relation report part needs {entries} entries (cap {PART_CAP})")

@@ -48,7 +48,8 @@ class LaurentPoly:
     >>> q.coeff(2)
     (1+0j)
 
-    Instances behave as immutable values; arithmetic returns new objects.
+    Instances behave as immutable values; arithmetic returns new objects,
+    and the taps a dict is stored in are read-only.
     """
 
     __slots__ = ("lo", "taps")
@@ -59,6 +60,7 @@ class LaurentPoly:
             taps = np.zeros(max(coeffs) - lo + 1, dtype=complex)
             for k, v in coeffs.items():
                 taps[k - lo] = v
+            taps.flags.writeable = False  # no one else holds it
             self.lo, self.taps = _trimmed(int(lo), taps)
         else:
             self.lo, self.taps = 0, np.zeros(0, dtype=complex)

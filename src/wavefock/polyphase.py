@@ -191,8 +191,10 @@ def loop_from_filters(bank: FilterBank):
 def filters_from_loop(A: LoopMatrix) -> FilterBank:
     """Bank with m_k(z) = sum_l A_{k,l}(z^N) z^l (primary side only)."""
     N = A.N
-    rows = A.taps.transpose(1, 0, 2).reshape(N, -1)
-    return FilterBank(N, [LaurentPoly.from_array(N * A.lo, row) for row in rows])
+    rows = np.empty((N, len(A.taps), N), dtype=complex)
+    rows[:] = A.taps.transpose(1, 0, 2)
+    rows.flags.writeable = False  # the bank's polynomials hold views of it
+    return FilterBank(N, [LaurentPoly.from_array(N * A.lo, row) for row in rows.reshape(N, -1)])
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +393,7 @@ def modulation_bound(bank: FilterBank):
     M samples of phi are both families' fibre values on M/N points.
     """
     N, eye = bank.N, np.eye(bank.N)
-    (lo_f, w_f), (lo_d, w_d) = poly_window(bank.filters), poly_window(bank.duals_or_primaries)
+    (lo_f, w_f), (lo_d, w_d) = bank.windows
     hi_f, hi_d = lo_f + w_f - 1, lo_d + w_d - 1
     spans = [2 * (hi_f - lo_f), max(hi_d - lo_f, 0) - min(lo_d - hi_f, 0)]
     grid = 2 * (max(spans) // N + 1)

@@ -21,7 +21,8 @@ one random draw and one norm per factor vector.
 tap of the left factor, and the `factorwise_*` generators are the random
 corpus loops as the package built them before it batched their constant
 factors: one QR or SVD per factor and one trimmed `LoopMatrix` per partial
-product.  `per_family_modulation_bound` is `modulation_bound` with one
+product.  Each dual loop is multiplied beside its loop from the factors'
+inverse adjoints, each factor built as its own `LoopMatrix`.  `per_family_modulation_bound` is `modulation_bound` with one
 `modulation_matrix` call per family.
 """
 
@@ -48,7 +49,7 @@ from wavefock.fock import (
     truncated_fock,
 )
 from wavefock.laurent import LaurentPoly, grid_angles, poly_window, stack_polys
-from wavefock.polyphase import LoopMatrix, dual_loop, filters_from_loop, modulation_matrix
+from wavefock.polyphase import LoopMatrix, filters_from_loop, modulation_matrix
 from wavefock.wavelet_fock import Cor6Report, _points, sampled_choi
 
 
@@ -511,28 +512,34 @@ def _factor_unitary(N: int, rng) -> LoopMatrix:
     return LoopMatrix.from_constant(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
 
 
-def _factor_conditioned(N: int, rng, smin=0.6, smax=1.5) -> LoopMatrix:
+def _factor_conditioned(N: int, rng, smin=0.6, smax=1.5) -> tuple:
+    """(u s vh, u s^-1 vh): the factor and its inverse adjoint."""
     z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     u, s, vh = np.linalg.svd(z)
     s = smin + (smax - smin) * (s - s.min()) / max(s.max() - s.min(), 1e-12)
-    return LoopMatrix.from_constant(u @ np.diag(s) @ vh)
+    return LoopMatrix.from_constant(u @ np.diag(s) @ vh), LoopMatrix.from_constant(u @ np.diag(1 / s) @ vh)
 
 
 def _factor_monomial_diag(N: int, rng, max_shift: int) -> LoopMatrix:
+    """diag(z^k_0, ..., z^k_{N-1}), its own inverse adjoint."""
     shifts = rng.integers(0, max_shift + 1, size=N)
     taps = np.zeros((max_shift + 1, N, N), dtype=complex)
     taps[shifts, np.arange(N), np.arange(N)] = 1.0
     return LoopMatrix.from_array(0, taps)
 
 
-def _factor_shear(N: int, rng, coeff_scale: float) -> LoopMatrix:
+def _factor_shear(N: int, rng, coeff_scale: float) -> tuple:
+    """(I + p e_ab, I - p* e_ba): the factor and its inverse adjoint."""
     a, b = rng.choice(N, size=2, replace=False)
     exps = rng.choice(np.arange(-1, 2), size=2, replace=False)
-    taps = np.zeros((3, N, N), dtype=complex)
-    taps[1] = np.eye(N)
+    p = {}
     for k in exps:
-        taps[k + 1, a, b] = coeff_scale * complex(*rng.standard_normal(2))
-    return LoopMatrix.from_array(-1, taps)
+        p[int(k)] = coeff_scale * complex(*rng.standard_normal(2))
+    eye = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(N)] for i in range(N)]
+    shear, inverse = [row[:] for row in eye], [row[:] for row in eye]
+    shear[a][b] = LaurentPoly(p)
+    inverse[b][a] = LaurentPoly({-k: -c.conjugate() for k, c in p.items()})
+    return LoopMatrix(shear), LoopMatrix(inverse)
 
 
 def factorwise_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -> LoopMatrix:
@@ -543,23 +550,42 @@ def factorwise_unitary_loop(N: int, rng, factors: int = 2, max_shift: int = 1) -
     return A
 
 
-def factorwise_invertible_loop(
+def factorwise_invertible_pair(
     N: int, rng, shears: int = 2, max_shift: int = 1, coeff_scale: float = 0.35
-) -> LoopMatrix:
-    A = _factor_conditioned(N, rng)
+) -> tuple:
+    """(A, A^{*-1}), the dual multiplied from the factors' inverse adjoints
+    in the factors' order."""
+    A, At = _factor_conditioned(N, rng)
     for _ in range(shears):
-        A = _product(A, _factor_shear(N, rng, coeff_scale))
-        A = _product(A, _factor_monomial_diag(N, rng, max_shift))
-        A = _product(A, _factor_conditioned(N, rng))
-    return A
+        S, St = _factor_shear(N, rng, coeff_scale)
+        A, At = _product(A, S), _product(At, St)
+        D = _factor_monomial_diag(N, rng, max_shift)
+        A, At = _product(A, D), _product(At, D)
+        C, Ct = _factor_conditioned(N, rng)
+        A, At = _product(A, C), _product(At, Ct)
+    return A, At
+
+
+def factorwise_invertible_loop(N: int, rng, **kw) -> LoopMatrix:
+    return factorwise_invertible_pair(N, rng, **kw)[0]
+
+
+def _pair_bank(A: LoopMatrix, At: LoopMatrix) -> FilterBank:
+    return FilterBank(A.N, filters_from_loop(A).filters, filters_from_loop(At).filters)
+
+
+def factorwise_biorthogonal_bank(N: int, rng, **kw) -> FilterBank:
+    return _pair_bank(*factorwise_invertible_pair(N, rng, **kw))
 
 
 def factorwise_causal_pair(N: int, rng, stages: int = 2, max_shift: int = 1) -> FilterBank:
-    A = _factor_conditioned(N, rng)
+    A, At = _factor_conditioned(N, rng)
     for _ in range(stages):
-        A = _product(A, _factor_monomial_diag(N, rng, max_shift))
-        A = _product(A, _factor_conditioned(N, rng))
-    return FilterBank(N, filters_from_loop(A).filters, filters_from_loop(dual_loop(A)).filters)
+        D = _factor_monomial_diag(N, rng, max_shift)
+        A, At = _product(A, D), _product(At, D)
+        C, Ct = _factor_conditioned(N, rng)
+        A, At = _product(A, C), _product(At, Ct)
+    return _pair_bank(A, At)
 
 
 def per_family_modulation_bound(bank: FilterBank):

@@ -1,15 +1,27 @@
 """The random corpus generators against their factor-by-factor oracles.
 
 The generators draw every random number in the oracles' order, factor all
-constant factors of a loop in one batched QR or SVD and chain the factors as
-raw taps; none of that may change a bit of the loop or of the generator
-state."""
+constant factors of a loop in one batched QR or SVD and chain the factors,
+and beside them the factors' inverse adjoints, as raw taps; none of that may
+change a bit of a loop, of its dual or of the generator state."""
 
 import numpy as np
 import pytest
 
-from oracles import factorwise_causal_pair, factorwise_invertible_loop, factorwise_unitary_loop
-from wavefock.corpus import random_causal_pair, random_invertible_loop, random_unitary_loop
+from oracles import (
+    factorwise_biorthogonal_bank,
+    factorwise_causal_pair,
+    factorwise_invertible_loop,
+    factorwise_invertible_pair,
+    factorwise_unitary_loop,
+)
+from wavefock.corpus import (
+    random_biorthogonal_bank,
+    random_causal_pair,
+    random_invertible_loop,
+    random_invertible_pair,
+    random_unitary_loop,
+)
 
 
 def bits(taps: np.ndarray) -> np.ndarray:
@@ -22,6 +34,11 @@ def assert_same_loop(got, want):
     assert np.array_equal(bits(got.taps), bits(want.taps))
 
 
+def assert_same_pair(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert_same_loop(g, w)
+
+
 def assert_same_bank(got, want):
     for g, w in zip(got.filters + got.dual_filters, want.filters + want.dual_filters):
         assert g.lo == w.lo and g.taps.shape == w.taps.shape
@@ -30,6 +47,8 @@ def assert_same_bank(got, want):
 
 UNITARY = (random_unitary_loop, factorwise_unitary_loop, assert_same_loop)
 INVERTIBLE = (random_invertible_loop, factorwise_invertible_loop, assert_same_loop)
+PAIR = (random_invertible_pair, factorwise_invertible_pair, assert_same_pair)
+BIORTHOGONAL = (random_biorthogonal_bank, factorwise_biorthogonal_bank, assert_same_bank)
 CAUSAL = (random_causal_pair, factorwise_causal_pair, assert_same_bank)
 CASES = [
     (UNITARY, {}),
@@ -40,6 +59,12 @@ CASES = [
     (INVERTIBLE, {"shears": 0}),
     (INVERTIBLE, {"shears": 3, "max_shift": 2}),
     (INVERTIBLE, {"shears": 1, "max_shift": 0, "coeff_scale": 1.3}),
+    (PAIR, {}),
+    (PAIR, {"shears": 0}),
+    (PAIR, {"shears": 3, "max_shift": 2}),
+    (PAIR, {"shears": 1, "max_shift": 0, "coeff_scale": 1.3}),
+    (BIORTHOGONAL, {}),
+    (BIORTHOGONAL, {"shears": 3, "max_shift": 2}),
     (CAUSAL, {}),
     (CAUSAL, {"stages": 0}),
     (CAUSAL, {"stages": 3, "max_shift": 3}),
@@ -63,5 +88,7 @@ def test_draws_continue_from_one_generator():
         N = 2 + s % 3
         assert_same_loop(random_unitary_loop(N, rng), factorwise_unitary_loop(N, rng_oracle))
         assert_same_loop(random_invertible_loop(N, rng), factorwise_invertible_loop(N, rng_oracle))
+        assert_same_pair(random_invertible_pair(N, rng), factorwise_invertible_pair(N, rng_oracle))
+        assert_same_bank(random_biorthogonal_bank(N, rng), factorwise_biorthogonal_bank(N, rng_oracle))
         assert_same_bank(random_causal_pair(N, rng), factorwise_causal_pair(N, rng_oracle))
     assert rng.bit_generator.state == rng_oracle.bit_generator.state

@@ -20,8 +20,9 @@ from wavefock.filterbank import (
     module_reconstruct,
     relation_report,
 )
-from wavefock.laurent import LaurentPoly, adjoint_poly, decimate, upsample
-from wavefock.polyphase import loop_unitarity_residual, loop_from_filters
+from wavefock import filterbank
+from wavefock.laurent import LaurentPoly, adjoint_poly, decimate, poly_window, upsample
+from wavefock.polyphase import loop_unitarity_residual, loop_from_filters, modulation_bound
 from oracles import eager_relation_json
 
 SQRT2 = math.sqrt(2.0)
@@ -112,6 +113,35 @@ class TestBankBasics:
         assert stretched.genus == 1
         wide = FilterBank(2, [LaurentPoly({-3: 1, 3: 1}), LaurentPoly({0: 1})])
         assert wide.genus == 2
+
+    def test_windows_read_once(self, monkeypatch):
+        # the relation cap, modulation_bound and genus share one window per family
+        rng = np.random.default_rng(3)
+        window = filterbank.poly_window
+        for bank in (random_biorthogonal_bank(3, rng), random_orthogonal_bank(2, rng)):
+            calls = []
+            monkeypatch.setattr(
+                filterbank, "poly_window", lambda polys: calls.append(polys) or window(polys)
+            )
+            for _ in range(2):
+                relation_report(bank)
+                modulation_bound(bank)
+                bank.genus
+            assert calls == [bank.filters] + ([] if bank.is_self_dual else [bank.dual_filters])
+
+    def test_genus_from_both_windows(self):
+        # the union of the families' windows, with a zero family held as one zero tap
+        zero = LaurentPoly.zero()
+        cases = [
+            ([LaurentPoly({-5: 1}), LaurentPoly({0: 1})], [LaurentPoly({2: 1}), LaurentPoly({3: 1})]),
+            ([LaurentPoly({1: 1}), LaurentPoly({2: 1})], [LaurentPoly({-7: 1}), zero]),
+            ([zero, zero], [LaurentPoly({-3: 1}), LaurentPoly({-2: 1})]),
+            ([LaurentPoly({4: 1}), zero], None),
+        ]
+        for filters, duals in cases:
+            lo, width = poly_window(filters + (duals or []))
+            want = max(1, math.ceil((max(-lo, lo + width - 1) + 1) / 2))
+            assert FilterBank(2, filters, duals).genus == want
 
     def test_json_round_trip(self, haar, stretched_dual):
         for bank in (haar, stretched_dual):

@@ -15,6 +15,7 @@ from wavefock.corpus import (
     random_biorthogonal_bank,
     random_causal_pair,
     random_invertible_loop,
+    random_invertible_pair,
     random_unitary_loop,
     stretched_haar_bank,
 )
@@ -37,6 +38,7 @@ from wavefock.polyphase import (
     gram_function,
     loop_from_filters,
     loop_det,
+    loop_pair_bound,
     loop_pair_residual,
     loop_unitarity_residual,
     modulation_bound,
@@ -438,6 +440,25 @@ class TestDualLoop:
                 want_support = [[k for k, v in p.coeffs().items() if abs(v) > noise] for p in want]
                 assert [p.support for p in got] == want_support
 
+    @pytest.mark.parametrize("N", range(2, 9))
+    @pytest.mark.parametrize("make", [random_biorthogonal_bank, random_causal_pair])
+    def test_dual_matches_factor_built_dual(self, make, N):
+        # the corpus chains Atilde from its factors' inverse adjoints; the
+        # sampled inverse recovers the same support and coefficients
+        for seed in range(5):
+            A, At = make(N, np.random.default_rng(seed)).loops
+            got = dual_loop(A)
+            assert isinstance(got, LoopMatrix)
+            assert (got.lo, got.taps.shape) == (At.lo, At.taps.shape)
+            assert np.array_equal(got.taps != 0, At.taps != 0)
+            assert np.abs(got.taps - At.taps).max() <= 1e-12 * np.abs(At.taps).max()
+
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_factor_built_pair_at_large_N(self, N):
+        # past the N where the determinant verdict refuses these loops
+        A, At = random_invertible_pair(N, np.random.default_rng(0))
+        assert loop_pair_bound(A, At) < 1e-12
+
     def test_failed_coefficient_check_gives_no_dual(self):
         # det A = 1, but at this conditioning the DFT inverse misses
         # A* Atilde = I by far more than 1e-12 in coefficients
@@ -596,9 +617,8 @@ class TestBatchedMatchesPointwise:
             bank = filters_from_loop(random_unitary_loop(2 + s % 2, rng))
             assert modulation_bound(bank) == per_family_modulation_bound(bank)
         for s in range(50):
-            A = random_invertible_loop(2 + s % 2, rng)
-            dual = filters_from_loop(dual_loop(A))
-            bank = FilterBank(A.N, filters_from_loop(A).filters, dual.filters)
+            A, At = random_invertible_pair(2 + s % 2, rng)
+            bank = FilterBank(A.N, filters_from_loop(A).filters, filters_from_loop(At).filters)
             assert modulation_bound(bank) == per_family_modulation_bound(bank)
 
 

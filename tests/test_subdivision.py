@@ -439,6 +439,29 @@ class TestBankReuse:
         for p in stretched_dual.filters + stretched_dual.dual_filters:
             assert not p.taps.flags.writeable
 
+    def test_bank_owns_its_taps(self):
+        # from_array keeps views: [0, 1, 1] is held as arr[1:], an untrimmed
+        # array as the taps themselves, and a read-only view as it is
+        arr = np.array([0, 1, 1], dtype=complex)
+        whole = np.array([1, -1], dtype=complex)
+        base = np.array([2, 3], dtype=complex)
+        view = base[:]
+        view.flags.writeable = False
+        bank = FilterBank(
+            2,
+            [LaurentPoly.from_array(0, arr), LaurentPoly.from_array(0, whole)],
+            [LaurentPoly.from_array(0, view), LaurentPoly.one()],
+        )
+        loops = [loop.taps.copy() for loop in bank.loops]
+        arr[1], whole[0], base[0] = 5, 7, 9
+        assert arr.flags.writeable and whole.flags.writeable and base.flags.writeable
+        assert [p.coeffs() for p in bank.filters + bank.dual_filters] == [
+            {1: 1, 2: 1}, {0: 1, 1: -1}, {0: 2, 1: 3}, {0: 1}
+        ]
+        for loop, fresh, taps in zip(bank.loops, polyphase.loop_from_filters(bank), loops):
+            assert np.array_equal(loop.taps, taps)
+            assert fresh.isclose(loop, 0.0)
+
     def test_loop_build_cap_refuses_pyramid(self):
         bank = FilterBank(4, [LaurentPoly.monomial(k) for k in (0, 1, 2, 2**20 - 1)])
         with pytest.raises(SizeCapError):
