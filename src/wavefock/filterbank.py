@@ -49,7 +49,7 @@ def _own(p: LaurentPoly) -> LaurentPoly:
     if isinstance(owner, np.ndarray) and not owner.flags.writeable:  # no view of it can write
         return p
     taps = p.taps.copy()
-    taps.flags.writeable = False
+    taps.setflags(write=False)
     return LaurentPoly.from_array(p.lo, taps)
 
 

@@ -60,7 +60,7 @@ class LaurentPoly:
             taps = np.zeros(max(coeffs) - lo + 1, dtype=complex)
             for k, v in coeffs.items():
                 taps[k - lo] = v
-            taps.flags.writeable = False  # no one else holds it
+            taps.setflags(write=False)  # no one else holds it
             self.lo, self.taps = _trimmed(int(lo), taps)
         else:
             self.lo, self.taps = 0, np.zeros(0, dtype=complex)

@@ -193,7 +193,7 @@ def filters_from_loop(A: LoopMatrix) -> FilterBank:
     N = A.N
     rows = np.empty((N, len(A.taps), N), dtype=complex)
     rows[:] = A.taps.transpose(1, 0, 2)
-    rows.flags.writeable = False  # the bank's polynomials hold views of it
+    rows.setflags(write=False)  # the bank's polynomials hold views of it
     return FilterBank(N, [LaurentPoly.from_array(N * A.lo, row) for row in rows.reshape(N, -1)])
 
 
