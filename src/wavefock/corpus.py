@@ -1,12 +1,9 @@
 """Built-in banks, loops, and Choi matrices, plus seeded random generators.
 
 Everything here is deterministic given a seed.  Random loops are composed
-from elementary factors whose determinant is a monomial unit and whose
-inverse adjoint is known in closed form: unitaries, conditioned constants,
-monomial diagonals and unit-determinant shears (lifting steps).  A dual
-loop Atilde = A^{*-1} is chained from those inverse adjoints beside A, so
-it is an exact Laurent matrix built without inverting anything, and
-property tests do not inherit inversion error.
+from elementary factors with monomial-unit determinants and closed-form
+inverse adjoints, so each dual loop A^{*-1} is chained from those beside A:
+an exact Laurent matrix, and property tests do not inherit inversion error.
 """
 
 from __future__ import annotations
@@ -91,17 +88,15 @@ def _monomial_diag(N: int, rng, max_shift: int) -> tuple:
 
 
 def _random_loop(N: int, rng, stages: int, middle, constants) -> tuple:
-    """C_0 B_1 C_1 ... B_stages C_stages, and its inverse adjoint if the
-    factors carry theirs.  The draws of each C_f precede those of B_{f+1};
-    `middle()` draws the (lo, taps, inverse adjoint taps) factors whose
-    product is B_f, and `constants` makes all C_f from their
-    (stages + 1, N, N) stack of Gaussian draws in one batched call, as one
-    stack per chain: the C_f, then their inverse adjoints if they differ.
-
-    Since (F_1 ... F_m)^{*-1} = F_1^{*-1} ... F_m^{*-1}, each chain
-    multiplies its side of the factors in the same order, as raw taps
-    through `tap_product`; the inverse adjoint of a factor has the lowest
-    exponent of the factor.  Only the results are trimmed."""
+    """C_0 B_1 C_1 ... B_stages C_stages, then its inverse adjoint if the
+    constants differ from theirs.  The draws of each C_f precede those of
+    B_{f+1}; `middle()` draws the (lo, taps, inverse adjoint taps) factors
+    whose product is B_f, and `constants` makes the C_f, and their inverse
+    adjoints if they differ, from the (stages + 1, N, N) stack of Gaussian
+    draws in one batched call.  As (F_1 ... F_m)^{*-1} = F_1^{*-1} ...
+    F_m^{*-1}, each chain multiplies its side of the factors in order, as
+    raw taps through `tap_product` (a factor and its inverse adjoint share
+    their lowest exponent); only the results are trimmed."""
     z, between = [_gaussian(N, rng)], []
     for _ in range(stages):
         between.append(middle())

@@ -440,8 +440,9 @@ class TestBankReuse:
             assert not p.taps.flags.writeable
 
     def test_bank_owns_its_taps(self):
-        # from_array keeps views: [0, 1, 1] is held as arr[1:], an untrimmed
-        # array as the taps themselves, and a read-only view as it is
+        # from_array keeps the caller's memory: [0, 1, 1] is held as the view
+        # arr[1:], an untrimmed array as itself, and a read-only view still
+        # shares its writable base
         arr = np.array([0, 1, 1], dtype=complex)
         whole = np.array([1, -1], dtype=complex)
         base = np.array([2, 3], dtype=complex)
