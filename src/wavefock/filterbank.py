@@ -29,8 +29,8 @@ from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
     adjoint_poly,
+    circle_values,
     decimate,
-    grid_angles,
     poly_from_json,
     poly_to_json,
     poly_window,
@@ -206,9 +206,8 @@ def _part(lo_f: int, F, lo_d: int, D, N: int) -> _Part:
 
 def _grid_sups(part: _Part, grid: int) -> list:
     """sup of |residual| over the grid points, per pair."""
-    exps = np.arange(part.lo, part.lo + part.residual.shape[-1])
-    phases = np.exp(1j * np.multiply.outer(exps, grid_angles(grid)))
-    return np.abs(part.residual @ phases).max(axis=-1).tolist()
+    values = circle_values(part.lo, np.moveaxis(part.residual, -1, 0), grid)
+    return np.abs(values).max(axis=0).tolist()
 
 
 class RelationReport:

@@ -6,15 +6,15 @@ and the zero polynomial has no taps.  Only exact zeros are trimmed, so no
 result depends on the scale of its coefficients.  All higher layers (filter
 banks, loop matrices, subdivision operators) reduce to a handful of array
 operations defined here: convolution, reverse-and-conjugate, a strided slice
-(decimation) and zero stuffing (upsampling).  Grid sampling on the circle is
-the only inexact operation and is kept separate from the coefficient
-arithmetic.
+(decimation) and zero stuffing (upsampling).  Sampling on the circle is the
+only inexact operation, and it has one implementation: `circle_values` folds
+a coefficient stack's exponents mod M and takes one FFT for its values at the
+M-th roots of unity, and `polys_from_grid` takes one FFT back.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -24,10 +24,6 @@ DEFAULT_GRID = 256
 # A DFT-recovered coefficient counts as roundoff when its modulus is at most
 # this many machine epsilons per grid point times the stack's largest one.
 ROUNDOFF_ULPS = 64
-
-
-def grid_angles(n: int = DEFAULT_GRID) -> np.ndarray:
-    return 2.0 * math.pi * np.arange(n) / n
 
 
 def _trimmed(lo: int, taps: np.ndarray):
@@ -183,21 +179,9 @@ class LaurentPoly:
             acc = acc * z + v
         return acc * z**self.lo
 
-    def eval_at(self, theta) -> np.ndarray:
-        """Values at the circle points exp(i theta), for an angle array of
-        any shape; the result has the shape of `theta`."""
-        theta = np.asarray(theta, dtype=float)
-        exps = np.arange(self.lo, self.lo + len(self.taps))
-        return np.exp(1j * np.multiply.outer(theta, exps)) @ self.taps
-
     def eval_grid(self, n: int = DEFAULT_GRID) -> np.ndarray:
-        """Values at the n equispaced circle points."""
-        return self.eval_at(grid_angles(n))
-
-    def sup_grid(self, n: int = DEFAULT_GRID) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(np.max(np.abs(self.eval_grid(n))))
+        """Values at the n equispaced circle points, by `circle_values`."""
+        return circle_values(self.lo, self.taps, n)
 
     def __repr__(self):
         if self.is_zero:
@@ -260,10 +244,26 @@ def stack_polys(polys) -> tuple:
     return lo, C
 
 
+def circle_values(lo: int, taps, M: int) -> np.ndarray:
+    """Values at the M points e^(2 pi i j/M), along axis 0, of the
+    polynomials sum_t taps[t] z^(lo + t) of a (T, ...) coefficient stack.
+
+    z^k takes the same values as z^(k mod M) there, so the exponents are
+    folded mod M into an (M, ...) array, and one inverse FFT, times M, gives
+    every value.
+    """
+    taps = np.asarray(taps, dtype=complex)
+    first, T, rest = lo % M, len(taps), taps.shape[1:]
+    padded = np.zeros((-(-(first + T) // M) * M,) + rest, dtype=complex)
+    padded[first : first + T] = taps  # tap t lands in column (lo + t) mod M of the reshape
+    return np.fft.ifft(padded.reshape((-1, M) + rest).sum(axis=0), axis=0) * M
+
+
 def polys_from_grid(values, lo: int) -> np.ndarray:
     """Coefficients, on exponents lo .. lo + M - 1 along axis 0, of the
-    polynomials whose values at the M grid points are read along axis 0 of
-    `values`: the inverse of `eval_grid(M)` on that window, by one DFT.
+    polynomials whose values at the M points of `circle_values` are read
+    along axis 0 of `values`: the inverse of `circle_values` on that window,
+    by one FFT.
 
     Coefficients at most ROUNDOFF_ULPS * M * eps times the largest one of
     the whole stack are roundoff and set to exactly 0, so an entry that
@@ -272,8 +272,7 @@ def polys_from_grid(values, lo: int) -> np.ndarray:
     """
     values = np.asarray(values)
     M = values.shape[0]
-    phase = np.exp(-1j * lo * grid_angles(M)).reshape((M,) + (1,) * (values.ndim - 1))
-    coeffs = np.fft.fft(values * phase, axis=0) / M
+    coeffs = np.roll(np.fft.fft(values, axis=0) / M, -lo, axis=0)
     size = np.abs(coeffs)
     coeffs[size <= ROUNDOFF_ULPS * M * np.finfo(float).eps * size.max()] = 0
     return coeffs

@@ -13,13 +13,14 @@ operator family is carried by AA*(z) and its pointwise inverse.
 A loop is one (taps, N, N) coefficient array: products are tap convolutions
 of matrix products (`tap_product`: every tap pair in one batched product),
 the adjoint is the reversed conjugate transpose, and the values on a grid
-are one contraction with the grid phases.  The determinant
-and the exact dual loop are recovered the other way: sample on enough points
-to cover the known exponent window, invert or take determinants pointwise,
-and read the coefficients back with one DFT.  Whether A is invertible on the
-circle is decided once, from that exact determinant and relative to the
-scale of A, by the `_check_invertible` that `dual_loop` and `gram_function`
-share; no user grid enters it.
+are one FFT of the taps folded mod the grid size (`circle_values`, the one
+circle sampler, which fibres and determinants use too).  The determinant and
+the exact dual loop are recovered the other way: sample on enough points to
+cover the known exponent window, invert or take determinants pointwise, and
+read the coefficients back with `polys_from_grid`.  Whether A is invertible
+on the circle is decided once, from that exact determinant and relative to
+the scale of A, by the `_check_invertible` that `dual_loop` and
+`gram_function` share; no user grid enters it.
 
 Verdicts read the `*_bound`s, which hold on the whole circle: from a
 residual's taps, or from a grid sized by its exponent span.  The sampled sups
@@ -39,7 +40,7 @@ from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
     adjoint_poly,
-    grid_angles,
+    circle_values,
     poly_from_json,
     poly_to_json,
     poly_window,
@@ -115,9 +116,7 @@ class LoopMatrix:
 
     def sample_grid(self, grid: int = DEFAULT_GRID) -> np.ndarray:
         """Values at the grid points, shape (grid, N, N)."""
-        exps = np.arange(self.lo, self.lo + len(self.taps))
-        phases = np.exp(1j * np.multiply.outer(grid_angles(grid), exps))
-        return (phases @ self.taps.reshape(len(self.taps), -1)).reshape(grid, self.N, self.N)
+        return circle_values(self.lo, self.taps, grid)
 
     def max_abs_exp(self) -> int:
         if not self.taps.any():
@@ -206,7 +205,7 @@ def loop_det(A: LoopMatrix) -> LaurentPoly:
 
     Each term of det A takes one entry from every row, so its exponents lie
     in [sum of row minima, sum of row maxima].  det A(z) is sampled on as
-    many grid points as that window holds and read back with one DFT.
+    many grid points as that window holds and read back with one FFT.
     """
     live = A.taps.any(axis=2)  # (T, N): tap t of row i is nonzero
     if not live.any(axis=0).all():
@@ -245,7 +244,7 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
     verdict does not see the scale.
 
     A single tap c z^e has |det A| = |c| on the whole circle.  Any other
-    det A is sampled on M equispaced points (one FFT of its padded
+    det A is sampled on M equispaced points (`circle_values` of its
     coefficients c_j): the smallest sample bounds the minimum from above, and
     that sample less (pi/M) sum_j |j - jbar| |c_j|, a Lipschitz bound over the
     distance to the nearest point, from below.  M doubles until one side
@@ -261,7 +260,7 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
         slope = np.pi * float(np.abs(j - j.mean()) @ np.abs(c))
         M = 1 << (len(c) - 1).bit_length()
         while True:
-            worst = float(np.abs(np.fft.fft(c, n=M)).min())
+            worst = float(np.abs(circle_values(det.lo, c, M)).min())
             bound = worst - slope / M
             if worst <= floor or bound > floor or M >= DET_GRID_CAP:
                 break
@@ -347,15 +346,12 @@ def loop_unitarity_residual(A: LoopMatrix, grid: int = DEFAULT_GRID) -> float:
 def _fibre_values(N: int, polys, grid: int) -> np.ndarray:
     """(1/sqrt N) p_k(w_l) over the principal root fiber w_l of each grid
     point z, shape (grid, len(polys), N).  w_l of grid point g is
-    e^{2 pi i j/M} with M = grid N and j = g + l grid, so one inverse FFT of
-    the coefficients folded mod M gives every value."""
-    M = grid * N
+    e^{2 pi i j/M} with M = grid N and j = g + l grid, so one `circle_values`
+    call on M points gives every value."""
     lo, C = stack_polys(polys)
-    folded = np.zeros((len(C), M), dtype=complex)
-    np.add.at(folded, (slice(None), (lo + np.arange(C.shape[1])) % M), C)
-    values = np.fft.ifft(folded) * M  # values[k, j] = p_k(e^{2 pi i j/M})
+    values = circle_values(lo, C.T, grid * N)  # values[j, k] = p_k(e^{2 pi i j/M})
     fibres = np.arange(grid)[:, None] + grid * np.arange(N)
-    return values[:, fibres].transpose(1, 0, 2) / np.sqrt(N)
+    return values[fibres].transpose(0, 2, 1) / np.sqrt(N)
 
 
 def modulation_matrix(bank: FilterBank, grid: int = DEFAULT_GRID, dual: bool = False) -> np.ndarray:

@@ -13,9 +13,12 @@ stacked level by level, and spectral-norm SVDs of every T_i* T_j residual.
 `word_factor` lifts the layered letters back to word space.
 
 `eager_relation_json` is the relation report computed all at once, grid
-sups included, as `relation_report` did before it computed each part on
-first read; `per_vector_spanning_residual` is the scalar kernel law with
-one random draw and one norm per factor vector.
+sups included (through the package's `circle_values`, so that the lazy
+report matches it bit for bit), as `relation_report` did before it computed
+each part on first read; `phase_sum_values` is the independent reference
+for `circle_values`, a direct sum of c_t e^(i (lo + t) theta);
+`per_vector_spanning_residual` is the scalar kernel law with one random draw
+and one norm per factor vector.
 
 `accumulated_tap_product` is the loop product with one matrix product per
 tap of the left factor, and the `factorwise_*` generators are the random
@@ -48,7 +51,7 @@ from wavefock.fock import (
     level_gram,
     truncated_fock,
 )
-from wavefock.laurent import LaurentPoly, grid_angles, poly_window, stack_polys
+from wavefock.laurent import LaurentPoly, circle_values, poly_window, stack_polys
 from wavefock.polyphase import LoopMatrix, filters_from_loop, modulation_matrix
 from wavefock.wavelet_fock import Cor6Report, _points, sampled_choi
 
@@ -77,6 +80,15 @@ class TorusPoint:
 
     def power(self, k: int) -> "TorusPoint":
         return TorusPoint(self.angle * k)
+
+
+def phase_sum_values(lo: int, taps, M: int) -> np.ndarray:
+    """sum_t taps[t] e^(i (lo + t) theta_j) at theta_j = 2 pi j/M, along
+    axis 0: one phase per (point, exponent), with no folding or FFT."""
+    taps = np.asarray(taps, dtype=complex)
+    theta = 2.0 * math.pi * np.arange(M) / M
+    phases = np.exp(1j * np.multiply.outer(theta, lo + np.arange(len(taps))))
+    return np.tensordot(phases, taps, axes=1)
 
 
 def torus_grid(n: int) -> list:
@@ -419,8 +431,7 @@ def _residuals(F, lo_f: int, D, lo_d: int, N: int, grid: int):
     residual = np.zeros((N, N, d_hi - d_lo + 1), dtype=complex)
     residual[:, :, d0 - d_lo : d0 - d_lo + len(lags)] = pair
     residual[:, :, -d_lo] -= np.eye(N)
-    phases = np.exp(1j * np.multiply.outer(np.arange(d_lo, d_hi + 1), grid_angles(grid)))
-    pair_res = np.abs(residual @ phases).max(axis=-1)
+    pair_res = np.abs(circle_values(d_lo, np.moveaxis(residual, -1, 0), grid)).max(axis=0)
 
     rows = -(-Ld // N) * N
     diags = np.zeros((rows, L + Ld - 1), dtype=complex)

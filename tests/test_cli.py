@@ -391,6 +391,18 @@ def _traced_loop(tmp_path, capsys, bank: FilterBank) -> tuple:
     return code, out, err, peak
 
 
+def test_loop_far_exponent_dual_is_exact(tmp_path, capsys):
+    # {1, z^2001} at N = 2 has A = Atilde = diag(1, z^1000); the FFT reads
+    # that coefficient back to the last bits, where a phase e^(i k theta)
+    # rounded per exponent k would miss it by ~k eps
+    bank = FilterBank(2, [LaurentPoly.one(), LaurentPoly.monomial(2001)])
+    code, out, _, _ = _traced_loop(tmp_path, capsys, bank)
+    doc = json.loads(out)
+    assert code == 0 and doc["Atilde_exact"] is True
+    [[k, re, im]] = doc["Atilde"]["entries"][1][1]
+    assert k == 1000 and abs(complex(re, im) - 1.0) <= 1e-15
+
+
 def test_loop_build_cap_refuses_before_allocating(tmp_path, capsys):
     # 4 rows x (2^20 + 4) phase entries, over the cap; the bank's JSON is tiny
     bank = FilterBank(4, [LaurentPoly.monomial(k) for k in (0, 1, 2, 2**20 - 1)])

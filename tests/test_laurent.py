@@ -1,18 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DictPoly, TorusPoint, torus_grid
+import wavefock
+from oracles import DictPoly, TorusPoint, phase_sum_values, torus_grid
 from wavefock.laurent import (
     MAX_JSON_SPAN,
     LaurentPoly,
     adjoint_poly,
+    circle_values,
     decimate,
-    grid_angles,
     poly_from_json,
     poly_to_json,
     polys_from_grid,
@@ -86,24 +88,47 @@ class TestEval:
             n = max(len(p.support), 1)
             assert abs(p.eval(t.value) - horner_eval(p, t.value)) < 1e-10 * n
 
-    def test_eval_grid_matches_pointwise(self):
+    @pytest.mark.parametrize("n", [3, 16])  # 3 points fold the six exponents
+    def test_eval_grid_matches_pointwise(self, n):
         p = LaurentPoly({-2: 1j, 0: 0.5, 3: -1.0})
-        vals = p.eval_grid(16)
-        for i, t in enumerate(torus_grid(16)):
+        vals = p.eval_grid(n)
+        for i, t in enumerate(torus_grid(n)):
             assert vals[i] == pytest.approx(p.eval(t.value))
 
-    @given(poly_st)
-    @settings(max_examples=50, deadline=None)
-    def test_eval_at_keeps_shape(self, p):
-        theta = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
-        vals = p.eval_at(theta)
-        assert vals.shape == (3, 4)
-        n = max(len(p.support), 1)
-        for idx in np.ndindex(theta.shape):
-            assert abs(vals[idx] - horner_eval(p, complex(np.exp(1j * theta[idx])))) < 1e-10 * n
+    def test_eval_grid_of_zero_poly(self):
+        assert np.array_equal(LaurentPoly.zero().eval_grid(5), np.zeros(5))
 
-    def test_eval_at_zero_poly(self):
-        assert np.array_equal(LaurentPoly.zero().eval_at(np.zeros((2, 5))), np.zeros((2, 5)))
+
+class TestCircleValues:
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 2, 2), (40, 2, 2)])
+    @pytest.mark.parametrize("lo", [-23, -1, 0, 5])
+    @pytest.mark.parametrize("M", [1, 2, 6, 8, 13])
+    def test_matches_phase_sum(self, rng, shape, lo, M):
+        # M below the tap count folds several exponents onto one point
+        taps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = circle_values(lo, taps, M)
+        assert got.shape == (M,) + shape[1:]
+        scale = np.abs(taps).sum(axis=0).max()
+        assert np.abs(got - phase_sum_values(lo, taps, M)).max() <= 1e-12 * scale
+
+    @given(poly_st, st.integers(0, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_through_polys_from_grid(self, p, below):
+        # any M past the window reads the same coefficients back
+        lo = p.min_exp - below
+        for M in (30, 32, 41):
+            back = LaurentPoly.from_array(lo, polys_from_grid(circle_values(p.lo, p.taps, M), lo))
+            assert back.isclose(p, 1e-12 * max(1.0, p.coeff_sup()))
+
+    def test_one_sampler_in_the_package(self):
+        # circle values and their inverse have one home; any other FFT or
+        # angle grid in the package is a second sampler
+        root = Path(wavefock.__file__).parent
+        for path in sorted(root.glob("*.py")):
+            source = path.read_text()
+            assert "def grid_angles" not in source, path.name
+            if path.name != "laurent.py":
+                assert "np.fft" not in source, path.name
 
 
 class TestPolysFromGrid:
@@ -120,8 +145,8 @@ class TestPolysFromGrid:
             [LaurentPoly({-1: 1.0, 2: 2j}), LaurentPoly.zero()],
             [LaurentPoly.one(), LaurentPoly({0: 3.0, 1: -1.0})],
         ]
-        M, theta = 6, grid_angles(6)
-        values = np.array([[p.eval_at(theta) for p in row] for row in polys]).transpose(2, 0, 1)
+        M = 6
+        values = np.array([[p.eval_grid(M) for p in row] for row in polys]).transpose(2, 0, 1)
         got = polys_from_grid(values, -2)
         assert got.shape == (M, 2, 2)
         for i in range(2):

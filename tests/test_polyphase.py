@@ -28,6 +28,7 @@ from wavefock.filterbank import (
     relation_report,
 )
 from oracles import DictPoly, accumulated_tap_product, per_family_modulation_bound, torus_grid
+import wavefock.polyphase as pp
 from wavefock.laurent import LaurentPoly, adjoint_poly, poly_window
 from wavefock.polyphase import (
     SINGULAR_TOL,
@@ -158,6 +159,22 @@ class TestLoopArrays:
         assert (Z.lo, Z.max_abs_exp()) == (0, 0)
         assert all(p.is_zero for row in Z.entries for p in row)
         assert (A @ Z).isclose(Z, 0.0)
+
+    def test_sample_grid_is_linear_in_the_grid(self):
+        # diag(1, z^4000) on 4001 points: the values take 256 KB, where a
+        # (grid x taps) phase matrix would take 256 MB
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        A = LoopMatrix([[one, zero], [zero, LaurentPoly.monomial(4000)]])
+        tracemalloc.start()
+        try:
+            values = A.sample_grid(4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        want = np.exp(-2j * np.pi * np.arange(4001) / 4001)  # z^4000 = z^-1 on these points
+        assert np.abs(values[:, 1, 1] - want).max() < 1e-12
+        assert np.abs(values[:, 0, 0] - 1.0).max() < 1e-12
 
     def test_products_do_not_depend_on_scale(self, rng):
         A = random_invertible_loop(3, rng)
@@ -388,18 +405,18 @@ class TestDualLoop:
         # sampled, and the verdict is the same at every s (powers of two, so
         # that the dual of this cond ~1e10 loop rounds alike at each)
         c = scale * SINGULAR_TOL * np.exp(0.7j)
-        fft = np.fft.fft
+        sampler = pp.circle_values
 
         def forbidden(*args, **kw):
             raise AssertionError("a monomial determinant was sampled on the circle")
 
-        def unpadded(a, *args, **kw):  # a determinant's circle samples are one padded FFT
-            if "n" in kw:
+        def loops_only(lo, taps, M):  # a determinant's circle samples are a 1-D stack
+            if np.ndim(taps) == 1:
                 forbidden()
-            return fft(a, *args, **kw)
+            return sampler(lo, taps, M)
 
         monkeypatch.setattr(LaurentPoly, "eval_grid", forbidden)
-        monkeypatch.setattr(np.fft, "fft", unpadded)
+        monkeypatch.setattr(pp, "circle_values", loops_only)
         for s in (2.0**-10, 1.0, 2.0**10):
             A = LoopMatrix.from_array(1, s * np.array([[[1.0, 0.0], [1.0, c]]]))
             det = loop_det(A)
