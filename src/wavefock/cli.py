@@ -24,7 +24,7 @@ from . import corpus
 from .acceptance import DEFAULT_SEED, run_all
 from .anchor import compute_anchor, depths_and_cyclicity
 from .errors import SizeCapError, WavefockError
-from .filterbank import FilterBank, relation_report
+from .filterbank import DEFAULT_TOL, FilterBank, relation_report
 from .fock import ChoiMatrix, creation_matrices, tstar_t_check
 from .polyphase import LoopMatrix, dual_loop, filters_from_loop
 from .wavelet_fock import cor6_check
@@ -191,20 +191,21 @@ def cmd_loop(args, config: RunConfig) -> int:
     A, At = bank.loops
     report = {"A": A.to_json(), "Atilde": None, "Atilde_exact": False}
     try:
-        At = dual_loop(A) if At is None else At
+        if At is None:  # dual_loop returns only a dual it has certified
+            At, holds = dual_loop(A), True
+        else:  # a supplied dual is judged by its pair bound
+            holds = bank.pair_bound <= DEFAULT_TOL
     except WavefockError as exc:
         _emit(report, config)
         return _diagnostic(exc)
     if At is None:
-        report["note"] = (
-            "no exact dual loop: det A is not a monomial unit, "
-            "or A* Atilde = I fails in coefficients"
-        )
+        report["note"] = "no exact dual loop: A is invertible, but A^-1 is not a Laurent matrix"
     else:
-        report["Atilde"] = At.to_json()
-        report["Atilde_exact"] = True
+        report["Atilde"], report["Atilde_exact"] = At.to_json(), holds
+    if not holds:
+        report["note"] = f"A* Atilde = I fails: pair bound {bank.pair_bound:.3e} > {DEFAULT_TOL:g}"
     _emit(report, config)
-    return 0
+    return 0 if holds else VERDICT_FAILED
 
 
 def cmd_anchor(args, config: RunConfig) -> int:

@@ -47,7 +47,7 @@ def stretched_haar_bank(with_duals: bool = False) -> FilterBank:
 
 def identity_loop_bank(N: int = 2) -> FilterBank:
     """m_i(z) = z^i; the simplest orthogonal bank at scale N."""
-    return filters_from_loop(LoopMatrix.identity(N))
+    return filters_from_loop(LoopMatrix.from_constant(np.eye(N)))
 
 
 # ----------------------------------------------------------------------

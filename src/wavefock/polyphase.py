@@ -14,13 +14,13 @@ A loop is one (taps, N, N) coefficient array: products are tap convolutions
 of matrix products (`tap_product`: every tap pair in one batched product),
 the adjoint is the reversed conjugate transpose, and the values on a grid
 are one FFT of the taps folded mod the grid size (`circle_values`, the one
-circle sampler, which fibres and determinants use too).  The determinant and
-the exact dual loop are recovered the other way: sample on enough points to
-cover the known exponent window, invert or take determinants pointwise, and
-read the coefficients back with `polys_from_grid`.  Whether A is invertible
-on the circle is decided once, from that exact determinant and relative to
-the scale of A, by the `_check_invertible` that `dual_loop` and
-`gram_function` share; no user grid enters it.
+circle sampler, which fibres and determinants use too).  The exact dual loop
+is recovered the other way: A* is inverted pointwise and read back with
+`polys_from_grid`.  One certificate, the bound on sup_z ||A* Atilde - I|| with
+a condition bound judged against 1/SINGULAR_TOL, decides both that A is
+invertible on the circle and that Atilde is its dual; the exact determinant
+(`_check_invertible`) judges only a loop that no grid certifies.  `dual_loop`
+and `gram_function` share that verdict; no user grid enters it.
 
 Verdicts read the `*_bound`s, which hold on the whole circle: from a
 residual's taps, or from a grid sized by its exponent span.  The sampled sups
@@ -35,14 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularLoopError, SizeCapError
-from .filterbank import PART_CAP, FilterBank
+from .filterbank import DEFAULT_TOL, PART_CAP, FilterBank
 from .laurent import (
     DEFAULT_GRID,
     LaurentPoly,
-    adjoint_poly,
     circle_values,
     poly_from_json,
-    poly_to_json,
     poly_window,
     polys_from_grid,
     stack_polys,
@@ -85,10 +83,6 @@ class LoopMatrix:
         return A
 
     @classmethod
-    def identity(cls, N: int) -> "LoopMatrix":
-        return cls.from_constant(np.eye(N))
-
-    @classmethod
     def from_constant(cls, mat) -> "LoopMatrix":
         return cls.from_array(0, np.array(mat, dtype=complex)[None])
 
@@ -123,18 +117,14 @@ class LoopMatrix:
             return 0
         return max(abs(self.lo), abs(self.hi))
 
-    def isclose(self, other: "LoopMatrix", tol: float = 1e-12) -> bool:
-        lo = min(self.lo, other.lo)
-        diff = np.zeros((max(self.hi, other.hi) + 1 - lo, self.N, self.N), dtype=complex)
-        diff[self.lo - lo : self.lo - lo + len(self.taps)] = self.taps
-        diff[other.lo - lo : other.lo - lo + len(other.taps)] -= other.taps
-        return float(np.abs(diff).max()) <= tol
-
     def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "entries": [[poly_to_json(p) for p in row] for row in self.entries],
-        }
+        """Entry (i, j) lists the [exponent, re, im] of its nonzero taps."""
+        N, E = self.N, self.taps.transpose(1, 2, 0)
+        i, j, t = np.nonzero(E)  # by entry, then exponent
+        terms = [[k, z.real, z.imag] for k, z in zip((self.lo + t).tolist(), E[i, j, t].tolist())]
+        ends = np.cumsum(np.bincount(i * N + j, minlength=N * N)).tolist()
+        flat = [terms[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        return {"N": N, "entries": [flat[r * N : (r + 1) * N] for r in range(N)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LoopMatrix":
@@ -216,27 +206,14 @@ def loop_det(A: LoopMatrix) -> LaurentPoly:
     return LaurentPoly.from_array(lo, polys_from_grid(dets, lo))
 
 
-MONOMIAL_EPS = 1e-12  # terms of a determinant below this times its largest are roundoff
 DET_GRID_CAP = 1 << 16  # most circle points a determinant is sampled on before it is refused
 
 
-def as_monomial_unit(p: LaurentPoly):
-    """Return (exponent, coeff) if p is a single monomial with nonzero
-    coefficient once terms below MONOMIAL_EPS (relative) are discarded,
-    else None."""
-    if p.is_zero:
-        return None
-    top = p.coeff_sup()
-    terms = [(k, c) for k, c in p.coeffs().items() if abs(c) > MONOMIAL_EPS * top]
-    if len(terms) != 1:
-        return None
-    return terms[0]
-
-
-def _check_invertible(A: LoopMatrix) -> LaurentPoly:
-    """det A, once min over the circle of |det A| is shown to exceed
-    SINGULAR_TOL times prod_i ||row i of A||, each row norm taken in L^2 of
-    the circle: sqrt(sum_t ||row i of tap t||^2).
+def _check_invertible(A: LoopMatrix, rows: np.ndarray):
+    """Raise SingularLoopError unless min over the circle of |det A| exceeds
+    SINGULAR_TOL times prod_i rows[i], the norms of the rows of A in L^2 of
+    the circle, sqrt(sum_t ||row i of tap t||^2): the verdict, singular or no
+    Laurent inverse, on a loop that `dual_loop` could not certify.
 
     That product bounds min |det A| from above (Hadamard's inequality at each
     point, then Jensen), equals 1 on every paraunitary loop whatever N is,
@@ -252,7 +229,7 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
     refused.
     """
     det = loop_det(A)
-    floor = SINGULAR_TOL * float(np.prod(np.sqrt((np.abs(A.taps) ** 2).sum(axis=(0, 2)))))
+    floor = SINGULAR_TOL * float(np.prod(rows))
     c = det.taps
     worst = bound = float(np.abs(c).max(initial=0.0))
     if len(c) > 1:
@@ -275,30 +252,52 @@ def _check_invertible(A: LoopMatrix) -> LaurentPoly:
             f"min |det A| undecided on {M} points: samples at least "
             f"{worst:.3e}, lower bound {bound:.3e}, floor {floor:.3e}; loop refused"
         )
-    return det
 
 
 def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
     """The dual loop Atilde = A^{*-1} as a Laurent matrix, or None.
 
-    Raises SingularLoopError unless A is invertible on the whole circle
-    (`_check_invertible`).  When det A* = conj(det A) is a monomial unit
-    c z^e, the inverse is adj(A*) / (c z^e), a Laurent matrix with exponents
-    in [(N-1) lo - e, (N-1) hi - e], where [lo, hi] bounds the exponents of
-    A*.  It is recovered from the pointwise inverse of A* on that many grid
-    points and returned only if the coefficient product A* Atilde is I.
-    Otherwise A is invertible on the circle but its inverse is not a
-    Laurent matrix (or not recovered to that accuracy), and the result is
-    None.
+    With D the row norms of A, (D^-1 A)* is inverted on M points, and D Atilde
+    read back (`polys_from_grid`, blind to row scale) from the end of the
+    longest circular run of zero taps and shifted to put the largest trace of
+    A* Atilde at z^0.  M starts at the power of two above A's T taps and
+    doubles to at least twice the adjugate width (N-1)(T-1)+1, which holds
+    any Laurent inverse; a grid over PART_CAP entries raises SizeCapError.
+    One certificate decides, g = `_identity_gap` of A* Atilde: g < 1/2 proves
+    A invertible on the circle, with cond(D^-1 A(z)) <= kappa = (sum_t
+    ||D^-1 A_t||_F)(sum_t ||D Atilde_t||_F)/(1 - g) at any scale of A or a row.
+    kappa >= 1/SINGULAR_TOL raises SingularLoopError; g <= DEFAULT_TOL returns
+    Atilde.  If no grid certifies, `_check_invertible` raises or gives None.
     """
-    unit = as_monomial_unit(adjoint_poly(_check_invertible(A)))
-    if unit is None:
-        return None
-    A_star, N, e = A.adjoint(), A.N, unit[0]
-    lo = (N - 1) * A_star.lo - e
-    inverse = np.linalg.inv(A_star.sample_grid((N - 1) * (A_star.hi - A_star.lo) + 1))
-    At = LoopMatrix.from_array(lo, polys_from_grid(inverse, lo))
-    return At if (A_star @ At).isclose(LoopMatrix.identity(N)) else None
+    N, T, rows = A.N, len(A.taps), np.sqrt((np.abs(A.taps) ** 2).sum(axis=(0, 2)))[:, None]
+    B_star = LoopMatrix.from_array(A.lo, A.taps / (rows + (rows == 0))).adjoint()  # a zero row stays 0
+    M = 1 << T.bit_length()
+    while True:
+        if (entries := M * N * N) > PART_CAP:
+            raise SizeCapError(f"the dual loop's grid needs {entries} entries (cap {PART_CAP})")
+        try:
+            coeffs = polys_from_grid(np.linalg.inv(B_star.sample_grid(M)), 0)
+        except np.linalg.LinAlgError:
+            break
+        live = np.flatnonzero(coeffs.reshape(M, -1).any(axis=1))
+        start = int(live[(np.diff(live, append=live[0] + M).argmax() + 1) % len(live)])
+        DAt = LoopMatrix.from_array(start, np.roll(coeffs, -start, axis=0))
+        P = B_star @ DAt  # = A* Atilde
+        shift = P.lo + int(np.abs(np.trace(P.taps, axis1=1, axis2=2)).argmax())
+        DAt.lo, P.lo = DAt.lo - shift, P.lo - shift
+        gap = _identity_gap(P)
+        if gap < 0.5:
+            kappa = np.linalg.norm(B_star.taps, axis=(1, 2)).sum() / (1 - gap)
+            kappa *= np.linalg.norm(DAt.taps, axis=(1, 2)).sum()
+            if kappa >= 1 / SINGULAR_TOL:
+                raise SingularLoopError(f"cond(A) may reach {kappa:.3e}; loop is not invertible")
+            if gap <= DEFAULT_TOL:
+                return LoopMatrix.from_array(DAt.lo, DAt.taps / rows)
+        if M >= 2 * ((N - 1) * (T - 1) + 1):
+            break
+        M *= 2
+    _check_invertible(A, rows)
+    return None
 
 
 def _identity_gap(L: LoopMatrix) -> float:
@@ -418,10 +417,10 @@ class GramMatrixFunction:
 def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunction:
     """Assemble AA*(z) exactly, then sample and invert it on the grid.
 
-    A is judged invertible on the whole circle first, by the same
-    `_check_invertible` as `dual_loop`; the grid sets only the samples."""
+    A is judged invertible on the whole circle first, by `dual_loop`'s
+    certificate (or its determinant verdict); the grid sets only the samples."""
     A, _ = bank.loops
-    _check_invertible(A)
+    dual_loop(A)
     gram = A @ A.adjoint()
     samples = gram.sample_grid(grid)
     return GramMatrixFunction(bank.N, grid, gram, samples, np.linalg.inv(samples))

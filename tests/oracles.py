@@ -27,6 +27,11 @@ factors: one QR or SVD per factor and one trimmed `LoopMatrix` per partial
 product.  Each dual loop is multiplied beside its loop from the factors'
 inverse adjoints, each factor built as its own `LoopMatrix`.  `per_family_modulation_bound` is `modulation_bound` with one
 `modulation_matrix` call per family.
+
+`as_monomial_unit` reads a determinant as one monomial c z^e, as the dual
+loop once did before dividing the adjugate by it; `entries_loop_json` is the
+loop JSON written through one polynomial per entry; `loops_close` compares
+two loops coefficient by coefficient, as `LoopMatrix.isclose` did.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from wavefock.fock import (
     level_gram,
     truncated_fock,
 )
-from wavefock.laurent import LaurentPoly, circle_values, poly_window, stack_polys
+from wavefock.laurent import LaurentPoly, circle_values, poly_to_json, poly_window, stack_polys
 from wavefock.polyphase import LoopMatrix, filters_from_loop, modulation_matrix
 from wavefock.wavelet_fock import Cor6Report, _points, sampled_choi
 
@@ -612,3 +617,27 @@ def per_family_modulation_bound(bank: FilterBank):
     gaps = [np.linalg.norm(M_star @ m - eye, axis=(1, 2)).max() for m in mods]
     bounds = np.array(gaps) / np.cos(np.pi * np.array(spans[: len(gaps)]) / (2 * grid * N))
     return float(bounds[-1]), float(bounds[0])
+
+
+def as_monomial_unit(p: LaurentPoly, eps: float = 1e-12):
+    """(exponent, coeff) if p is one monomial with a nonzero coefficient once
+    terms below eps times its largest are dropped as roundoff, else None."""
+    if p.is_zero:
+        return None
+    top = p.coeff_sup()
+    terms = [(k, c) for k, c in p.coeffs().items() if abs(c) > eps * top]
+    return terms[0] if len(terms) == 1 else None
+
+
+def entries_loop_json(A: LoopMatrix) -> dict:
+    """`LoopMatrix.to_json` through one `LaurentPoly` per entry."""
+    return {"N": A.N, "entries": [[poly_to_json(p) for p in row] for row in A.entries]}
+
+
+def loops_close(A: LoopMatrix, B: LoopMatrix, tol: float = 1e-12) -> bool:
+    """Every coefficient of A - B is at most tol in modulus."""
+    lo = min(A.lo, B.lo)
+    diff = np.zeros((max(A.hi, B.hi) + 1 - lo, A.N, A.N), dtype=complex)
+    diff[A.lo - lo : A.lo - lo + len(A.taps)] = A.taps
+    diff[B.lo - lo : B.lo - lo + len(B.taps)] -= B.taps
+    return float(np.abs(diff).max()) <= tol

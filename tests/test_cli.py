@@ -165,6 +165,29 @@ def test_loop_large_orthogonal_bank_exact(capsys):
     assert code == 0 and doc["Atilde_exact"] is True
 
 
+@pytest.mark.parametrize("scale, code, exact", [(1.0, 0, True), (1.5, 1, False)])
+def test_loop_judges_a_supplied_dual(tmp_path, capsys, scale, code, exact):
+    # the bank's own dual family is split, not recomputed, and judged by its
+    # pair bound: one dual filter scaled by 1.5 puts it at 2.79
+    from wavefock.corpus import builtin_bank
+
+    bank = builtin_bank("random-biorthogonal", {"N": 3})
+    duals = [bank.dual_filters[0] * scale, *bank.dual_filters[1:]]
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(FilterBank(3, bank.filters, duals).to_json()))
+    got, doc, _ = run_json(capsys, "loop", "--input", str(path))
+    assert (got, doc["Atilde_exact"], "note" in doc) == (code, exact, not exact)
+    assert doc["Atilde"] is not None
+
+
+@pytest.mark.parametrize("name, N", [("random-biorthogonal", 128), ("random-causal-pair", 192)])
+def test_fock_judges_large_dual_pairs(capsys, name, N):
+    # det A is at most 1e-10 of the row-norm product on both loops, which
+    # the determinant verdict refused; dual_loop certifies A* Atilde = I
+    code, _, err = run(capsys, "fock", "--builtin", name, f"N={N}", "--grid", "8", "--levels", "2")
+    assert (code, err) == (0, "")
+
+
 def _loop_verdict(folder: Path, A: LoopMatrix) -> tuple:
     """(exit code, Atilde_exact) of `loop` on the primary filters of A."""
     path, out = folder / "bank.json", folder / "report.json"

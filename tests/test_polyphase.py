@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,19 +23,27 @@ from wavefock.corpus import (
 )
 from wavefock.errors import SingularLoopError, SizeCapError
 from wavefock.filterbank import (
+    DEFAULT_TOL,
     PART_CAP,
     FilterBank,
     apply_S,
     apply_S_adjoint,
     relation_report,
 )
-from oracles import DictPoly, accumulated_tap_product, per_family_modulation_bound, torus_grid
+from oracles import (
+    DictPoly,
+    accumulated_tap_product,
+    as_monomial_unit,
+    entries_loop_json,
+    loops_close,
+    per_family_modulation_bound,
+    torus_grid,
+)
 import wavefock.polyphase as pp
 from wavefock.laurent import LaurentPoly, adjoint_poly, poly_window
 from wavefock.polyphase import (
     SINGULAR_TOL,
     LoopMatrix,
-    as_monomial_unit,
     dual_loop,
     filters_from_loop,
     gram_function,
@@ -53,7 +63,7 @@ from wavefock.wavelet_fock import sampled_choi
 
 def assert_loop_equal(A, B, tol=1e-12):
     assert A.N == B.N
-    assert A.isclose(B, tol)
+    assert loops_close(A, B, tol)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +168,7 @@ class TestLoopArrays:
         Z = LoopMatrix.from_array(5, np.zeros((3, 2, 2)))
         assert (Z.lo, Z.max_abs_exp()) == (0, 0)
         assert all(p.is_zero for row in Z.entries for p in row)
-        assert (A @ Z).isclose(Z, 0.0)
+        assert loops_close(A @ Z, Z, 0.0)
 
     def test_sample_grid_is_linear_in_the_grid(self):
         # diag(1, z^4000) on 4001 points: the values take 256 KB, where a
@@ -397,37 +407,39 @@ class TestDualLoop:
         with pytest.raises(SingularLoopError):
             dual_loop(A)
 
-    @pytest.mark.parametrize("scale, singular", [(0.9, True), (1.1, False)])
-    def test_monomial_det_read_from_its_tap(self, monkeypatch, scale, singular):
-        # A = s z [[1, 0], [1, c]] has det A = s^2 c z^2 and row norms
-        # s and s sqrt(1 + |c|^2), whose product is s^2 in floats, with |c| = scale *
-        # SINGULAR_TOL: |det A| = s^2 |c| on the whole circle, so no point is
-        # sampled, and the verdict is the same at every s (powers of two, so
-        # that the dual of this cond ~1e10 loop rounds alike at each)
-        c = scale * SINGULAR_TOL * np.exp(0.7j)
-        sampler = pp.circle_values
+    @pytest.mark.parametrize("scale, singular", [(0.9, False), (1.1, True)])
+    def test_condition_bound_decides_at_every_scale(self, monkeypatch, scale, singular):
+        # A = s z [[1, 0], [1, c]] with row norms D = s diag(1, sqrt(1 + |c|^2)):
+        # D^-1 A has Frobenius norm sqrt 2 and D Atilde sqrt(2 + 2/|c|^2), so
+        # kappa = 2 sqrt(1 + 1/|c|^2) / (1 - g), here scale / SINGULAR_TOL.  The
+        # certificate decides without det A, and alike at every s (powers of
+        # two, so that this cond ~1e10 loop rounds alike at each)
+        kappa = scale / SINGULAR_TOL
+        c = np.exp(0.7j) / np.sqrt((kappa / 2) ** 2 - 1)
 
         def forbidden(*args, **kw):
-            raise AssertionError("a monomial determinant was sampled on the circle")
+            raise AssertionError("det A was taken")
 
-        def loops_only(lo, taps, M):  # a determinant's circle samples are a 1-D stack
-            if np.ndim(taps) == 1:
-                forbidden()
-            return sampler(lo, taps, M)
-
-        monkeypatch.setattr(LaurentPoly, "eval_grid", forbidden)
-        monkeypatch.setattr(pp, "circle_values", loops_only)
+        monkeypatch.setattr(pp, "loop_det", forbidden)
         for s in (2.0**-10, 1.0, 2.0**10):
             A = LoopMatrix.from_array(1, s * np.array([[[1.0, 0.0], [1.0, c]]]))
-            det = loop_det(A)
-            assert det.support == [2] and abs(det.taps[0]) == pytest.approx(s**2 * abs(c))
             if singular:
-                with pytest.raises(SingularLoopError, match=f"{s**2 * abs(c):.3e}"):
+                with pytest.raises(SingularLoopError, match=re.escape(f"{kappa:.3e}")):
                     dual_loop(A)
             else:
                 At = dual_loop(A)
                 assert isinstance(At, LoopMatrix)
-                assert (A.adjoint() @ At).isclose(LoopMatrix.identity(2))
+                assert loop_pair_bound(A, At) <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+    def test_ill_conditioned_loop_refused_at_every_scale(self, s):
+        # kappa = 2 sqrt(1 + 1/|c|^2) ~ 1.8e10 at |c| = 1.1e-10: one verdict at
+        # every s, where the determinant's floor and the absolute coefficient
+        # check gave None, a dual and None
+        c = 1.1e-10 * np.exp(0.7j)
+        A = LoopMatrix.from_array(1, s * np.array([[[1.0, 0.0], [1.0, c]]]))
+        with pytest.raises(SingularLoopError, match="not invertible"):
+            dual_loop(A)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_det_matches_cofactor(self, rng, N):
@@ -472,23 +484,62 @@ class TestDualLoop:
 
     @pytest.mark.parametrize("N", [64, 128, 256])
     def test_factor_built_pair_at_large_N(self, N):
-        # past the N where the determinant verdict refuses these loops
-        A, At = random_invertible_pair(N, np.random.default_rng(0))
-        assert loop_pair_bound(A, At) < 1e-12
+        # past the N where the determinant verdict refused these loops (det A is
+        # at most 9.2e-11 and 1.7e-20 of the row-norm product at N = 128 and
+        # 256); kappa is 5.6e2 and 1.1e3, and the factor-built dual comes back
+        A, want = random_invertible_pair(N, np.random.default_rng(0))
+        assert loop_pair_bound(A, want) < 1e-12
+        got = dual_loop(A)
+        assert isinstance(got, LoopMatrix)
+        assert (got.lo, got.taps.shape) == (want.lo, want.taps.shape)
+        assert np.array_equal(got.taps != 0, want.taps != 0)
+        assert np.abs(got.taps - want.taps).max() <= 1e-12 * np.abs(want.taps).max()
 
-    def test_failed_coefficient_check_gives_no_dual(self):
-        # det A = 1, but at this conditioning the DFT inverse misses
-        # A* Atilde = I by far more than 1e-12 in coefficients
+    def test_unitary_dual_at_large_N_is_small(self):
+        # A = Atilde with 3 taps: one grid of 4 points certifies it, where a
+        # grid as wide as the adjugate holds 511 matrices of 256 x 256
+        A = random_unitary_loop(256, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            At = dual_loop(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 << 20
+        assert (At.lo, At.taps.shape) == (A.lo, A.taps.shape)
+        assert np.abs(At.taps - A.taps).max() < 1e-13
+
+    def test_grid_over_cap_refused_before_sampling(self):
+        # diag(1 + 0.9z, 1, ..., 1) at N = 363 has no Laurent inverse and an
+        # adjugate width of 363: the doubling would reach M = 1024, a 2.2 GB
+        # grid; M = 16 is the first over PART_CAP, refused before it is sampled
+        N = 363
+        taps = np.zeros((2, N, N), dtype=complex)
+        taps[0] = np.eye(N)
+        taps[1, 0, 0] = 0.9
+        A = LoopMatrix.from_array(0, taps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=f"{16 * N * N} entries"):
+                dual_loop(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * N * N <= PART_CAP < 16 * N * N
+        assert peak < 4 * PART_CAP * 16  # a few arrays of the largest grid taken, 8 x N x N
+
+    def test_large_shear_has_its_exact_dual(self):
+        # det A = 1 and cond A(z) reaches 1.7e10, but D^-1 A, its rows scaled
+        # to norm 1, has kappa = 5.3e5: far from singular, and its inverse
+        # adjoint is the shear I - p*(z) e_10, recovered exactly
         c = 1e5
-        A = LoopMatrix(
-            [
-                [LaurentPoly.one(), LaurentPoly({1: c, -1: 0.3 * c})],
-                [LaurentPoly.zero(), LaurentPoly.one()],
-            ]
-        )
-        exp, coeff = as_monomial_unit(loop_det(A))
-        assert exp == 0 and abs(coeff - 1.0) < 1e-12
-        assert dual_loop(A) is None
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        A = LoopMatrix([[one, LaurentPoly({1: c, -1: 0.3 * c})], [zero, one]])
+        At = dual_loop(A)
+        assert isinstance(At, LoopMatrix)
+        want = LoopMatrix([[one, zero], [LaurentPoly({-1: -c, 1: -0.3 * c}), one]])
+        assert_loop_equal(At, want, 1e-12 * c)
+        assert loop_pair_bound(A, At) <= DEFAULT_TOL
 
     def test_det_of_loop_with_zero_row(self):
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
@@ -504,6 +555,21 @@ class TestDualLoop:
     def test_det_adjoint_is_conjugate(self, rng):
         A = random_invertible_loop(3, rng)
         assert loop_det(A.adjoint()).isclose(adjoint_poly(loop_det(A)), 1e-12)
+
+    def test_loop_json_writes_the_taps(self, rng):
+        # byte for byte the entry-by-entry form, on loops with zero entries,
+        # the zero loop and signed zeros
+        A = random_invertible_loop(4, rng)
+        taps = A.taps.copy()
+        taps[:, 1, 2] = 0.0
+        taps[:, 3] = 0.0
+        taps[0, 0, 0] = complex(-2.5, -0.0)
+        taps[-1, 2, 1] = complex(-0.0, 1.0)
+        zero = LoopMatrix.from_array(3, np.zeros((2, 3, 3)))
+        for L in (A, LoopMatrix.from_array(-4, taps), zero, LoopMatrix.from_constant(HAAR_LOOP)):
+            got, want = L.to_json(), entries_loop_json(L)
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
 
     def test_loop_json_round_trip(self, rng):
         A = random_invertible_loop(3, rng)
@@ -558,13 +624,20 @@ class TestInvertibility:
             assert bank.N == 64 and bank.dual_filters is not None
 
     def test_verdict_ignores_row_scale(self):
-        # scaling one filter scales det A and its row norm alike (the exact
-        # dual's absolute coefficient check does not, so judge on the Gram)
+        # scaling one filter scales det A and its row norm alike, and D Atilde
+        # is read back unchanged, so the dual comes back with that row of
+        # Atilde scaled by 1/s (the roundoff cut of a read-back Atilde, 2^80
+        # between rows, zeroed the small row and gave None)
         A = random_invertible_loop(3, np.random.default_rng(1))
+        At = dual_loop(A)
         for s in (2.0**-40, 2.0**40):
             taps = A.taps.copy()
             taps[:, 0] *= s
             gram_function(filters_from_loop(LoopMatrix.from_array(A.lo, taps)), grid=4)
+            got = dual_loop(LoopMatrix.from_array(A.lo, taps))
+            assert isinstance(got, LoopMatrix)
+            assert np.array_equal(got.taps[:, 0] * s, At.taps[:, 0])
+            assert np.array_equal(got.taps[:, 1:], At.taps[:, 1:])
         B = _diag(LaurentPoly({0: 1.0, 16: 1.0}))
         taps = B.taps.copy()
         taps[:, 1] *= 2.0**-40
