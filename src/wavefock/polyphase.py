@@ -190,18 +190,24 @@ def filters_from_loop(A: LoopMatrix) -> FilterBank:
 # determinants and the dual loop
 
 
+def _row_span(taps: np.ndarray) -> tuple:
+    """(first, last): the first and last of the (T, N, N) taps nonzero in each row."""
+    live = taps.any(axis=2)  # (T, N): tap t of row i is nonzero
+    return live.argmax(axis=0), len(taps) - 1 - live[::-1].argmax(axis=0)
+
+
 def loop_det(A: LoopMatrix) -> LaurentPoly:
     """Determinant of a loop as a Laurent polynomial.
 
     Each term of det A takes one entry from every row, so its exponents lie
     in [sum of row minima, sum of row maxima].  det A(z) is sampled on as
-    many grid points as that window holds and read back with one FFT.
+    many grid points as that window holds (over PART_CAP entries, refused)
+    and read back with one FFT.
     """
-    live = A.taps.any(axis=2)  # (T, N): tap t of row i is nonzero
-    if not live.any(axis=0).all():
-        return LaurentPoly.zero()  # a zero row
-    lo = A.N * A.lo + int(live.argmax(axis=0).sum())
-    hi = A.N * A.hi - int(live[::-1].argmax(axis=0).sum())
+    first, last = _row_span(A.taps)
+    lo, hi = A.N * A.lo + int(first.sum()), A.N * A.lo + int(last.sum())
+    if (entries := (hi - lo + 1) * A.N * A.N) > PART_CAP:
+        raise SizeCapError(f"det A's grid needs {entries} entries (cap {PART_CAP})")
     dets = np.linalg.det(A.sample_grid(hi - lo + 1))
     return LaurentPoly.from_array(lo, polys_from_grid(dets, lo))
 
@@ -209,8 +215,8 @@ def loop_det(A: LoopMatrix) -> LaurentPoly:
 DET_GRID_CAP = 1 << 16  # most circle points a determinant is sampled on before it is refused
 
 
-def _check_invertible(A: LoopMatrix, rows: np.ndarray):
-    """Raise SingularLoopError unless min over the circle of |det A| exceeds
+def _check_invertible(A: LoopMatrix, rows: np.ndarray) -> LaurentPoly:
+    """det A; SingularLoopError unless min over the circle of |det A| exceeds
     SINGULAR_TOL times prod_i rows[i], the norms of the rows of A in L^2 of
     the circle, sqrt(sum_t ||row i of tap t||^2): the verdict, singular or no
     Laurent inverse, on a loop that `dual_loop` could not certify.
@@ -252,29 +258,34 @@ def _check_invertible(A: LoopMatrix, rows: np.ndarray):
             f"min |det A| undecided on {M} points: samples at least "
             f"{worst:.3e}, lower bound {bound:.3e}, floor {floor:.3e}; loop refused"
         )
+    return det
 
 
 def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
     """The dual loop Atilde = A^{*-1} as a Laurent matrix, or None.
 
-    With D the row norms of A, (D^-1 A)* is inverted on M points, and D Atilde
-    read back (`polys_from_grid`, blind to row scale) from the end of the
-    longest circular run of zero taps and shifted to put the largest trace of
-    A* Atilde at z^0.  M starts at the power of two above A's T taps and
-    doubles to at least twice the adjugate width (N-1)(T-1)+1, which holds
-    any Laurent inverse; a grid over PART_CAP entries raises SizeCapError.
-    One certificate decides, g = `_identity_gap` of A* Atilde: g < 1/2 proves
-    A invertible on the circle, with cond(D^-1 A(z)) <= kappa = (sum_t
+    With D the row norms of A, (D^-1 A)* is inverted on M points and D Atilde
+    read back (`polys_from_grid`, blind to row scale) after the longest
+    circular run of zero taps.  Row i of a Laurent inverse is a minor of A's
+    other rows over the monomial det A*, so one shift fits all its rows in
+    windows set by A's rows; a read-back that fits none (a truncated series)
+    is not taken.  M starts above A's T taps and doubles to twice the span of
+    those windows.  A fit is shifted to put the largest trace of A* Atilde at
+    z^0, and one certificate decides, g = `_identity_gap` of A* Atilde: g < 1/2
+    proves A invertible on the circle, with cond(D^-1 A(z)) <= kappa = (sum_t
     ||D^-1 A_t||_F)(sum_t ||D Atilde_t||_F)/(1 - g) at any scale of A or a row.
     kappa >= 1/SINGULAR_TOL raises SingularLoopError; g <= DEFAULT_TOL returns
-    Atilde.  If no grid certifies, `_check_invertible` raises or gives None.
+    Atilde.  Else `_check_invertible` raises or gives None, also once the next
+    grid holds over PART_CAP entries, unless det A is a monomial: a Laurent
+    dual out of the cap's reach, SizeCapError.
     """
     N, T, rows = A.N, len(A.taps), np.sqrt((np.abs(A.taps) ** 2).sum(axis=(0, 2)))[:, None]
     B_star = LoopMatrix.from_array(A.lo, A.taps / (rows + (rows == 0))).adjoint()  # a zero row stays 0
+    first, last = _row_span(A.taps)
+    width = int((last - first).sum())  # row i of Atilde spans the others' widths
+    reach = 2 * (width + int(first.max() - last.min()) + 1)  # twice any Laurent inverse's
     M = 1 << T.bit_length()
-    while True:
-        if (entries := M * N * N) > PART_CAP:
-            raise SizeCapError(f"the dual loop's grid needs {entries} entries (cap {PART_CAP})")
+    while M * N * N <= PART_CAP:
         try:
             coeffs = polys_from_grid(np.linalg.inv(B_star.sample_grid(M)), 0)
         except np.linalg.LinAlgError:
@@ -282,21 +293,24 @@ def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
         live = np.flatnonzero(coeffs.reshape(M, -1).any(axis=1))
         start = int(live[(np.diff(live, append=live[0] + M).argmax() + 1) % len(live)])
         DAt = LoopMatrix.from_array(start, np.roll(coeffs, -start, axis=0))
-        P = B_star @ DAt  # = A* Atilde
-        shift = P.lo + int(np.abs(np.trace(P.taps, axis1=1, axis2=2)).argmax())
-        DAt.lo, P.lo = DAt.lo - shift, P.lo - shift
-        gap = _identity_gap(P)
-        if gap < 0.5:
-            kappa = np.linalg.norm(B_star.taps, axis=(1, 2)).sum() / (1 - gap)
-            kappa *= np.linalg.norm(DAt.taps, axis=(1, 2)).sum()
-            if kappa >= 1 / SINGULAR_TOL:
-                raise SingularLoopError(f"cond(A) may reach {kappa:.3e}; loop is not invertible")
-            if gap <= DEFAULT_TOL:
-                return LoopMatrix.from_array(DAt.lo, DAt.taps / rows)
-        if M >= 2 * ((N - 1) * (T - 1) + 1):
+        r, s = _row_span(DAt.taps)
+        if (last - r).max() - (first - s).min() <= width:  # one shift fits every row
+            P = B_star @ DAt  # = A* Atilde
+            shift = P.lo + int(np.abs(np.trace(P.taps, axis1=1, axis2=2)).argmax())
+            DAt.lo, P.lo = DAt.lo - shift, P.lo - shift
+            gap = _identity_gap(P)
+            if gap < 0.5:
+                kappa = np.linalg.norm(B_star.taps, axis=(1, 2)).sum() / (1 - gap)
+                kappa *= np.linalg.norm(DAt.taps, axis=(1, 2)).sum()
+                if kappa >= 1 / SINGULAR_TOL:
+                    raise SingularLoopError(f"cond(A) may reach {kappa:.3e}; loop is not invertible")
+                if gap <= DEFAULT_TOL:
+                    return LoopMatrix.from_array(DAt.lo, DAt.taps / rows)
+        if M >= reach:
             break
-        M *= 2
-    _check_invertible(A, rows)
+        M = min(2 * M, reach)
+    if len(_check_invertible(A, rows).taps) == 1 and M * N * N > PART_CAP:
+        raise SizeCapError(f"the dual loop's grid needs {M * N * N} entries (cap {PART_CAP})")
     return None
 
 
@@ -418,7 +432,9 @@ def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunct
     """Assemble AA*(z) exactly, then sample and invert it on the grid.
 
     A is judged invertible on the whole circle first, by `dual_loop`'s
-    certificate (or its determinant verdict); the grid sets only the samples."""
+    certificate (or its determinant verdict); the grid sets only the samples.
+    The verdict costs a `dual_loop` call, its dual dropped: with no Laurent
+    dual, every grid to its reach, then det A."""
     A, _ = bank.loops
     dual_loop(A)
     gram = A @ A.adjoint()

@@ -188,6 +188,19 @@ def test_fock_judges_large_dual_pairs(capsys, name, N):
     assert (code, err) == (0, "")
 
 
+def test_loop_without_laurent_dual_at_large_N(tmp_path, capsys):
+    # diag(1 + 0.9z, 1, ..., 1) at N = 128: the inverse's windows are two taps
+    # wide, so one grid of 4 points and a 2-point det A decide, with a note
+    taps = np.zeros((2, 128, 128), dtype=complex)
+    taps[0] = np.eye(128)
+    taps[1, 0, 0] = 0.9
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(filters_from_loop(LoopMatrix.from_array(0, taps)).to_json()))
+    got, doc, _ = run_json(capsys, "loop", "--input", str(path))
+    assert (got, doc["Atilde"], doc["Atilde_exact"]) == (0, None, False)
+    assert "not a Laurent matrix" in doc["note"]
+
+
 def _loop_verdict(folder: Path, A: LoopMatrix) -> tuple:
     """(exit code, Atilde_exact) of `loop` on the primary filters of A."""
     path, out = folder / "bank.json", folder / "report.json"

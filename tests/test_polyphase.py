@@ -509,18 +509,43 @@ class TestDualLoop:
         assert (At.lo, At.taps.shape) == (A.lo, A.taps.shape)
         assert np.abs(At.taps - A.taps).max() < 1e-13
 
+    @pytest.mark.parametrize("c, N", [(1e-3, 2), (4e-3, 2), (0.5, 2), (0.5, 16), (0.5, 256)])
+    def test_truncated_series_is_not_a_dual(self, c, N):
+        # 1/(1 + c z) read back on a grid is a truncated series that meets
+        # A* Atilde = I within DEFAULT_TOL (4 taps at c = 1e-3, ~50 at c = 1/2),
+        # but row 0 of a Laurent dual holds one tap, so one verdict at every N
+        taps = np.zeros((2, N, N), dtype=complex)
+        taps[0] = np.eye(N)
+        taps[1, 0, 0] = c
+        assert dual_loop(LoopMatrix.from_array(0, taps)) is None
+
+    def test_grid_over_cap_falls_back_to_det(self):
+        # diag(1 + 0.9 z^100, 1, ..., 1) and I + 0.9 z^100 e_01 at N = 128: the
+        # grids reach M = 128, and M = 202 holds over PART_CAP entries.  det A
+        # decides: not a monomial, so no Laurent dual; a monomial, so a dual
+        # the cap keeps out of reach
+        N = 128
+        taps = np.zeros((101, N, N), dtype=complex)
+        taps[0] = np.eye(N)
+        taps[100, 0, 0] = 0.9
+        assert dual_loop(LoopMatrix.from_array(0, taps)) is None
+        taps[100, 0, 0], taps[100, 0, 1] = 0, 0.9
+        with pytest.raises(SizeCapError, match=f"{202 * N * N} entries"):
+            dual_loop(LoopMatrix.from_array(0, taps))
+
     def test_grid_over_cap_refused_before_sampling(self):
-        # diag(1 + 0.9z, 1, ..., 1) at N = 363 has no Laurent inverse and an
-        # adjugate width of 363: the doubling would reach M = 1024, a 2.2 GB
-        # grid; M = 16 is the first over PART_CAP, refused before it is sampled
+        # I + 0.99 z P, P the cyclic shift, at N = 363 has no Laurent inverse
+        # (det A = 1 + 0.99^363 z^363) and windows as wide as the adjugate's:
+        # M = 16 is the first grid over PART_CAP, and det A's grid of 364
+        # points (767 MB) is refused before it is sampled
         N = 363
         taps = np.zeros((2, N, N), dtype=complex)
         taps[0] = np.eye(N)
-        taps[1, 0, 0] = 0.9
+        taps[1] = 0.99 * np.roll(np.eye(N), 1, axis=0)
         A = LoopMatrix.from_array(0, taps)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeCapError, match=f"{16 * N * N} entries"):
+            with pytest.raises(SizeCapError, match=f"{364 * N * N} entries"):
                 dual_loop(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
