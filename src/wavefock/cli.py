@@ -195,6 +195,8 @@ def cmd_loop(args, config: RunConfig) -> int:
             At, holds = dual_loop(A), True
         else:  # a supplied dual is judged by its pair bound
             holds = bank.pair_bound <= DEFAULT_TOL
+    except SizeCapError:
+        raise  # configuration, exit 2, as from `main`
     except WavefockError as exc:
         _emit(report, config)
         return _diagnostic(exc)

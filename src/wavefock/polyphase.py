@@ -16,8 +16,9 @@ the adjoint is the reversed conjugate transpose, and the values on a grid
 are one FFT of the taps folded mod the grid size (`circle_values`, the one
 circle sampler, which fibres and determinants use too).  The exact dual loop
 is recovered the other way: A* is inverted pointwise and read back with
-`polys_from_grid`.  One certificate, the bound on sup_z ||A* Atilde - I|| with
-a condition bound judged against 1/SINGULAR_TOL, decides both that A is
+`polys_from_grid`.  For a read-back that fits the windows of a Laurent
+inverse, one certificate, the bound on sup_z ||A* Atilde - I|| with a
+condition bound judged against 1/SINGULAR_TOL, decides both that A is
 invertible on the circle and that Atilde is its dual; the exact determinant
 (`_check_invertible`) judges only a loop that no grid certifies.  `dual_loop`
 and `gram_function` share that verdict; no user grid enters it.

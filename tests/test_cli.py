@@ -201,6 +201,20 @@ def test_loop_without_laurent_dual_at_large_N(tmp_path, capsys):
     assert "not a Laurent matrix" in doc["note"]
 
 
+def test_loop_dual_over_cap_exits_two(tmp_path, capsys):
+    # I + 0.99 z P, P the cyclic shift, at N = 128 has no Laurent inverse, and
+    # det A needs 129 grid points of 128 x 128, over the cap: a size refusal,
+    # exit 2 like every SIZE_CAP, not a failed verdict
+    taps = np.zeros((2, 128, 128), dtype=complex)
+    taps[0] = np.eye(128)
+    taps[1] = 0.99 * np.roll(np.eye(128), 1, axis=0)
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(filters_from_loop(LoopMatrix.from_array(0, taps)).to_json()))
+    code, out, err = run(capsys, "loop", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "cap" in err
+
+
 def _loop_verdict(folder: Path, A: LoopMatrix) -> tuple:
     """(exit code, Atilde_exact) of `loop` on the primary filters of A."""
     path, out = folder / "bank.json", folder / "report.json"
