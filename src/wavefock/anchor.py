@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceededError, EmptyAnchorError, NotReconstructiveError
-from .filterbank import FilterBank, relation_report
+from .filterbank import DEFAULT_TOL, FilterBank
 from .laurent import LaurentPoly, adjoint_poly
 from .subdivision import dense_slanted_matrix
 
@@ -173,7 +173,7 @@ def compute_anchor(bank: FilterBank, check: bool = True) -> AnchorSubspace:
     Iteratively removes the directions whose images leak outside the current
     candidate; dimensions strictly decrease until the fixed point.
     """
-    if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
+    if check and not bank.pair_bound <= DEFAULT_TOL:
         raise NotReconstructiveError("anchor needs a dual pair or orthogonal bank")
     W = bank.N * bank.genus
     # the B_i of both families on modes -(W-1)..W-1, row W - 1 + n for e_n

@@ -24,7 +24,7 @@ from . import corpus
 from .acceptance import DEFAULT_SEED, run_all
 from .anchor import compute_anchor, depths_and_cyclicity
 from .errors import SizeCapError, WavefockError
-from .filterbank import DEFAULT_TOL, FilterBank, relation_report
+from .filterbank import DEFAULT_TOL, FilterBank
 from .fock import ChoiMatrix, creation_matrices, tstar_t_check
 from .polyphase import LoopMatrix, dual_loop, filters_from_loop
 from .wavelet_fock import cor6_check
@@ -169,6 +169,7 @@ def _diagnostic(exc: WavefockError) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    from .filterbank import relation_report  # the operator report is verify's alone
     bank = _bank_from_args(args)
     rep = relation_report(bank, tol=config.tolerance, grid=config.grid_size)
     _emit(rep.to_json(), config)

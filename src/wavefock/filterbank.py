@@ -89,8 +89,13 @@ class FilterBank:
 
     @functools.cached_property
     def pair_bound(self) -> float:
-        """`loop_pair_bound` of A against Atilde, or against A if self-dual."""
+        """`polyphase.loop_pair_bound` of A against Atilde, or against A if
+        self-dual, the verdict of every reconstructive gate; refused before any
+        loop is built if A* Atilde would hold over PART_CAP entries."""
         from .polyphase import loop_pair_bound
+        taps = sum(-(-(lo % self.N + width) // self.N) for lo, width in self.windows)
+        if (entries := (taps - 1) * self.N**2) > PART_CAP:
+            raise SizeCapError(f"the pair certificate needs {entries} entries (cap {PART_CAP})")
         return loop_pair_bound(self.loops[0], self.loops[1] or self.loops[0])
 
     @property
@@ -341,7 +346,7 @@ def module_expand(bank: FilterBank, f: LaurentPoly, k: int, check: bool = True) 
     """
     if k < 1:
         raise ValueError("word length k must be at least 1")
-    if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
+    if check and not bank.pair_bound <= DEFAULT_TOL:
         raise NotReconstructiveError("bank fails the dual-pairing verdict")
     duals = bank.duals_or_primaries
     components = {(): f}

@@ -11,17 +11,15 @@ Atilde = A^{*-1} characterises the dual-pair case.  The Gram data of the
 operator family is carried by AA*(z) and its pointwise inverse.
 
 A loop is one (taps, N, N) coefficient array: products are tap convolutions
-of matrix products (`tap_product`: every tap pair in one batched product),
-the adjoint is the reversed conjugate transpose, and the values on a grid
-are one FFT of the taps folded mod the grid size (`circle_values`, the one
-circle sampler, which fibres and determinants use too).  The exact dual loop
-is recovered the other way: A* is inverted pointwise and read back with
-`polys_from_grid`.  For a read-back that fits the windows of a Laurent
-inverse, one certificate, the bound on sup_z ||A* Atilde - I|| with a
-condition bound judged against 1/SINGULAR_TOL, decides both that A is
-invertible on the circle and that Atilde is its dual; the exact determinant
-(`_check_invertible`) judges only a loop that no grid certifies.  `dual_loop`
-and `gram_function` share that verdict; no user grid enters it.
+of matrix products (`tap_product`, batched under PART_CAP), the adjoint is the
+reversed conjugate transpose, and grid values are one FFT of the taps folded
+mod the grid size (`circle_values`).  The dual loop is recovered the other
+way: A* is inverted pointwise and read back by `polys_from_grid`.  One
+certificate, `loop_pair_bound`, judges a dual pair: the bound on sup_z
+||A* Atilde - I|| and a condition bound against 1/SINGULAR_TOL.
+`FilterBank.pair_bound` reads it for every reconstructive gate and for
+`gram_function`, `dual_loop` on its read-back; det A (`_check_invertible`)
+judges only a loop that no grid certifies.
 
 Verdicts read the `*_bound`s, which hold on the whole circle: from a
 residual's taps, or from a grid sized by its exponent span.  The sampled sups
@@ -140,14 +138,18 @@ class LoopMatrix:
 def tap_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Taps of the product of the loops with (T, N, N) taps a and b, untrimmed.
 
-    Every tap pair is multiplied in one batched product; entry k of the
-    result sums the products a[s] b[k - s] in the order of s, from 0.0."""
+    Tap pairs are multiplied in batches of at most PART_CAP entries (over one,
+    a's exact-zero taps skipped); entry k sums a[s] b[k - s] by s, from 0.0."""
     if len(a) == 1 or len(b) == 1:
         return a @ b + 0.0  # -0.0 to 0.0, as the accumulation below leaves it
-    pairs = a[:, None] @ b[None]
-    out = np.zeros((len(a) + len(b) - 1,) + pairs.shape[2:], dtype=complex)
-    for s, row in enumerate(pairs):
-        out[s : s + len(b)] += row
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=complex)
+    step, batches = max(1, PART_CAP // b.size), [(range(len(a)), a)]  # step: taps of a per batch
+    if len(a) > step:
+        live = np.flatnonzero(a.reshape(len(a), -1).any(axis=1))
+        batches = ((live[c : c + step], a[live[c : c + step]]) for c in range(0, len(live), step))
+    for taps, part in batches:
+        for s, row in zip(taps, part[:, None] @ b[None]):
+            out[s : s + len(b)] += row
     return out
 
 
@@ -271,17 +273,12 @@ def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
     other rows over the monomial det A*, so one shift fits all its rows in
     windows set by A's rows; a read-back that fits none (a truncated series)
     is not taken.  M starts above A's T taps and doubles to twice the span of
-    those windows.  A fit is shifted to put the largest trace of A* Atilde at
-    z^0, and one certificate decides, g = `_identity_gap` of A* Atilde: g < 1/2
-    proves A invertible on the circle, with cond(D^-1 A(z)) <= kappa = (sum_t
-    ||D^-1 A_t||_F)(sum_t ||D Atilde_t||_F)/(1 - g) at any scale of A or a row.
-    kappa >= 1/SINGULAR_TOL raises SingularLoopError; g <= DEFAULT_TOL returns
-    Atilde.  Else `_check_invertible` raises or gives None, also once the next
-    grid holds over PART_CAP entries, unless det A is a monomial: a Laurent
-    dual out of the cap's reach, SizeCapError.
-    """
-    N, T, rows = A.N, len(A.taps), np.sqrt((np.abs(A.taps) ** 2).sum(axis=(0, 2)))[:, None]
-    B_star = LoopMatrix.from_array(A.lo, A.taps / (rows + (rows == 0))).adjoint()  # a zero row stays 0
+    those windows.  A fit, shifted to put the largest trace of A* Atilde at
+    z^0, is returned if `loop_pair_bound` (which may raise) is <= DEFAULT_TOL.
+    Else `_check_invertible` raises or gives None, also once the next grid
+    holds over PART_CAP entries, unless det A is a monomial: SizeCapError."""
+    N, T, rows = A.N, len(A.taps), _row_norms(A)
+    B_star = LoopMatrix.from_array(A.lo, A.taps / rows).adjoint()
     first, last = _row_span(A.taps)
     width = int((last - first).sum())  # row i of Atilde spans the others' widths
     reach = 2 * (width + int(first.max() - last.min()) + 1)  # twice any Laurent inverse's
@@ -293,26 +290,25 @@ def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
             break
         live = np.flatnonzero(coeffs.reshape(M, -1).any(axis=1))
         start = int(live[(np.diff(live, append=live[0] + M).argmax() + 1) % len(live)])
-        DAt = LoopMatrix.from_array(start, np.roll(coeffs, -start, axis=0))
-        r, s = _row_span(DAt.taps)
+        At = LoopMatrix.from_array(start, np.roll(coeffs, -start, axis=0) / rows)
+        r, s = _row_span(At.taps)
         if (last - r).max() - (first - s).min() <= width:  # one shift fits every row
-            P = B_star @ DAt  # = A* Atilde
+            P = A.adjoint() @ At
             shift = P.lo + int(np.abs(np.trace(P.taps, axis1=1, axis2=2)).argmax())
-            DAt.lo, P.lo = DAt.lo - shift, P.lo - shift
-            gap = _identity_gap(P)
-            if gap < 0.5:
-                kappa = np.linalg.norm(B_star.taps, axis=(1, 2)).sum() / (1 - gap)
-                kappa *= np.linalg.norm(DAt.taps, axis=(1, 2)).sum()
-                if kappa >= 1 / SINGULAR_TOL:
-                    raise SingularLoopError(f"cond(A) may reach {kappa:.3e}; loop is not invertible")
-                if gap <= DEFAULT_TOL:
-                    return LoopMatrix.from_array(DAt.lo, DAt.taps / rows)
+            At.lo, P.lo = At.lo - shift, P.lo - shift
+            if loop_pair_bound(A, At, P) <= DEFAULT_TOL:
+                return At
         if M >= reach:
             break
         M = min(2 * M, reach)
     if len(_check_invertible(A, rows).taps) == 1 and M * N * N > PART_CAP:
         raise SizeCapError(f"the dual loop's grid needs {M * N * N} entries (cap {PART_CAP})")
     return None
+
+
+def _row_norms(A: LoopMatrix) -> np.ndarray:
+    """(N, 1) norms D of the rows of A in L^2 of the circle; a zero row's is 1."""
+    return (rows := np.sqrt((np.abs(A.taps) ** 2).sum(axis=(0, 2)))[:, None]) + (rows == 0)
 
 
 def _identity_gap(L: LoopMatrix) -> float:
@@ -323,9 +319,19 @@ def _identity_gap(L: LoopMatrix) -> float:
     return float(norms.sum() - norms[-L.lo] + np.linalg.norm(L.taps[-L.lo] - np.eye(L.N)))
 
 
-def loop_pair_bound(A: LoopMatrix, At: LoopMatrix) -> float:
-    """Bound on sup_z ||A(z)^* Atilde(z) - I|| for an exact dual loop."""
-    return _identity_gap(A.adjoint() @ At)
+def loop_pair_bound(A: LoopMatrix, At: LoopMatrix, P: LoopMatrix | None = None) -> float:
+    """g = `_identity_gap` of P = A* Atilde (formed unless given) bounds sup_z
+    ||A(z)^* Atilde(z) - I||; g < 1/2 proves cond(D^-1 A(z)) <= kappa = (sum_t
+    ||D^-1 A_t||_F)(sum_t ||D Atilde_t||_F)/(1 - g), D the row norms of A, on
+    the whole circle; kappa >= 1/SINGULAR_TOL raises SingularLoopError."""
+    gap = _identity_gap(A.adjoint() @ At if P is None else P)
+    if gap < 0.5:
+        rows = _row_norms(A)
+        kappa = np.linalg.norm(A.taps / rows, axis=(1, 2)).sum() / (1 - gap)
+        kappa *= np.linalg.norm(At.taps * rows, axis=(1, 2)).sum()
+        if kappa >= 1 / SINGULAR_TOL:
+            raise SingularLoopError(f"cond(A) may reach {kappa:.3e}; loop is not invertible")
+    return gap
 
 
 def loop_unitarity_bound(A: LoopMatrix) -> float:
@@ -432,12 +438,10 @@ class GramMatrixFunction:
 def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunction:
     """Assemble AA*(z) exactly, then sample and invert it on the grid.
 
-    A is judged invertible on the whole circle first, by `dual_loop`'s
-    certificate (or its determinant verdict); the grid sets only the samples.
-    The verdict costs a `dual_loop` call, its dual dropped: with no Laurent
-    dual, every grid to its reach, then det A."""
-    A, _ = bank.loops
-    dual_loop(A)
-    gram = A @ A.adjoint()
+    A is judged invertible on the whole circle first: by `bank.pair_bound`,
+    or by `dual_loop` when that fails; the grid sets only the samples."""
+    if bank.pair_bound > DEFAULT_TOL:
+        dual_loop(bank.loops[0])
+    gram = bank.loops[0] @ bank.loops[0].adjoint()
     samples = gram.sample_grid(grid)
     return GramMatrixFunction(bank.N, grid, gram, samples, np.linalg.inv(samples))

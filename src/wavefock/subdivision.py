@@ -247,7 +247,7 @@ def pyramid(
     bound on A* Atilde = I, which `pyramid_reconstruct` needs to invert it."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if check and not bank.pair_bound < DEFAULT_TOL:
+    if check and not bank.pair_bound <= DEFAULT_TOL:
         raise NotReconstructiveError("bank fails the pairing identity A* Atilde = I")
     At = bank.loops[1] or bank.loops[0]
     K = At.taps.conj().transpose(0, 2, 1).reshape(-1, bank.N)

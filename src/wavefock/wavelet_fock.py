@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsdError, NotReconstructiveError
-from .filterbank import FilterBank, relation_report
+from .filterbank import DEFAULT_TOL, FilterBank
 from .fock import ChoiMatrix, CreationOps, TstarTReport, creation_matrices, tstar_t_check
 from .polyphase import GramMatrixFunction, gram_function
 
@@ -54,7 +54,7 @@ def sampled_choi(
     matrix.  Rank must be exactly N on every layer: the doubled matrix
     factors through a square root of AA*.
     """
-    if check and not relation_report(bank).biorthogonal:  # the Cuntz verdict if self-dual
+    if check and not bank.pair_bound <= DEFAULT_TOL:
         raise NotReconstructiveError("doubled Gram needs a dual pair or orthogonal bank")
     g = gram_function(bank, grid_size)
     P = ChoiMatrix(2 * bank.N, grid_size, layers=_points(g))

@@ -32,6 +32,8 @@ inverse adjoints, each factor built as its own `LoopMatrix`.  `per_family_modula
 loop once did before dividing the adjugate by it; `entries_loop_json` is the
 loop JSON written through one polynomial per entry; `loops_close` compares
 two loops coefficient by coefficient, as `LoopMatrix.isclose` did.
+`ill_conditioned_pair` is the bank s z [[1, 0], [1, c]] with |c| = 1.1e-10,
+whose exact dual passes A* Atilde = I but whose condition bound does not.
 """
 
 from __future__ import annotations
@@ -641,3 +643,13 @@ def loops_close(A: LoopMatrix, B: LoopMatrix, tol: float = 1e-12) -> bool:
     diff[A.lo - lo : A.lo - lo + len(A.taps)] = A.taps
     diff[B.lo - lo : B.lo - lo + len(B.taps)] -= B.taps
     return float(np.abs(diff).max()) <= tol
+
+
+def ill_conditioned_pair(s: float, with_dual: bool = True) -> FilterBank:
+    """Primaries of A = s z M, M = [[1, 0], [1, 1.1e-10 e^{0.7i}]], and the
+    exact dual z M^{-*}/s if asked: A* Atilde = I to roundoff at every s,
+    and cond(A(z)) ~ 1.8e10 on the whole circle."""
+    M = np.array([[1.0, 0.0], [1.0, 1.1e-10 * np.exp(0.7j)]])
+    A = LoopMatrix.from_array(1, s * M[None])
+    At = LoopMatrix.from_array(1, np.linalg.inv(M.conj().T)[None] / s)
+    return _pair_bank(A, At) if with_dual else filters_from_loop(A)

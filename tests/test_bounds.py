@@ -8,17 +8,20 @@ hold against a dense sup, that aliased exponents cannot slip past them, and
 that the reconstruction entry points judge the filters they actually use.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wavefock
 from wavefock import cli
 from wavefock.anchor import compute_anchor
 from wavefock.corpus import builtin_bank, haar_bank, random_biorthogonal_bank, random_orthogonal_bank
-from wavefock.errors import NotReconstructiveError
+from wavefock.errors import NotReconstructiveError, SingularLoopError
 from wavefock.filterbank import FilterBank, module_expand, relation_report
 from wavefock.laurent import LaurentPoly, adjoint_poly, decimate
 from wavefock.polyphase import (
@@ -32,6 +35,7 @@ from wavefock.polyphase import (
 )
 from wavefock.subdivision import SignalWindow, pyramid
 from wavefock.wavelet_fock import sampled_choi
+from oracles import ill_conditioned_pair
 
 DENSE = 4096
 
@@ -196,3 +200,25 @@ def test_entry_points_reject_mismatched_duals(name):
     assert relation_report(FilterBank(2, haar_bank().filters)).cuntz
     with pytest.raises(NotReconstructiveError):
         ENTRY_POINTS[name](mismatched_duals())
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_refuse_an_ill_conditioned_pair_at_every_scale(name, s):
+    # A* Atilde = I holds to roundoff, but the condition bound ~1.8e10 does
+    # not; every gate reads the one certificate, so none takes the pair
+    with pytest.raises(SingularLoopError, match="1.818e"):
+        ENTRY_POINTS[name](ill_conditioned_pair(s))
+
+
+def test_relation_report_named_by_verify_and_the_suite_only():
+    # every reconstructive gate reads bank.pair_bound; the operator report
+    # belongs to the verify subcommand and the equivalence suite
+    root = Path(wavefock.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        source = path.read_text()
+        if path.name == "cli.py":
+            verify = next(f for f in ast.parse(source).body if getattr(f, "name", "") == "cmd_verify")
+            source = source.replace(ast.get_source_segment(source, verify), "")
+        if path.name not in ("filterbank.py", "acceptance.py", "__init__.py"):
+            assert "relation_report" not in source, path.name

@@ -21,6 +21,7 @@ from wavefock.filterbank import FilterBank
 from wavefock.fock import ChoiMatrix
 from wavefock.laurent import LaurentPoly
 from wavefock.polyphase import LoopMatrix, filters_from_loop, loop_from_filters
+from oracles import ill_conditioned_pair
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -180,12 +181,28 @@ def test_loop_judges_a_supplied_dual(tmp_path, capsys, scale, code, exact):
     assert doc["Atilde"] is not None
 
 
-@pytest.mark.parametrize("name, N", [("random-biorthogonal", 128), ("random-causal-pair", 192)])
+@pytest.mark.parametrize(
+    "name, N", [("random-biorthogonal", 128), ("random-causal-pair", 192), ("random-biorthogonal", 192)]
+)
 def test_fock_judges_large_dual_pairs(capsys, name, N):
-    # det A is at most 1e-10 of the row-norm product on both loops, which
-    # the determinant verdict refused; dual_loop certifies A* Atilde = I
+    # det A is at most 1e-10 of the row-norm product on these loops, which
+    # the determinant verdict refused; the bank's pair bound certifies
+    # A* Atilde = I.  At N = 192 a relation report would pass its cap, so a
+    # gate that read one refused the bank
     code, _, err = run(capsys, "fock", "--builtin", name, f"N={N}", "--grid", "8", "--levels", "2")
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("with_dual", [True, False])
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+def test_loop_gives_one_verdict_on_an_ill_conditioned_pair(tmp_path, capsys, s, with_dual):
+    # a supplied dual is judged by the certificate dual_loop uses, condition
+    # bound included: the dual passed at s = 1 alone, the primaries nowhere
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(ill_conditioned_pair(s, with_dual).to_json()))
+    code, out, err = run(capsys, "loop", "--input", str(path))
+    assert code == 1 and json.loads(out)["Atilde"] is None
+    assert err.startswith("SINGULAR_LOOP") and "1.818e+10" in err
 
 
 def test_loop_without_laurent_dual_at_large_N(tmp_path, capsys):
@@ -413,7 +430,11 @@ def test_fock_cap_is_config_error(capsys):
 @pytest.mark.parametrize("e", [2000, 10**6])
 def test_relation_report_cap_refuses_before_allocating(tmp_path, capsys, command, e):
     # the N = 2 bank {1, z^e} is within the JSON limits, but a relation report
-    # part on it would build arrays quadratic in e (214 MiB at e = 2000)
+    # part on it would build arrays quadratic in e (214 MiB at e = 2000), so
+    # verify refuses it.  anchor and fock read the pair certificate: its loop
+    # is singular (both filters in phase 0), which A* A of 2e/2 + 1 taps shows
+    # at e = 2000 (the zero taps of A* skipped), and at e = 10^6 that product
+    # is over the cap and refused before any loop is built
     path = tmp_path / "bank.json"
     bank = FilterBank(2, [LaurentPoly.one(), LaurentPoly.monomial(e)])
     path.write_text(json.dumps(bank.to_json()))
@@ -423,8 +444,12 @@ def test_relation_report_cap_refuses_before_allocating(tmp_path, capsys, command
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out) == (2, "")
-    assert "cap" in err
+    if command == "verify" or e > 2000:
+        assert (code, out) == (2, "")
+        assert "cap" in err
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("NOT_RECONSTRUCTIVE")
     assert peak < 2 << 20
 
 
@@ -451,6 +476,15 @@ def test_loop_far_exponent_dual_is_exact(tmp_path, capsys):
     assert code == 0 and doc["Atilde_exact"] is True
     [[k, re, im]] = doc["Atilde"]["entries"][1][1]
     assert k == 1000 and abs(complex(re, im) - 1.0) <= 1e-15
+
+
+def test_loop_far_monomial_dual_in_little_memory(tmp_path, capsys):
+    # {1, z^8001} at N = 2: A = Atilde = diag(1, z^4000), whose A* Atilde
+    # formed every pair of 4001 x 4001 taps (1 GB); A* has two nonzero taps
+    bank = FilterBank(2, [LaurentPoly.one(), LaurentPoly.monomial(8001)])
+    code, out, _, peak = _traced_loop(tmp_path, capsys, bank)
+    assert code == 0 and json.loads(out)["Atilde_exact"] is True
+    assert peak < 16 << 20
 
 
 def test_loop_build_cap_refuses_before_allocating(tmp_path, capsys):

@@ -11,7 +11,7 @@ from wavefock.corpus import (
     random_causal_pair,
     random_orthogonal_bank,
 )
-from wavefock.errors import DualLengthMismatchError, NotReconstructiveError
+from wavefock.errors import DualLengthMismatchError, NotReconstructiveError, SizeCapError
 from wavefock.filterbank import (
     FilterBank,
     apply_S,
@@ -20,7 +20,7 @@ from wavefock.filterbank import (
     module_reconstruct,
     relation_report,
 )
-from wavefock import filterbank
+from wavefock import filterbank, polyphase
 from wavefock.laurent import LaurentPoly, adjoint_poly, decimate, poly_window, upsample
 from wavefock.polyphase import loop_unitarity_residual, loop_from_filters, modulation_bound
 from oracles import eager_relation_json
@@ -128,6 +128,16 @@ class TestBankBasics:
                 modulation_bound(bank)
                 bank.genus
             assert calls == [bank.filters] + ([] if bank.is_self_dual else [bank.dual_filters])
+
+    def test_pair_bound_refused_before_any_loop(self, monkeypatch):
+        # {1, z^(10^6)} at N = 2: A* A would hold 4 (2 x 500001 - 1) entries
+        def forbidden(bank):
+            raise AssertionError("a loop was built")
+
+        monkeypatch.setattr(polyphase, "loop_from_filters", forbidden)
+        bank = FilterBank(2, [LaurentPoly.one(), LaurentPoly.monomial(10**6)])
+        with pytest.raises(SizeCapError, match="4000004 entries"):
+            bank.pair_bound
 
     def test_genus_from_both_windows(self):
         # the union of the families' windows, with a zero family held as one zero tap

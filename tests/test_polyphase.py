@@ -11,6 +11,7 @@ from wavefock.acceptance import DEFAULT_SEED
 from wavefock.corpus import (
     HAAR_LOOP,
     STRETCHED_HAAR_LOOP,
+    builtin_bank,
     haar_bank,
     identity_loop_bank,
     random_bank,
@@ -248,6 +249,33 @@ class TestLoopArrays:
         got, want = tap_product(a, b), accumulated_tap_product(a, b)
         assert got.shape == want.shape == (la + lb - 1, N, N)
         assert np.array_equal(got.view(float).view(np.int64), want.view(float).view(np.int64))
+
+    @pytest.mark.parametrize("cap", [1, 20, 64, 1 << 21])
+    def test_batched_product_matches_accumulation_bit_for_bit(self, monkeypatch, cap):
+        # under a small cap the pairs come in several batches, and the zero
+        # taps of a are skipped; the sums stay those of the accumulation
+        monkeypatch.setattr(pp, "PART_CAP", cap)
+        rng = np.random.default_rng(cap)
+        a = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+        a[[1, 2, 5]] = 0.0
+        a[7] = -0.0
+        b = rng.standard_normal((5, 2, 2)) - 0.5j
+        for x, y in ((a, b), (b, a), (a, a)):
+            got, want = tap_product(x, y), accumulated_tap_product(x, y)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "name, N",
+        [("stretched-haar", 0), ("stretched-haar-dual", 0), ("random-biorthogonal", 5), ("random-causal-pair", 3)],
+    )
+    def test_pair_bound_is_the_accumulated_gap(self, name, N):
+        # the bank's certificate reads the gap of A* Atilde as the
+        # per-tap accumulation forms it, bit for bit
+        bank = builtin_bank(name, {"N": N})
+        A, At = bank.loops
+        A_star, At = A.adjoint(), At or A
+        P = LoopMatrix.from_array(A_star.lo + At.lo, accumulated_tap_product(A_star.taps, At.taps))
+        assert bank.pair_bound == pp._identity_gap(P)
 
     def test_product_trims_cancelled_end_taps(self):
         E = np.zeros((2, 2))
@@ -781,6 +809,33 @@ class TestGram:
         assert np.all(rep.kept.sum(axis=1) == 4)
         assert rep.min_eigenvalue > -1e-10
         assert np.allclose(rep.eigenvalues[0][4:], [2.5] * 4, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, params", [("haar", {}), ("stretched-haar-dual", {}), ("random-biorthogonal", {"N": 3})]
+    )
+    def test_certified_bank_takes_no_dual_loop(self, monkeypatch, name, params):
+        # the bank's own pair certifies A: no dual is computed to be dropped
+        def forbidden(A):
+            raise AssertionError("dual_loop was called")
+
+        monkeypatch.setattr(pp, "dual_loop", forbidden)
+        bank = builtin_bank(name, params)
+        assert bank.pair_bound <= DEFAULT_TOL
+        gram_function(bank, grid=8)
+
+    @pytest.mark.parametrize("make", ["stretched-haar", "diag(1 + z/2, 1)"])
+    def test_uncertified_bank_is_judged_by_dual_loop(self, monkeypatch, make):
+        # A* A != I on a self-dual bank that is not orthogonal: its pair bound
+        # does not certify A, and dual_loop (or det A) judges it once
+        if make == "stretched-haar":
+            bank = builtin_bank(make)
+        else:
+            bank = filters_from_loop(_diag(LaurentPoly({0: 1.0, 1: 0.5})))
+        calls, real = [], pp.dual_loop
+        monkeypatch.setattr(pp, "dual_loop", lambda A: calls.append(A) or real(A))
+        assert bank.pair_bound > DEFAULT_TOL
+        gram_function(bank, grid=8)
+        assert calls == [bank.loops[0]]
 
     def test_multiplier_cross_check(self, rng):
         # (AA*)_{j,i} is the multiplier of S_i^* S_j, exactly in coefficients
