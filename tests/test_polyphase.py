@@ -823,12 +823,12 @@ class TestGram:
         assert bank.pair_bound <= DEFAULT_TOL
         gram_function(bank, grid=8)
 
-    @pytest.mark.parametrize("make", ["stretched-haar", "diag(1 + z/2, 1)"])
-    def test_uncertified_bank_is_judged_by_dual_loop(self, monkeypatch, make):
+    @pytest.mark.parametrize("name", ["stretched-haar", "diag(1 + z/2, 1)"])
+    def test_uncertified_bank_is_judged_by_dual_loop(self, monkeypatch, name):
         # A* A != I on a self-dual bank that is not orthogonal: its pair bound
         # does not certify A, and dual_loop (or det A) judges it once
-        if make == "stretched-haar":
-            bank = builtin_bank(make)
+        if name == "stretched-haar":
+            bank = builtin_bank(name)
         else:
             bank = filters_from_loop(_diag(LaurentPoly({0: 1.0, 1: 0.5})))
         calls, real = [], pp.dual_loop
