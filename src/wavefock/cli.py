@@ -173,6 +173,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     bank = _bank_from_args(args)
     rep = relation_report(bank, tol=config.tolerance, grid=config.grid_size)
     _emit(rep.to_json(), config)
+    bank.pair_bound  # the bank's one certificate: SingularLoopError past its condition bound
     return 0 if rep.biorthogonal else VERDICT_FAILED  # the Cuntz verdict if self-dual
 
 
@@ -192,10 +193,14 @@ def cmd_loop(args, config: RunConfig) -> int:
     A, At = bank.loops
     report = {"A": A.to_json(), "Atilde": None, "Atilde_exact": False}
     try:
-        if At is None:  # dual_loop returns only a dual it has certified
-            At, holds = dual_loop(A), True
-        else:  # a supplied dual is judged by its pair bound
+        if At is not None:  # a supplied dual is judged by its pair bound
             holds = bank.pair_bound <= DEFAULT_TOL
+        else:  # A itself if its pair bound certifies A* A = I, else a dual dual_loop certified
+            try:
+                own = bank.pair_bound <= DEFAULT_TOL
+            except SizeCapError:  # A* A is over the cap, and dual_loop's grids may not be
+                own = False
+            At, holds = A if own else dual_loop(A), True
     except SizeCapError:
         raise  # configuration, exit 2, as from `main`
     except WavefockError as exc:

@@ -15,11 +15,9 @@ of matrix products (`tap_product`, batched under PART_CAP), the adjoint is the
 reversed conjugate transpose, and grid values are one FFT of the taps folded
 mod the grid size (`circle_values`).  The dual loop is recovered the other
 way: A* is inverted pointwise and read back by `polys_from_grid`.  One
-certificate, `loop_pair_bound`, judges a dual pair: the bound on sup_z
-||A* Atilde - I|| and a condition bound against 1/SINGULAR_TOL.
-`FilterBank.pair_bound` reads it for every reconstructive gate and for
-`gram_function`, `dual_loop` on its read-back; det A (`_check_invertible`)
-judges only a loop that no grid certifies.
+certificate, `loop_pair_bound` (sup_z ||A* Atilde - I|| and a condition bound),
+judges a dual pair, for every gate and for `dual_loop`; the sigma_min bound
+`loop_condition_bound` judges whether a loop with no dual is invertible.
 
 Verdicts read the `*_bound`s, which hold on the whole circle: from a
 residual's taps, or from a grid sized by its exponent span.  The sampled sups
@@ -46,6 +44,7 @@ from .laurent import (
 )
 
 SINGULAR_TOL = 1e-10
+SIGMA_GRID_CAP = 1 << 26  # most points, and most entries, of a sigma_min or |det| grid
 
 
 class LoopMatrix:
@@ -200,13 +199,8 @@ def _row_span(taps: np.ndarray) -> tuple:
 
 
 def loop_det(A: LoopMatrix) -> LaurentPoly:
-    """Determinant of a loop as a Laurent polynomial.
-
-    Each term of det A takes one entry from every row, so its exponents lie
-    in [sum of row minima, sum of row maxima].  det A(z) is sampled on as
-    many grid points as that window holds (over PART_CAP entries, refused)
-    and read back with one FFT.
-    """
+    """det A, read back from a grid as wide as its exponent window [sum of row
+    minima, sum of row maxima] (refused over PART_CAP entries); no verdict reads it."""
     first, last = _row_span(A.taps)
     lo, hi = A.N * A.lo + int(first.sum()), A.N * A.lo + int(last.sum())
     if (entries := (hi - lo + 1) * A.N * A.N) > PART_CAP:
@@ -215,53 +209,49 @@ def loop_det(A: LoopMatrix) -> LaurentPoly:
     return LaurentPoly.from_array(lo, polys_from_grid(dets, lo))
 
 
-DET_GRID_CAP = 1 << 16  # most circle points a determinant is sampled on before it is refused
+def _rotated_values(L: LoopMatrix, M: int):
+    """Values of L on M equispaced points, in rotated sub-grids of at most
+    PART_CAP entries: sub-grid j holds e^(2 pi i (j + k M/m)/M), k < m."""
+    m = min(M, 1 << max(0, (PART_CAP // L.N**2).bit_length() - 1))
+    for j in range(M // m):  # z^e there turns by e j/M, taken mod 1 exactly
+        turns = (L.lo + np.arange(len(L.taps))) * j % M / M
+        yield circle_values(L.lo, L.taps * np.exp(2j * np.pi * turns)[:, None, None], m)
 
 
-def _check_invertible(A: LoopMatrix, rows: np.ndarray) -> LaurentPoly:
-    """det A; SingularLoopError unless min over the circle of |det A| exceeds
-    SINGULAR_TOL times prod_i rows[i], the norms of the rows of A in L^2 of
-    the circle, sqrt(sum_t ||row i of tap t||^2): the verdict, singular or no
-    Laurent inverse, on a loop that `dual_loop` could not certify.
+def _flat_det(parts) -> bool:
+    """Whether log|det| spreads by at most DEFAULT_TOL over stacks of samples, none singular."""
+    logs = np.concatenate([np.linalg.slogdet(values)[1] for values in parts])
+    return bool(np.isfinite(logs).all() and np.ptp(logs) <= DEFAULT_TOL)
 
-    That product bounds min |det A| from above (Hadamard's inequality at each
-    point, then Jensen), equals 1 on every paraunitary loop whatever N is,
-    and scales as det A does when a row or the whole loop is scaled, so the
-    verdict does not see the scale.
 
-    A single tap c z^e has |det A| = |c| on the whole circle.  Any other
-    det A is sampled on M equispaced points (`circle_values` of its
-    coefficients c_j): the smallest sample bounds the minimum from above, and
-    that sample less (pi/M) sum_j |j - jbar| |c_j|, a Lipschitz bound over the
-    distance to the nearest point, from below.  M doubles until one side
-    decides; a determinant still undecided once M reaches DET_GRID_CAP is
-    refused.
-    """
-    det = loop_det(A)
-    floor = SINGULAR_TOL * float(np.prod(rows))
-    c = det.taps
-    worst = bound = float(np.abs(c).max(initial=0.0))
-    if len(c) > 1:
-        j = np.arange(len(c))
-        slope = np.pi * float(np.abs(j - j.mean()) @ np.abs(c))
-        M = 1 << (len(c) - 1).bit_length()
-        while True:
-            worst = float(np.abs(circle_values(det.lo, c, M)).min())
-            bound = worst - slope / M
-            if worst <= floor or bound > floor or M >= DET_GRID_CAP:
-                break
-            M *= 2
-    if worst <= floor:
-        raise SingularLoopError(
-            f"|det A| reaches {worst:.3e}, at most {SINGULAR_TOL:g} times the "
-            f"product of its row norms; loop is not invertible"
-        )
-    if bound <= floor:
-        raise SingularLoopError(
-            f"min |det A| undecided on {M} points: samples at least "
-            f"{worst:.3e}, lower bound {bound:.3e}, floor {floor:.3e}; loop refused"
-        )
-    return det
+def loop_condition_bound(A: LoopMatrix) -> float:
+    """kappa = sum_t ||D^-1 A_t||_2 over a lower bound on min_z sigma_min(D^-1 A(z)), D
+    the row norms of A: the least 1/||(D^-1 A(z))^-1||_F <= sigma_min on M equispaced
+    points, less (pi/M) sum_t |t - c| ||D^-1 A_t||_2, c the weighted median tap.
+    SingularLoopError unless kappa < 1/SINGULAR_TOL.  M starts above the T taps and
+    jumps to the least power of two that could decide; a grid over SIGMA_GRID_CAP
+    points is refused as undecided, over SIGMA_GRID_CAP entries as over the size cap."""
+    B = LoopMatrix.from_array(A.lo, A.taps / _row_norms(A))
+    live = np.flatnonzero(B.taps.reshape(len(B.taps), -1).any(axis=1))
+    norms = np.linalg.norm(B.taps[live], 2, axis=(1, 2))
+    centre = np.append(live, 0)[np.searchsorted(np.cumsum(norms), norms.sum() / 2)]  # 0 if A = 0
+    slope, upper = np.pi * float(np.abs(live - centre) @ norms), float(norms.sum())
+    M, s, floor = 1 << len(B.taps).bit_length(), np.inf, SINGULAR_TOL * upper
+    while True:  # each grid holds the last; resampling it costs at most as much again
+        for values in _rotated_values(B, M):
+            try:
+                s = min(s, 1 / np.linalg.norm(np.linalg.inv(values), axis=(1, 2)).max())
+            except np.linalg.LinAlgError:  # a sample is exactly singular
+                s = 0.0
+        if s <= floor:
+            raise SingularLoopError(f"sigma_min(D^-1 A) reaches {s:.3e}; loop is not invertible")
+        if s - slope / M > floor:
+            return upper / (s - slope / M)
+        M = max(2 * M, 1 << int(slope / (s - floor)).bit_length())
+        if M > SIGMA_GRID_CAP:
+            raise SingularLoopError(f"sigma_min {s:.3e} undecided below {M} points; loop refused")
+        if (size := M * A.N**2) > SIGMA_GRID_CAP:
+            raise SizeCapError(f"{M} sigma_min points need {size} entries (cap {SIGMA_GRID_CAP})")
 
 
 def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
@@ -271,23 +261,24 @@ def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
     read back (`polys_from_grid`, blind to row scale) after the longest
     circular run of zero taps.  Row i of a Laurent inverse is a minor of A's
     other rows over the monomial det A*, so one shift fits all its rows in
-    windows set by A's rows; a read-back that fits none (a truncated series)
-    is not taken.  M starts above A's T taps and doubles to twice the span of
-    those windows.  A fit, shifted to put the largest trace of A* Atilde at
-    z^0, is returned if `loop_pair_bound` (which may raise) is <= DEFAULT_TOL.
-    Else `_check_invertible` raises or gives None, also once the next grid
-    holds over PART_CAP entries, unless det A is a monomial: SizeCapError."""
-    N, T, rows = A.N, len(A.taps), _row_norms(A)
+    windows set by A's rows; a read-back that fits none (a truncated series),
+    or from a grid where |det| is not flat (`_flat_det`, so det A is no
+    monomial), is not taken.  M starts above A's T taps and doubles to twice
+    the windows' span.  A fit, shifted to put the largest trace of A* Atilde
+    at z^0, is returned if `loop_pair_bound` (which may raise) is <=
+    DEFAULT_TOL; else `loop_condition_bound` raises or gives None, or, when
+    the next grid is over PART_CAP and |det| is flat on over twice det's
+    span (or that grid is too large), SizeCapError: a dual beyond reach."""
+    N, rows, M = A.N, _row_norms(A), 1 << len(A.taps).bit_length()
     B_star = LoopMatrix.from_array(A.lo, A.taps / rows).adjoint()
     first, last = _row_span(A.taps)
-    width = int((last - first).sum())  # row i of Atilde spans the others' widths
+    width = int((last - first).sum())  # row i of Atilde spans the others' widths; det A this
     reach = 2 * (width + int(first.max() - last.min()) + 1)  # twice any Laurent inverse's
-    M = 1 << T.bit_length()
     while M * N * N <= PART_CAP:
-        try:
-            coeffs = polys_from_grid(np.linalg.inv(B_star.sample_grid(M)), 0)
-        except np.linalg.LinAlgError:
+        values = B_star.sample_grid(M)
+        if not _flat_det([values]):
             break
+        coeffs = polys_from_grid(np.linalg.inv(values), 0)
         live = np.flatnonzero(coeffs.reshape(M, -1).any(axis=1))
         start = int(live[(np.diff(live, append=live[0] + M).argmax() + 1) % len(live)])
         At = LoopMatrix.from_array(start, np.roll(coeffs, -start, axis=0) / rows)
@@ -301,8 +292,11 @@ def dual_loop(A: LoopMatrix) -> LoopMatrix | None:
         if M >= reach:
             break
         M = min(2 * M, reach)
-    if len(_check_invertible(A, rows).taps) == 1 and M * N * N > PART_CAP:
-        raise SizeCapError(f"the dual loop's grid needs {M * N * N} entries (cap {PART_CAP})")
+    if M * N * N > PART_CAP:  # a dual beyond reach if |det| is flat on over twice det's span
+        grid = 1 << (2 * width).bit_length()
+        if grid * N * N > SIGMA_GRID_CAP or _flat_det(_rotated_values(B_star, grid)):
+            raise SizeCapError(f"the dual loop's grid needs {M * N * N} entries (cap {PART_CAP})")
+    loop_condition_bound(A)
     return None
 
 
@@ -439,9 +433,9 @@ def gram_function(bank: FilterBank, grid: int = DEFAULT_GRID) -> GramMatrixFunct
     """Assemble AA*(z) exactly, then sample and invert it on the grid.
 
     A is judged invertible on the whole circle first: by `bank.pair_bound`,
-    or by `dual_loop` when that fails; the grid sets only the samples."""
+    or by `loop_condition_bound` when that fails; the grid sets only the samples."""
     if bank.pair_bound > DEFAULT_TOL:
-        dual_loop(bank.loops[0])
+        loop_condition_bound(bank.loops[0])
     gram = bank.loops[0] @ bank.loops[0].adjoint()
     samples = gram.sample_grid(grid)
     return GramMatrixFunction(bank.N, grid, gram, samples, np.linalg.inv(samples))

@@ -34,6 +34,11 @@ loop JSON written through one polynomial per entry; `loops_close` compares
 two loops coefficient by coefficient, as `LoopMatrix.isclose` did.
 `ill_conditioned_pair` is the bank s z [[1, 0], [1, c]] with |c| = 1.1e-10,
 whose exact dual passes A* Atilde = I but whose condition bound does not.
+`shifted_diagonal` is a random invertible loop times diag(1 + cz, 1, ..., 1):
+invertible for |c| < 1, with no Laurent inverse for any c != 0, and a
+truncated series of its inverse fits its windows from small N on.
+`shift_loop` is I + 0.99 z P, P the cyclic shift: well conditioned, with no
+Laurent inverse.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from wavefock.corpus import random_invertible_loop
 from wavefock.errors import NotPsdError, SizeCapError
 from wavefock.filterbank import FilterBank
 from wavefock.fock import (
@@ -653,3 +659,21 @@ def ill_conditioned_pair(s: float, with_dual: bool = True) -> FilterBank:
     A = LoopMatrix.from_array(1, s * M[None])
     At = LoopMatrix.from_array(1, np.linalg.inv(M.conj().T)[None] / s)
     return _pair_bank(A, At) if with_dual else filters_from_loop(A)
+
+
+def shifted_diagonal(N: int, c: complex, seed: int = 0) -> LoopMatrix:
+    """`random_invertible_loop`(N, seed) times diag(1 + c z, 1, ..., 1): det is a
+    monomial times 1 + c z, so |det| spreads by log((1 + |c|)/(1 - |c|))."""
+    taps = np.zeros((2, N, N), dtype=complex)
+    taps[0] = np.eye(N)
+    taps[1, 0, 0] = c
+    return random_invertible_loop(N, np.random.default_rng(seed)) @ LoopMatrix.from_array(0, taps)
+
+
+def shift_loop(N: int) -> LoopMatrix:
+    """I + 0.99 z P, P the cyclic shift: det A = 1 - (-0.99)^N z^N, and
+    sigma_min(A(z)) >= 0.01 on the circle."""
+    taps = np.zeros((2, N, N), dtype=complex)
+    taps[0] = np.eye(N)
+    taps[1] = 0.99 * np.roll(np.eye(N), 1, axis=0)
+    return LoopMatrix.from_array(0, taps)

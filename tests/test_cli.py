@@ -21,7 +21,7 @@ from wavefock.filterbank import FilterBank
 from wavefock.fock import ChoiMatrix
 from wavefock.laurent import LaurentPoly
 from wavefock.polyphase import LoopMatrix, filters_from_loop, loop_from_filters
-from oracles import ill_conditioned_pair
+from oracles import ill_conditioned_pair, shift_loop, shifted_diagonal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,6 +61,17 @@ def test_verify_biorthogonal_pair(capsys):
     )
     assert code == 0
     assert doc["verdicts"]["biorthogonal"] is True
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+def test_verify_refuses_an_ill_conditioned_pair(tmp_path, capsys, s):
+    # the relation report passes at s = 1 alone; the bank's one certificate,
+    # read after the report is written, refuses the pair at every s
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(ill_conditioned_pair(s).to_json()))
+    code, doc, err = run_json(capsys, "verify", "--input", str(path))
+    assert code == 1 and "verdicts" in doc
+    assert err.startswith("SINGULAR_LOOP") and "1.818e+10" in err
 
 
 def test_verify_malformed_json(tmp_path, capsys):
@@ -206,8 +217,8 @@ def test_loop_gives_one_verdict_on_an_ill_conditioned_pair(tmp_path, capsys, s, 
 
 
 def test_loop_without_laurent_dual_at_large_N(tmp_path, capsys):
-    # diag(1 + 0.9z, 1, ..., 1) at N = 128: the inverse's windows are two taps
-    # wide, so one grid of 4 points and a 2-point det A decide, with a note
+    # diag(1 + 0.9z, 1, ..., 1) at N = 128: |det A| spreads on the first grid
+    # of 4 points, and sigma_min decides on a few more, with a note
     taps = np.zeros((2, 128, 128), dtype=complex)
     taps[0] = np.eye(128)
     taps[1, 0, 0] = 0.9
@@ -218,18 +229,51 @@ def test_loop_without_laurent_dual_at_large_N(tmp_path, capsys):
     assert "not a Laurent matrix" in doc["note"]
 
 
-def test_loop_dual_over_cap_exits_two(tmp_path, capsys):
-    # I + 0.99 z P, P the cyclic shift, at N = 128 has no Laurent inverse, and
-    # det A needs 129 grid points of 128 x 128, over the cap: a size refusal,
-    # exit 2 like every SIZE_CAP, not a failed verdict
-    taps = np.zeros((2, 128, 128), dtype=complex)
-    taps[0] = np.eye(128)
-    taps[1] = 0.99 * np.roll(np.eye(128), 1, axis=0)
+def _shift_bank_path(tmp_path, N: int) -> str:
+    """The primaries of I + 0.99 z P, P the cyclic shift of size N."""
     path = tmp_path / "bank.json"
-    path.write_text(json.dumps(filters_from_loop(LoopMatrix.from_array(0, taps)).to_json()))
-    code, out, err = run(capsys, "loop", "--input", str(path))
+    path.write_text(json.dumps(filters_from_loop(shift_loop(N)).to_json()))
+    return str(path)
+
+
+def test_loop_dual_over_cap_exits_two(tmp_path, capsys):
+    # I + 0.99 z P at N = 363 has no Laurent inverse, and bounding its
+    # sigma_min needs 512 grid points of 363 x 363, over the cap: a size
+    # refusal, exit 2 like every SIZE_CAP, not a failed verdict
+    code, out, err = run(capsys, "loop", "--input", _shift_bank_path(tmp_path, 363))
     assert (code, out) == (2, "")
     assert "cap" in err
+
+
+def test_loop_well_conditioned_shift_gets_a_verdict(tmp_path, capsys):
+    # at N = 128 the same loop was refused with SIZE_CAP, its determinant's
+    # grid over the cap; sigma_min decides it on 512 points
+    code, doc, err = run_json(capsys, "loop", "--input", _shift_bank_path(tmp_path, 128))
+    assert (code, doc["Atilde"], doc["Atilde_exact"], err) == (0, None, False, "")
+    assert "not a Laurent matrix" in doc["note"]
+
+
+@pytest.mark.parametrize("c", [0.5, 1e-3, 1e-6])
+def test_loop_truncated_series_is_not_exact(tmp_path, capsys, c):
+    # the read-back series of diag(1 + cz, 1, ..., 1)'s inverse, times a
+    # random loop, fits its windows from N = 4 or 16 on, but |det A| is not flat
+    for N in (2, 4, 8, 16, 64):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(filters_from_loop(shifted_diagonal(N, c)).to_json()))
+        code, doc, _ = run_json(capsys, "loop", "--input", str(path))
+        assert (code, doc["Atilde"], doc["Atilde_exact"]) == (0, None, False)
+        assert "not a Laurent matrix" in doc["note"]
+
+
+def test_loop_reuses_a_self_certified_loop(monkeypatch, capsys):
+    # the bank's pair bound certifies A* A = I, so A is its own dual loop
+    def forbidden(A):
+        raise AssertionError("dual_loop was called")
+
+    monkeypatch.setattr(cli, "dual_loop", forbidden)
+    code, doc, _ = run_json(capsys, "loop", "--builtin", "random-orthogonal", "N=256")
+    assert (code, doc["Atilde_exact"]) == (0, True)
+    assert doc["Atilde"] == doc["A"]
 
 
 def _loop_verdict(folder: Path, A: LoopMatrix) -> tuple:
@@ -250,6 +294,8 @@ def _loop_of_kind(kind: str, N: int, rng) -> LoopMatrix:
         return random_invertible_loop(N, rng)
     if kind == "unstructured":  # a determinant of many terms
         return loop_from_filters(random_bank(N, rng))[0]
+    if kind == "no-laurent-dual":  # invertible, det a monomial times 1 + cz
+        return shifted_diagonal(N, rng.choice([0.5, 1e-3, 1e-6]), int(rng.integers(2**16)))
     # the first row times 1 + z^k: det A vanishes where z^k = -1
     A = random_invertible_loop(N, rng)
     taps = np.zeros((len(A.taps) + 4,) + A.taps.shape[1:], dtype=complex)
@@ -260,7 +306,7 @@ def _loop_of_kind(kind: str, N: int, rng) -> LoopMatrix:
 
 @settings(max_examples=30, deadline=None)
 @given(
-    kind=st.sampled_from(["monomial", "unstructured", "singular"]),
+    kind=st.sampled_from(["monomial", "unstructured", "singular", "no-laurent-dual"]),
     N=st.integers(2, 7),
     seed=st.integers(0, 2**16),
     exponent=st.floats(min_value=-6.0, max_value=6.0),
@@ -270,8 +316,9 @@ def test_loop_verdict_is_scale_invariant(kind, N, seed, exponent):
     with tempfile.TemporaryDirectory() as folder:
         want = _loop_verdict(Path(folder), A)
         assert _loop_verdict(Path(folder), _scaled(A, 10.0**exponent)) == want
+    expected = {"monomial": (0, True), "singular": (1, False), "no-laurent-dual": (0, False)}
     if kind != "unstructured":
-        assert want == ((0, True) if kind == "monomial" else (1, False))
+        assert want == expected[kind]
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,8 @@ from oracles import (
     entries_loop_json,
     loops_close,
     per_family_modulation_bound,
+    shift_loop,
+    shifted_diagonal,
     torus_grid,
 )
 import wavefock.polyphase as pp
@@ -48,6 +50,7 @@ from wavefock.polyphase import (
     dual_loop,
     filters_from_loop,
     gram_function,
+    loop_condition_bound,
     loop_from_filters,
     loop_det,
     loop_pair_bound,
@@ -65,6 +68,10 @@ from wavefock.wavelet_fock import sampled_choi
 def assert_loop_equal(A, B, tol=1e-12):
     assert A.N == B.N
     assert loops_close(A, B, tol)
+
+
+def _forbidden(*args, **kw):
+    raise AssertionError("a function the verdict must not need was called")
 
 
 # ----------------------------------------------------------------------
@@ -547,11 +554,14 @@ class TestDualLoop:
         taps[1, 0, 0] = c
         assert dual_loop(LoopMatrix.from_array(0, taps)) is None
 
-    def test_grid_over_cap_falls_back_to_det(self):
+    def test_grid_over_cap_decided_without_det(self, monkeypatch):
         # diag(1 + 0.9 z^100, 1, ..., 1) and I + 0.9 z^100 e_01 at N = 128: the
-        # grids reach M = 128, and M = 202 holds over PART_CAP entries.  det A
-        # decides: not a monomial, so no Laurent dual; a monomial, so a dual
-        # the cap keeps out of reach
+        # grids reach M = 128, and M = 202 holds over PART_CAP entries.  The
+        # spread of log|det| decides: wide on the first grid, so no Laurent
+        # dual (and sigma_min proves A invertible on 4096 points); flat on
+        # 256 > 2 x 100 points, so det A is a monomial and a dual the cap
+        # keeps out of reach
+        monkeypatch.setattr(pp, "loop_det", _forbidden)
         N = 128
         taps = np.zeros((101, N, N), dtype=complex)
         taps[0] = np.eye(N)
@@ -563,17 +573,15 @@ class TestDualLoop:
 
     def test_grid_over_cap_refused_before_sampling(self):
         # I + 0.99 z P, P the cyclic shift, at N = 363 has no Laurent inverse
-        # (det A = 1 + 0.99^363 z^363) and windows as wide as the adjugate's:
-        # M = 16 is the first grid over PART_CAP, and det A's grid of 364
-        # points (767 MB) is refused before it is sampled
+        # (det A = 1 + 0.99^363 z^363, whose modulus spreads on the first grid
+        # of 4 points); min sigma_min is 0.01/1.41, and the samples there
+        # show that a grid of 512 points (1.1 GB) would be needed to bound
+        # it: refused before it is sampled
         N = 363
-        taps = np.zeros((2, N, N), dtype=complex)
-        taps[0] = np.eye(N)
-        taps[1] = 0.99 * np.roll(np.eye(N), 1, axis=0)
-        A = LoopMatrix.from_array(0, taps)
+        A = shift_loop(N)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeCapError, match=f"{364 * N * N} entries"):
+            with pytest.raises(SizeCapError, match=f"512 sigma_min points need {512 * N * N} entries"):
                 dual_loop(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -638,7 +646,8 @@ def _diag(p: LaurentPoly) -> LoopMatrix:
 class TestInvertibility:
     def test_zero_between_grid_points_refused(self):
         # det A = 1 + z^16 vanishes where z^16 = -1, between the points of
-        # every grid of at most 16 points, where it reads 2
+        # every grid of at most 16 points, where it reads 2; the first grid
+        # sigma_min is sampled on has 32
         A = _diag(LaurentPoly({0: 1.0, 16: 1.0}))
         with pytest.raises(SingularLoopError, match="not invertible"):
             dual_loop(A)
@@ -662,11 +671,41 @@ class TestInvertibility:
         gram_function(filters_from_loop(A), grid=4)
 
     def test_undecided_determinant_refused(self):
-        # min |1 - r z| = 1 - r = 1e-9, above the floor (1.4e-10), but a
-        # Lipschitz bound of slope ~pi separates it from 0 only on ~4e9 points
+        # min sigma_min of the row-scaled loop is (1 - r)/sqrt 2 = 7.1e-10, above
+        # the floor (1.7e-10), but a Lipschitz bound of slope ~2.2 separates it
+        # from the floor only on ~4e9 points
         A = _diag(LaurentPoly({0: 1.0, 1: -(1.0 - 1e-9)}))
         with pytest.raises(SingularLoopError, match="undecided"):
             dual_loop(A)
+
+    @pytest.mark.parametrize("c", [0.5, 1e-3, 1e-6])
+    def test_no_laurent_dual_at_every_N(self, monkeypatch, c):
+        # a truncated series of the inverse fits the windows and meets
+        # A* Atilde = I within DEFAULT_TOL from N = 4 (c = 1e-3 and 1e-6) and
+        # N = 16 (c = 1/2) on, but |det A| spreads by ~2|c| on every grid
+        monkeypatch.setattr(pp, "loop_det", _forbidden)
+        for N in (2, 4, 8, 16, 64):
+            assert dual_loop(shifted_diagonal(N, c)) is None
+
+    def test_shift_loop_decided_at_N_128(self, monkeypatch):
+        # det A = 1 - 0.99^128 z^128 reads flat on every grid of at most 128
+        # points (z^128 = 1 there), and the next is over PART_CAP: |det|
+        # spreads on 512 > 2 x 128 points, so no Laurent dual, and
+        # sigma_min(D^-1 A) >= 0.01/1.41 is bounded on 512 points, where det
+        # A's grid of 129 points was refused
+        monkeypatch.setattr(pp, "loop_det", _forbidden)
+        A = shift_loop(128)
+        assert dual_loop(A) is None
+        assert loop_condition_bound(A) < 1e3
+
+    @pytest.mark.parametrize("N", [128, 256])
+    def test_random_invertible_loop_certified_without_det(self, monkeypatch, N):
+        # the dual's certificate and the sigma_min bound each prove A invertible
+        monkeypatch.setattr(pp, "loop_det", _forbidden)
+        A = random_invertible_loop(N, np.random.default_rng(0))
+        At = dual_loop(A)
+        assert isinstance(At, LoopMatrix) and loop_pair_bound(A, At) <= DEFAULT_TOL
+        assert loop_condition_bound(A) < 1 / SINGULAR_TOL
 
     def test_large_banks_build(self):
         # both generators call dual_loop on N = 64 loops whose |det A| is
@@ -677,7 +716,7 @@ class TestInvertibility:
             assert bank.N == 64 and bank.dual_filters is not None
 
     def test_verdict_ignores_row_scale(self):
-        # scaling one filter scales det A and its row norm alike, and D Atilde
+        # scaling one filter scales A's row and its norm alike, and D Atilde
         # is read back unchanged, so the dual comes back with that row of
         # Atilde scaled by 1/s (the roundoff cut of a read-back Atilde, 2^80
         # between rows, zeroed the small row and gave None)
@@ -824,15 +863,17 @@ class TestGram:
         gram_function(bank, grid=8)
 
     @pytest.mark.parametrize("name", ["stretched-haar", "diag(1 + z/2, 1)"])
-    def test_uncertified_bank_is_judged_by_dual_loop(self, monkeypatch, name):
+    def test_uncertified_bank_is_judged_by_condition_bound(self, monkeypatch, name):
         # A* A != I on a self-dual bank that is not orthogonal: its pair bound
-        # does not certify A, and dual_loop (or det A) judges it once
+        # does not certify A, and the sigma_min bound judges it once, with no
+        # dual computed to be dropped
         if name == "stretched-haar":
             bank = builtin_bank(name)
         else:
             bank = filters_from_loop(_diag(LaurentPoly({0: 1.0, 1: 0.5})))
-        calls, real = [], pp.dual_loop
-        monkeypatch.setattr(pp, "dual_loop", lambda A: calls.append(A) or real(A))
+        calls, real = [], pp.loop_condition_bound
+        monkeypatch.setattr(pp, "loop_condition_bound", lambda A: calls.append(A) or real(A))
+        monkeypatch.setattr(pp, "dual_loop", _forbidden)
         assert bank.pair_bound > DEFAULT_TOL
         gram_function(bank, grid=8)
         assert calls == [bank.loops[0]]
